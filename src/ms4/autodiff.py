@@ -447,7 +447,8 @@ def finite_diff_errors(loss_fn, params, epsilon=1e-5, analytic=None):
     `loss_fn` maps a dict of Tensors to a scalar Tensor and must be
     deterministic. Every real coordinate (real and imaginary parts counted
     separately for complex arrays) is perturbed by +/- epsilon. The relative
-    error denominator is max(|analytic|, |numeric|, 1e-12). Pass `analytic`
+    error denominator is max(|analytic|, |numeric|, 1e-12); a non-finite
+    error counts as inf, so NaN never passes a tolerance. Pass `analytic`
     to check an externally supplied gradient bundle instead.
     """
     params = {k: np.asarray(v) for k, v in params.items()}
@@ -478,7 +479,8 @@ def finite_diff_errors(loss_fn, params, epsilon=1e-5, analytic=None):
                 numeric = (hi - lo) / (2.0 * epsilon)
                 g = grad_flat[i]
                 a = g.real if unit == 1.0 else g.imag
-                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
+                worst = max(worst, err if np.isfinite(err) else np.inf)
         errors[name] = worst
     return errors
 

@@ -181,49 +181,22 @@ def classify_t(g, w3, b3, w4, b4):
     return ad.gelu(pooled @ w3 + b3) @ w4 + b4
 
 
+def channel_mix_t(h, leaves, i, normalized):
+    """Block i after its S4D stage: GLU channel mixing, then LayerNorm for MS4N."""
+    h = glu_t(h, leaves[f"block{i}.w2"], leaves[f"block{i}.b2"])
+    if normalized:
+        h = layer_norm_t(h, leaves[f"block{i}.gamma"], leaves[f"block{i}.beta"])
+    return h
+
+
 def forward_t(x, leaves, n_layers, normalized, dropout_rate, training, rng):
     """Logits for a (B, L, F) batch given leaf Tensors; the training graph."""
     h = x @ leaves["w1"] + leaves["b1"]
     for i in range(n_layers):
         p = {name: leaves[f"block{i}.ssm.{name}"] for name in ssm.SSM_LEAF_NAMES}
         h = ssm.s4d_apply(h, p, dropout_rate, training, rng)
-        h = glu_t(h, leaves[f"block{i}.w2"], leaves[f"block{i}.b2"])
-        if normalized:
-            h = layer_norm_t(h, leaves[f"block{i}.gamma"], leaves[f"block{i}.beta"])
+        h = channel_mix_t(h, leaves, i, normalized)
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
-
-
-# -- plain-array surface -------------------------------------------------------
-
-
-def input_projection(x, w1, b1):
-    """x_p = x W1 + b1 applied independently at each time step."""
-    x = np.asarray(x)
-    if x.shape[-1] != w1.shape[0]:
-        raise ValueError(f"input width {x.shape[-1]} does not match projection {w1.shape}")
-    return x @ w1 + b1
-
-
-def glu_mix(y, w2, b2):
-    y = np.asarray(y)
-    if y.shape[-1] != w2.shape[0] or w2.shape[1] != 2 * w2.shape[0]:
-        raise ValueError(f"mixer shapes inconsistent: input {y.shape}, w2 {w2.shape}")
-    return glu_t(ad.Tensor(y), ad.Tensor(w2), ad.Tensor(b2)).data
-
-
-def layer_norm(g, gamma, beta, eps=1e-5):
-    return layer_norm_t(ad.Tensor(np.asarray(g)), ad.Tensor(gamma), ad.Tensor(beta), eps=eps).data
-
-
-def classify(g, w3, b3, w4, b4):
-    g = np.asarray(g)
-    if g.shape[-2] == 0:
-        raise ValueError("cannot classify an empty sequence")
-    single = g.ndim == 2
-    if single:
-        g = g[None]
-    out = classify_t(ad.Tensor(g), ad.Tensor(w3), ad.Tensor(b3), ad.Tensor(w4), ad.Tensor(b4)).data
-    return out[0] if single else out
 
 
 def forward(x, model, training=False, seed=0):
@@ -245,55 +218,53 @@ def forward(x, model, training=False, seed=0):
     return logits[0] if single else logits
 
 
+def batch_logits(x, model, batch_size=256):
+    """Eval-mode logits for an (n, L, F) dataset tensor, `batch_size` sequences per forward."""
+    x = np.asarray(x, dtype=float)
+    logits = np.empty((x.shape[0], model.n_classes))
+    for start in range(0, x.shape[0], batch_size):
+        logits[start : start + batch_size] = forward(x[start : start + batch_size], model)
+    return logits
+
+
 def predict(x, model, batch_size=256):
     """Argmax labels for an (n, L, F) dataset tensor, evaluated in chunks."""
-    x = np.asarray(x, dtype=float)
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    for start in range(0, x.shape[0], batch_size):
-        stop = min(start + batch_size, x.shape[0])
-        labels[start:stop] = np.argmax(forward(x[start:stop], model), axis=-1)
-    return labels
+    return np.argmax(batch_logits(x, model, batch_size), axis=-1)
 
 
 # -- streaming inference -------------------------------------------------------
 
+STREAM_CHUNK = 64  # steps per pass through the pointwise stages; bounds working memory
+
 
 def stream_logits(model, x):
-    """Classify one (L, F) sequence with O(H*N) memory: recurrent S4D steps,
-    pointwise GLU/normalization, and a running mean instead of pooling.
+    """Classify one (L, F) sequence with O(H*N) recurrent state per block.
+
+    The sequence is read in chunks of STREAM_CHUNK steps, so working memory
+    is O(STREAM_CHUNK*H) whatever L is. Each block scans a chunk through its
+    S4D recurrence, carrying the state to the next chunk, then applies GELU
+    and `channel_mix_t` exactly as `forward_t` does. A running sum over time
+    replaces pooling and feeds the shared head `classify_t`.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"expected (L, {model.n_features}) input, got {x.shape}")
-    length = x.shape[0]
+    if x.shape[0] < 1:
+        raise ValueError("sequence length must be >= 1")
+    leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
     discretized = [ssm.zoh_discretize(blk.ssm) for blk in model.blocks]
     states = [ssm.StreamState.for_params(blk.ssm) for blk in model.blocks]
-    pooled = np.zeros(model.n_hidden)
-    for k in range(length):
-        h = x[k] @ model.w1 + model.b1
+    total = np.zeros(model.n_hidden)
+    for start in range(0, x.shape[0], STREAM_CHUNK):
+        h = x[start : start + STREAM_CHUNK] @ model.w1 + model.b1
         for i, blk in enumerate(model.blocks):
-            a_bar, b_bar = discretized[i]
-            states[i], y = ssm.recurrent_step(states[i], h, a_bar, b_bar, blk.ssm.c, blk.ssm.d)
-            y = _gelu_np(y)
-            y2 = y @ blk.w2 + blk.b2
-            half = y2.shape[-1] // 2
-            h = y2[:half] * _sigmoid_np(y2[half:])
-            if model.normalized:
-                centered = h - h.mean()
-                h = centered / np.sqrt((centered**2).mean() + 1e-5) * blk.gamma + blk.beta
-        pooled += h
-    pooled /= length
-    return _gelu_np(pooled @ model.w3 + model.b3) @ model.w4 + model.b4
-
-
-def _gelu_np(x):
-    return ad.gelu(ad.Tensor(x)).data
-
-
-def _sigmoid_np(x):
-    return ad.sigmoid(ad.Tensor(x)).data
+            states[i], y = ssm.scan(states[i], h, *discretized[i], blk.ssm.c, blk.ssm.d)
+            h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i, model.normalized).data
+        total += h.sum(axis=0)
+    mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
+    return classify_t(mean, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"]).data[0]
 
 
 # -- complexity accounting -----------------------------------------------------

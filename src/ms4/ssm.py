@@ -69,10 +69,6 @@ class SsmParams:
     def c(self):
         return self.c_re + 1j * self.c_im
 
-    @property
-    def delta(self):
-        return np.exp(self.log_delta)
-
     def leaves(self, prefix=""):
         return {prefix + name: getattr(self, name) for name in SSM_LEAF_NAMES}
 
@@ -225,18 +221,21 @@ def recurrent_step(state, x_k, a_bar, b_bar, c, d):
     return StreamState(h), y
 
 
+def scan(state, x, a_bar, b_bar, c, d):
+    """recurrent_step over the rows of a (T, H) input; returns (final state, (T, H) outputs)."""
+    out = np.empty_like(x)
+    for k in range(x.shape[0]):
+        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, c, d)
+    return state, out
+
+
 def stream_sequence(params, x):
     """Run the recurrence over a whole (L, H) input; equals conv + D*x."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (L, {params.n_channels}) input, got {x.shape}")
     a_bar, b_bar = zoh_discretize(params)
-    c, d = params.c, params.d
-    state = StreamState.for_params(params)
-    out = np.empty_like(x)
-    for k in range(x.shape[0]):
-        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, c, d)
-    return out
+    return scan(StreamState.for_params(params), x, a_bar, b_bar, params.c, params.d)[1]
 
 
 def s4d_forward(x_p, params, dropout_rate=0.1, training=False, seed=0):

@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as data_mod
 from . import model as model_mod
+from . import ssm
 from .errors import NumericError
 
 
@@ -79,13 +80,6 @@ def cross_entropy(logits, labels):
     return float((lse - picked).mean())
 
 
-def softmax(logits):
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy_t(logits, labels):
     """Differentiable batch-mean cross-entropy on a (B, n_c) logits Tensor."""
     n_batch, n_c = logits.shape
@@ -116,25 +110,9 @@ def adam_step(params, grads, moment1, moment2, t, config):
 
 def evaluate(mdl, dataset, batch_size=256):
     """(mean loss, misclassification error) of a model on a dataset, eval mode."""
-    losses = []
-    wrong = 0
-    for start in range(0, dataset.n_samples, batch_size):
-        stop = min(start + batch_size, dataset.n_samples)
-        logits = model_mod.forward(dataset.x[start:stop], mdl)
-        labels = dataset.y[start:stop]
-        losses.append(cross_entropy(logits, labels) * (stop - start))
-        wrong += int((np.argmax(logits, axis=-1) != labels).sum())
-    loss = float(np.sum(losses) / dataset.n_samples)
-    return loss, wrong / dataset.n_samples
-
-
-def _spectral_radii(leaves, n_layers):
-    radii = []
-    for i in range(n_layers):
-        p = {name: leaves[f"block{i}.ssm.{name}"] for name in ("log_a_real", "a_imag", "log_delta")}
-        lam = -np.exp(p["log_a_real"]) + 1j * p["a_imag"]
-        radii.append(np.abs(np.exp(np.exp(p["log_delta"])[:, None] * lam)))
-    return np.concatenate([r.ravel() for r in radii])
+    logits = model_mod.batch_logits(dataset.x, mdl, batch_size)
+    wrong = int((np.argmax(logits, axis=-1) != dataset.y).sum())
+    return cross_entropy(logits, dataset.y), wrong / dataset.n_samples
 
 
 def train(mdl, dataset, config):
@@ -175,11 +153,12 @@ def train(mdl, dataset, config):
             loss_sum += float(loss.data) * len(batch)
             correct += int((np.argmax(logits.data, axis=-1) == yb).sum())
 
-        radii = _spectral_radii(leaves, mdl.n_layers)
+        current = mdl.with_leaves(leaves)
+        radii = np.array([np.abs(ssm.zoh_discretize(blk.ssm)[0]) for blk in current.blocks])
         if not (radii < 1.0).all():
             raise NumericError(f"|A_bar| >= 1 after epoch {epoch}: max {radii.max()}")
 
-        val_loss, val_err = evaluate(mdl.with_leaves(leaves), val_set)
+        val_loss, val_err = evaluate(current, val_set)
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.train_loss.append(loss_sum / train_set.n_samples)

@@ -175,6 +175,13 @@ class TestFiniteDifferenceVerifier:
         err = ad.finite_diff_check(loss, params, epsilon=1e-5, analytic=doubled)
         assert err == pytest.approx(0.5, abs=1e-3)
 
+    def test_nan_gradient_is_worst_error(self):
+        # max(0.0, nan) is 0.0, so a NaN error must be mapped before the max
+        params = {"w": np.ones(2)}
+        loss = lambda p: (p["w"] * p["w"]).sum()
+        report = ad.finite_diff_errors(loss, params, analytic={"w": [np.nan, np.nan]})
+        assert report == {"w": np.inf}
+
     def test_per_group_report(self):
         params = {"a": np.ones(2), "b": np.ones(2)}
         loss = lambda p: (p["a"] * 2.0).sum() + (p["b"] * p["b"]).sum()

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ms4 import autodiff as ad
 from ms4 import cli, data, evaluate, model
 
 
@@ -143,6 +144,19 @@ class TestStreamVerb:
                          "--data", str(workdir / "d.csv"), "--check", "--tol", "0")
         assert code == 3
 
+    def test_nan_in_data_fails_check(self, capsys, workdir, tmp_path):
+        # a NaN deviation must fail the gate, not slip past `deviation > tol`
+        lines = (workdir / "d.csv").read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[3] = "nan"
+        lines[1] = ",".join(fields)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("".join(lines))
+        code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                           "--data", str(bad), "--check")
+        assert out.strip() == "nan"
+        assert code == 3
+
 
 class TestGradcheckVerb:
     def test_passes_and_prints_table(self, capsys):
@@ -156,6 +170,13 @@ class TestGradcheckVerb:
         code, _, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4",
                            "--features", "2", "--classes", "2", "--len", "8",
                            "--tol", "1e-18")
+        assert code == 3
+        assert "gradient check failed" in err
+
+    def test_nan_error_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(ad, "finite_diff_errors", lambda *a, **k: {"w": float("nan")})
+        code, _, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4",
+                           "--features", "2", "--classes", "2", "--len", "8")
         assert code == 3
         assert "gradient check failed" in err
 

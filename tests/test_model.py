@@ -1,6 +1,8 @@
 """Model pipeline tests: each stage's closed-form cases, the full forward
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,32 +15,54 @@ def tiny_model(normalized=True, n_layers=1, seed=0, **kw):
                             dropout_rate=0.0, seed=seed, **kw)
 
 
+def tensor_call(fn, *arrays):
+    """Apply a Tensor-level stage to plain arrays and return the array result."""
+    return fn(*(ad.Tensor(np.asarray(a, dtype=float)) for a in arrays)).data
+
+
+def glu(y, w2, b2):
+    return tensor_call(model.glu_t, y, w2, b2)
+
+
+def layer_norm(g, gamma, beta):
+    return tensor_call(model.layer_norm_t, g, gamma, beta)
+
+
+def classify(g, w3, b3, w4, b4):
+    return tensor_call(model.classify_t, g[None], w3, b3, w4, b4)[0]
+
+
 class TestInputProjection:
     def test_identity(self):
-        x = np.random.default_rng(0).standard_normal((10, 4))
-        np.testing.assert_array_equal(
-            model.input_projection(x, np.eye(4), np.zeros(4)), x
+        # projecting by hand into an identity-projection model changes nothing
+        mdl = tiny_model(seed=1)
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        identity = replace(mdl, w1=np.eye(8), b1=np.zeros(8))
+        np.testing.assert_allclose(
+            model.forward(x @ mdl.w1 + mdl.b1, identity), model.forward(x, mdl), atol=1e-12
         )
 
     def test_zero_weights_give_bias(self):
+        # with W1 = 0 every step projects to b1, so the input cannot matter
+        mdl = replace(tiny_model(seed=1), w1=np.zeros((3, 8)), b1=np.linspace(-1.0, 1.0, 8))
         x = np.random.default_rng(1).standard_normal((6, 3))
-        b = np.array([1.0, -2.0])
-        out = model.input_projection(x, np.zeros((3, 2)), b)
-        np.testing.assert_array_equal(out, np.tile(b, (6, 1)))
+        np.testing.assert_array_equal(model.forward(x, mdl), model.forward(np.zeros((6, 3)), mdl))
 
     def test_pointwise_in_time(self):
+        # C = 0 leaves only the feedthrough D*x, so every stage before pooling
+        # acts on one step at a time and the logits ignore the step order
+        mdl = tiny_model(seed=2)
+        blk = mdl.blocks[0]
+        no_conv = replace(blk.ssm, c_re=np.zeros_like(blk.ssm.c_re), c_im=np.zeros_like(blk.ssm.c_im))
+        mdl = replace(mdl, blocks=[replace(blk, ssm=no_conv)])
         rng = np.random.default_rng(2)
         x = rng.standard_normal((9, 3))
-        w, b = rng.standard_normal((3, 5)), rng.standard_normal(5)
         perm = rng.permutation(9)
-        np.testing.assert_allclose(
-            model.input_projection(x[perm], w, b),
-            model.input_projection(x, w, b)[perm],
-        )
+        np.testing.assert_allclose(model.forward(x[perm], mdl), model.forward(x, mdl), atol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
-            model.input_projection(np.zeros((4, 3)), np.zeros((2, 5)), np.zeros(5))
+            model.forward(np.zeros((4, 2)), tiny_model())
 
 
 class TestGluMix:
@@ -47,7 +71,7 @@ class TestGluMix:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((7, 4))
         w2 = np.hstack([np.eye(4), np.zeros((4, 4))])
-        out = model.glu_mix(y, w2, np.zeros(8))
+        out = glu(y, w2, np.zeros(8))
         np.testing.assert_allclose(out, y / 2.0, atol=1e-15)
 
     def test_saturated_gate_passes_value(self):
@@ -55,31 +79,26 @@ class TestGluMix:
         y = rng.standard_normal((7, 4))
         w2 = np.hstack([np.eye(4), np.zeros((4, 4))])
         b2 = np.concatenate([np.zeros(4), np.full(4, 40.0)])
-        out = model.glu_mix(y, w2, b2)
+        out = glu(y, w2, b2)
         np.testing.assert_allclose(out, y, rtol=0, atol=1e-15)
 
     def test_bias_only_path(self):
         c = 3.75
         b2 = np.concatenate([np.full(4, c), np.zeros(4)])
-        out = model.glu_mix(np.random.default_rng(5).standard_normal((6, 4)),
-                            np.zeros((4, 8)), b2)
+        out = glu(np.random.default_rng(5).standard_normal((6, 4)), np.zeros((4, 8)), b2)
         np.testing.assert_allclose(out, np.full((6, 4), c / 2.0), atol=1e-15)
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            model.glu_mix(np.zeros((5, 4)), np.zeros((4, 9)), np.zeros(9))
 
 
 class TestLayerNorm:
     def test_constant_rows_collapse_to_zero(self):
         g = np.full((5, 8), 0.1)
-        out = model.layer_norm(g, np.ones(8), np.zeros(8))
+        out = layer_norm(g, np.ones(8), np.zeros(8))
         assert np.abs(out).max() <= 1e-3
 
     def test_standardizes_each_step(self):
         rng = np.random.default_rng(6)
         g = 10.0 * rng.standard_normal((20, 64))
-        out = model.layer_norm(g, np.ones(64), np.zeros(64))
+        out = layer_norm(g, np.ones(64), np.zeros(64))
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-6)
 
@@ -87,8 +106,8 @@ class TestLayerNorm:
         rng = np.random.default_rng(7)
         g = 1000.0 * rng.standard_normal((12, 16))
         gamma, beta = np.ones(16), np.zeros(16)
-        base = model.layer_norm(g, gamma, beta)
-        mapped = model.layer_norm(5.0 * g + 3.0, gamma, beta)
+        base = layer_norm(g, gamma, beta)
+        mapped = layer_norm(5.0 * g + 3.0, gamma, beta)
         np.testing.assert_allclose(mapped, base, rtol=0, atol=1e-9)
 
     def test_affine_applied_after(self):
@@ -96,46 +115,43 @@ class TestLayerNorm:
         g = rng.standard_normal((4, 6))
         gamma = rng.standard_normal(6)
         beta = rng.standard_normal(6)
-        plain = model.layer_norm(g, np.ones(6), np.zeros(6))
-        np.testing.assert_allclose(
-            model.layer_norm(g, gamma, beta), plain * gamma + beta, atol=1e-12
-        )
+        plain = layer_norm(g, np.ones(6), np.zeros(6))
+        np.testing.assert_allclose(layer_norm(g, gamma, beta), plain * gamma + beta, atol=1e-12)
 
 
 class TestClassify:
     def setup_method(self):
         rng = np.random.default_rng(9)
-        self.w3 = rng.standard_normal((6, 5))
-        self.b3 = rng.standard_normal(5)
-        self.w4 = rng.standard_normal((5, 4))
-        self.b4 = rng.standard_normal(4)
+        self.head = (
+            rng.standard_normal((6, 5)), rng.standard_normal(5),
+            rng.standard_normal((5, 4)), rng.standard_normal(4),
+        )
 
     def test_constant_sequence_pools_to_itself(self):
         v = np.random.default_rng(10).standard_normal(6)
         g = np.tile(v, (11, 1))
-        expected = model.classify(v[None], self.w3, self.b3, self.w4, self.b4)
-        np.testing.assert_allclose(
-            model.classify(g, self.w3, self.b3, self.w4, self.b4), expected, atol=1e-12
-        )
+        expected = classify(v[None], *self.head)
+        np.testing.assert_allclose(classify(g, *self.head), expected, atol=1e-12)
 
     def test_zero_weights_leave_bias(self):
         g = np.random.default_rng(11).standard_normal((9, 6))
-        out = model.classify(g, np.zeros((6, 5)), self.b3, np.zeros((5, 4)), self.b4)
-        np.testing.assert_allclose(out, self.b4, atol=1e-15)
+        _, b3, _, b4 = self.head
+        out = classify(g, np.zeros((6, 5)), b3, np.zeros((5, 4)), b4)
+        np.testing.assert_allclose(out, b4, atol=1e-15)
 
     def test_time_permutation_invariance(self):
         rng = np.random.default_rng(12)
         g = rng.standard_normal((15, 6))
         perm = rng.permutation(15)
-        np.testing.assert_allclose(
-            model.classify(g[perm], self.w3, self.b3, self.w4, self.b4),
-            model.classify(g, self.w3, self.b3, self.w4, self.b4),
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(classify(g[perm], *self.head), classify(g, *self.head),
+                                   atol=1e-12)
 
     def test_empty_sequence_rejected(self):
+        mdl = tiny_model()
         with pytest.raises(ValueError):
-            model.classify(np.zeros((0, 6)), self.w3, self.b3, self.w4, self.b4)
+            model.forward(np.zeros((0, 3)), mdl)
+        with pytest.raises(ValueError):
+            model.stream_logits(mdl, np.zeros((0, 3)))
 
 
 class TestForward:
@@ -157,13 +173,11 @@ class TestForward:
         x = np.random.default_rng(13).standard_normal((12, 3))
         # manual pipeline sharing the same weights, norm toggled by hand
         blk = ms4n.blocks[0]
-        xp = model.input_projection(x, ms4n.w1, ms4n.b1)
-        y = ssm.s4d_forward(xp, blk.ssm, dropout_rate=0.0)
-        g = model.glu_mix(y, blk.w2, blk.b2)
-        with_norm = model.classify(
-            model.layer_norm(g, blk.gamma, blk.beta), ms4n.w3, ms4n.b3, ms4n.w4, ms4n.b4
-        )
-        without_norm = model.classify(g, ms4n.w3, ms4n.b3, ms4n.w4, ms4n.b4)
+        head = (ms4n.w3, ms4n.b3, ms4n.w4, ms4n.b4)
+        y = ssm.s4d_forward(x @ ms4n.w1 + ms4n.b1, blk.ssm, dropout_rate=0.0)
+        g = glu(y, blk.w2, blk.b2)
+        with_norm = classify(layer_norm(g, blk.gamma, blk.beta), *head)
+        without_norm = classify(g, *head)
         np.testing.assert_allclose(model.forward(x, ms4n), with_norm, atol=1e-12)
         ms4 = model.ModelParams(
             w1=ms4n.w1, b1=ms4n.b1,
@@ -290,17 +304,22 @@ class TestCheckpoint:
         assert loaded.n_layers == 1 and loaded.n_classes == 3
 
 
+STREAM_LENGTHS = [1, model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
+
+
 class TestStreaming:
-    def test_stream_matches_batch_forward(self):
-        mdl = tiny_model(seed=9)
-        x = np.random.default_rng(19).standard_normal((64, 3))
+    """Stream vs batch at lengths inside, at and across STREAM_CHUNK boundaries."""
+
+    def assert_stream_matches_forward(self, mdl, length):
+        x = np.random.default_rng(length).standard_normal((length, 3))
         np.testing.assert_allclose(
             model.stream_logits(mdl, x), model.forward(x, mdl), rtol=0, atol=1e-9
         )
 
-    def test_stream_matches_batch_forward_multilayer_ms4(self):
-        mdl = tiny_model(normalized=False, n_layers=2, seed=10)
-        x = np.random.default_rng(20).standard_normal((48, 3))
-        np.testing.assert_allclose(
-            model.stream_logits(mdl, x), model.forward(x, mdl), rtol=0, atol=1e-9
-        )
+    @pytest.mark.parametrize("length", STREAM_LENGTHS)
+    def test_stream_matches_batch_forward(self, length):
+        self.assert_stream_matches_forward(tiny_model(seed=9), length)
+
+    @pytest.mark.parametrize("length", STREAM_LENGTHS)
+    def test_stream_matches_batch_forward_multilayer_ms4(self, length):
+        self.assert_stream_matches_forward(tiny_model(normalized=False, n_layers=2, seed=10), length)
