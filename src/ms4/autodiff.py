@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 __all__ = [
     "Tensor",
@@ -37,8 +37,7 @@ __all__ = [
     "gelu",
     "real",
     "make_complex",
-    "fft",
-    "ifft",
+    "causal_conv",
     "decay_powers",
     "finite_diff_errors",
     "finite_diff_check",
@@ -273,9 +272,7 @@ def sqrt(x):
 
 def sigmoid(x):
     x = as_tensor(x)
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    out = expit(x.data)
     return _node(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -310,41 +307,29 @@ def make_complex(re, im):
     return _node(out, (re, im), lambda g: (g.real, g.imag))
 
 
-# -- Fourier transforms -------------------------------------------------------
-# The adjoint of the unnormalized DFT is its conjugate transpose: n * ifft for
-# fft and fft / n for ifft, cropped back to the pre-padding length.
+def causal_conv(x, kernel, n):
+    """Causal convolution y[k] = sum_{j<=k} K[j] x[k-j] along axis -2.
 
-
-def fft(x, n, axis=-1):
-    x = as_tensor(x)
-    length = x.data.shape[axis]
-    if n < length:
-        raise ValueError("fft length must not truncate the input")
-    out = np.fft.fft(x.data, n=n, axis=axis)
-
-    def vjp(g):
-        full = np.fft.ifft(g, n=n, axis=axis) * n
-        sl = [slice(None)] * full.ndim
-        sl[axis] = slice(0, length)
-        return (_match(full[tuple(sl)], x.data),)
-
-    return _node(out, (x,), vjp)
-
-
-def ifft(x, n, axis=-1):
-    x = as_tensor(x)
-    length = x.data.shape[axis]
-    if n < length:
-        raise ValueError("ifft length must not truncate the input")
-    out = np.fft.ifft(x.data, n=n, axis=axis)
+    x is (..., L, H) and the kernel (L, H); both are zero-padded to n >= 2L-1
+    points of a real FFT, so the circular product has no wraparound. The
+    adjoints are the matching correlations, computed from the saved spectra;
+    the kernel's is summed over the broadcast leading axes of x.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    length = kernel.shape[-2]
+    if n < 2 * length - 1:
+        raise ValueError(f"FFT length {n} is below 2L-1 = {2 * length - 1}")
+    xf = np.fft.rfft(x.data, n=n, axis=-2)
+    kf = np.fft.rfft(kernel.data, n=n, axis=-2)
+    out = np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
 
     def vjp(g):
-        full = np.fft.fft(g, n=n, axis=axis) / n
-        sl = [slice(None)] * full.ndim
-        sl[axis] = slice(0, length)
-        return (_match(full[tuple(sl)], x.data),)
+        gf = np.fft.rfft(g, n=n, axis=-2)
+        gx = np.fft.irfft(gf * np.conj(kf), n=n, axis=-2)[..., :length, :]
+        gk = np.fft.irfft(_unbroadcast(gf * np.conj(xf), kf.shape), n=n, axis=-2)[:length]
+        return gx, gk
 
-    return _node(out, (x,), vjp)
+    return _node(out, (x, kernel), vjp)
 
 
 def decay_powers(s, length):

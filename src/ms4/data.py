@@ -82,8 +82,9 @@ def load_dataset(path):
     """Parse TSC-CSV v1, validating the header against the body.
 
     Raises DataFormatError naming the offending line for a garbled header,
-    a row of the wrong width, an unparsable or out-of-range label, or a body
-    whose sample count disagrees with the header.
+    a row of the wrong width, an unparsable or out-of-range label, an
+    unparsable or non-finite value, or a body whose sample count disagrees
+    with the header.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -120,6 +121,9 @@ def load_dataset(path):
             row = np.array(fields[1:], dtype=float)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{i}: unparsable value: {exc}") from exc
+        if not np.isfinite(row).all():
+            bad = fields[1 + np.flatnonzero(~np.isfinite(row))[0]]
+            raise DataFormatError(f"{path}:{i}: non-finite value {bad!r}")
         x[i - 2] = row.reshape(length, n_feat)
         y[i - 2] = label
     return Dataset(x=x, y=y, n_classes=n_classes)

@@ -374,6 +374,18 @@ def load_checkpoint(path):
             dropout_rate=hyper["dropout_rate"],
             head_hidden=hyper["head_hidden"],
         )
-        return template.with_leaves(leaves)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
+    expected = template.leaves()
+    if leaves.keys() != expected.keys():
+        names = sorted(leaves.keys() ^ expected.keys())
+        raise DataFormatError(f"{path}: parameters {names} disagree with the hyper block")
+    for name, arr in leaves.items():
+        if arr.shape != expected[name].shape:
+            raise DataFormatError(
+                f"{path}: parameter {name!r} has shape {arr.shape}, "
+                f"the hyper block implies {expected[name].shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: parameter {name!r} holds a non-finite value")
+    return template.with_leaves(leaves)

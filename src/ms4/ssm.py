@@ -9,7 +9,7 @@ lambda = -exp(log_a_real) + i*a_imag, which keeps Re(lambda) < 0 (and hence
 The layer has two equivalent execution forms:
 
 * convolution: materialize the impulse response K[k] = 2*Re(C A_bar^k B_bar)
-  and convolve causally via padded FFTs (training / batch scoring), and
+  and convolve causally via padded real FFTs (training / batch scoring), and
 * recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
   time with state of size H x N/2 regardless of sequence length (streaming).
 """
@@ -157,12 +157,7 @@ def causal_conv_t(x, kernel):
     at or above 2L-1 rules out circular wraparound, so the first L outputs
     equal the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
     """
-    length = kernel.shape[-2]
-    padded = _next_pow2(2 * length - 1)
-    spectrum = ad.fft(x, padded, axis=-2) * ad.fft(kernel, padded, axis=-2)
-    full = ad.real(ad.ifft(spectrum, padded, axis=-2))
-    index = (Ellipsis, slice(0, length), slice(None))
-    return full[index]
+    return ad.causal_conv(x, kernel, _next_pow2(2 * kernel.shape[-2] - 1))
 
 
 def s4d_apply(x, p, dropout_rate, training, rng):

@@ -64,30 +64,22 @@ class TrainHistory:
 
 
 def cross_entropy(logits, labels):
-    """Mean softmax cross-entropy -log softmax(z)[label], max-shifted."""
+    """Mean softmax cross-entropy of plain (B, n_c) or (n_c,) logits; see cross_entropy_t."""
     logits = np.asarray(logits, dtype=float)
-    single = logits.ndim == 1
-    if single:
-        logits = logits[None]
-        labels = np.asarray([labels])
+    if logits.ndim == 1:
+        logits, labels = logits[None], [labels]
     labels = np.asarray(labels)
     n_c = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_c):
         raise ValueError(f"labels must lie in [0, {n_c})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    return float((lse - picked).mean())
+    return float(cross_entropy_t(ad.Tensor(logits), labels).data)
 
 
 def cross_entropy_t(logits, labels):
-    """Differentiable batch-mean cross-entropy on a (B, n_c) logits Tensor."""
-    n_batch, n_c = logits.shape
-    onehot = np.zeros((n_batch, n_c))
-    onehot[np.arange(n_batch), np.asarray(labels)] = 1.0
+    """Differentiable batch-mean -log softmax(z)[label], max-shifted, on (B, n_c) logits."""
     shifted = logits - logits.data.max(axis=-1, keepdims=True)
     lse = ad.log(ad.exp(shifted).sum(axis=-1))
-    return (lse - (shifted * onehot).sum(axis=-1)).mean()
+    return (lse - shifted[np.arange(logits.shape[0]), np.asarray(labels)]).mean()
 
 
 def adam_step(params, grads, moment1, moment2, t, config):

@@ -13,6 +13,10 @@ def fd_check(loss_fn, params, epsilon=1e-5):
     return ad.finite_diff_check(loss_fn, params, epsilon=epsilon)
 
 
+def test_exports_exist():
+    assert [name for name in ad.__all__ if not hasattr(ad, name)] == []
+
+
 class TestPrimitiveAdjoints:
     """Each primitive's adjoint individually passes finite differences."""
 
@@ -88,15 +92,17 @@ class TestPrimitiveAdjoints:
 
         assert fd_check(loss, params) < 1e-6
 
-    def test_fft_ifft(self):
-        params = {"x": self._real(6, 2), "k": self._real(6, 2)}
+    def test_causal_conv(self):
+        # a batched x against one shared kernel exercises the summed kernel adjoint
+        params = {"x": self._real(2, 6, 2), "k": self._real(6, 2)}
 
         def loss(p):
-            spectrum = ad.fft(p["x"], 16, axis=-2) * ad.fft(p["k"], 16, axis=-2)
-            out = ad.real(ad.ifft(spectrum, 16, axis=-2))[..., :6, :]
+            out = ad.causal_conv(p["x"], p["k"], 16)
             return (out * out).sum()
 
         assert fd_check(loss, params) < 1e-6
+        with pytest.raises(ValueError, match="2L-1"):
+            ad.causal_conv(params["x"], params["k"], 10)
 
     def test_decay_powers(self):
         base = self._cplx(2, 3)

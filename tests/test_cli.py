@@ -1,6 +1,7 @@
 """CLI tests: verbs, exit codes, determinism, machine-readable output."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ def workdir(tmp_path_factory):
         "--seed", "0", "--out", str(ckpt), "--history", str(history),
     ]) == 0
     return root
+
+
+def nan_dataset(workdir, tmp_path):
+    """Copy of the shared dataset with one value of its first sample set to nan."""
+    lines = (workdir / "d.csv").read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[3] = "nan"
+    lines[1] = ",".join(fields)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("".join(lines))
+    return bad
 
 
 def sha(path):
@@ -145,17 +157,49 @@ class TestStreamVerb:
         assert code == 3
 
     def test_nan_in_data_fails_check(self, capsys, workdir, tmp_path):
-        # a NaN deviation must fail the gate, not slip past `deviation > tol`
-        lines = (workdir / "d.csv").read_text().splitlines(keepends=True)
-        fields = lines[1].split(",")
-        fields[3] = "nan"
-        lines[1] = ",".join(fields)
-        bad = tmp_path / "nan.csv"
-        bad.write_text("".join(lines))
-        code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
-                           "--data", str(bad), "--check")
-        assert out.strip() == "nan"
-        assert code == 3
+        # the loader rejects the NaN, so no deviation is ever printed
+        code, out, err = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                             "--data", str(nan_dataset(workdir, tmp_path)), "--check")
+        assert (code, out) == (2, "")
+        assert "nan.csv:2" in err
+
+
+class TestMalformedInputs:
+    """A non-finite value or a checkpoint at odds with its hyper block exits 2."""
+
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_nan_in_data(self, capsys, workdir, tmp_path, verb):
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(nan_dataset(workdir, tmp_path)))
+        assert (code, out) == (2, "")
+        assert "nan.csv:2" in err and "non-finite" in err
+
+    def _eval_with(self, capsys, workdir, tmp_path, name, edit):
+        doc = json.loads((workdir / "model.ckpt").read_text())
+        edit(doc["params"][name])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--model", str(bad),
+                             "--data", str(workdir / "d.csv"))
+        assert (code, out) == (2, "")
+        assert "bad.ckpt" in err and repr(name) in err
+        return err
+
+    def test_wrong_shape_parameter(self, capsys, workdir, tmp_path):
+        def drop_row(entry):
+            rows, cols = entry["shape"]
+            entry["shape"] = [rows - 1, cols]
+            entry["data"] = entry["data"][cols:]
+
+        err = self._eval_with(capsys, workdir, tmp_path, "w3", drop_row)
+        assert "shape" in err
+
+    def test_nan_parameter(self, capsys, workdir, tmp_path):
+        def poison(entry):
+            entry["data"][0] = float("nan")
+
+        err = self._eval_with(capsys, workdir, tmp_path, "b4", poison)
+        assert "non-finite" in err
 
 
 class TestGradcheckVerb:

@@ -1,6 +1,7 @@
 """Model pipeline tests: each stage's closed-form cases, the full forward
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,27 @@ class TestCheckpoint:
         path.write_text('{"format_version": 999}')
         from ms4.errors import DataFormatError
 
+        with pytest.raises(DataFormatError):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(params=[1, 2]),
+            lambda doc: doc["params"].update(w3=[1]),
+            lambda doc: doc["hyper"].update(n_hidden="4"),
+            lambda doc: doc["params"].update(extra={"shape": [1], "data": [0.0]}),
+        ],
+        ids=["params-list", "entry-list", "hyper-str", "extra-param"],
+    )
+    def test_rejects_malformed_structure(self, tmp_path, edit):
+        from ms4.errors import DataFormatError
+
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(tiny_model(seed=9), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
             model.load_checkpoint(path)
 
