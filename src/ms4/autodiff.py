@@ -38,7 +38,6 @@ __all__ = [
     "real",
     "make_complex",
     "causal_conv",
-    "decay_powers",
     "finite_diff_errors",
     "finite_diff_check",
 ]
@@ -182,19 +181,20 @@ class Tensor:
         return _node(out, (self,), vjp)
 
     def __matmul__(self, other):
-        """Matrix product for real operands: (..., m, k) @ (k, n)."""
+        """Matrix product (..., m, k) @ (k, n), or batched with equal ranks."""
         other = as_tensor(other)
         a, b = self.data, other.data
-        if np.iscomplexobj(a) or np.iscomplexobj(b):
-            raise ValueError("matmul is defined for real tensors only")
-        if b.ndim != 2 or a.ndim < 2:
+        if a.ndim < 2 or b.ndim not in (2, a.ndim):
             raise ValueError(f"unsupported matmul shapes {a.shape} @ {b.shape}")
         out = a @ b
 
         def vjp(g):
-            ga = g @ b.T
-            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
+            ga = _unbroadcast(g @ b.conj().swapaxes(-1, -2), a.shape)
+            if b.ndim == 2:  # one BLAS call over all leading axes
+                gb = a.conj().reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(a.conj().swapaxes(-1, -2) @ g, b.shape)
+            return _match(ga, a), _match(gb, b)
 
         return _node(out, (self, other), vjp)
 
@@ -216,6 +216,9 @@ class Tensor:
             shape = tuple(shape[0])
         old = self.data.shape
         return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
+
+    def swapaxes(self, i, j):
+        return _node(self.data.swapaxes(i, j), (self,), lambda g: (g.swapaxes(i, j),))
 
     # -- reductions ----------------------------------------------------------
 
@@ -330,33 +333,6 @@ def causal_conv(x, kernel, n):
         return gx, gk
 
     return _node(out, (x, kernel), vjp)
-
-
-def decay_powers(s, length):
-    """Stack exp(k * s) for k = 0..length-1 along a new leading axis.
-
-    Fused power-table primitive for geometric mode kernels: the forward pass
-    splits k = q*c + r (c ~ sqrt(length)) so only c + ceil(length/c) complex
-    exponentials are evaluated, with one multiply per output entry.
-    """
-    s = as_tensor(s)
-    if not np.iscomplexobj(s.data):
-        raise ValueError("decay_powers expects a complex rate tensor")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    d = s.data
-    rdtype = d.real.dtype
-    c = max(1, math.isqrt(length))
-    nq = -(-length // c)
-    baby = np.exp(np.arange(c, dtype=rdtype).reshape((c,) + (1,) * d.ndim) * d)
-    giant = np.exp(np.arange(nq, dtype=rdtype).reshape((nq,) + (1,) * d.ndim) * (c * d))
-    out = (giant[:, None] * baby[None, :]).reshape((nq * c,) + d.shape)[:length]
-
-    def vjp(g):
-        k = np.arange(length, dtype=rdtype).reshape((length,) + (1,) * d.ndim)
-        return ((g * np.conj(k * out)).sum(axis=0),)
-
-    return _node(out, (s,), vjp)
 
 
 # -- backward pass ------------------------------------------------------------

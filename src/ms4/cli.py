@@ -5,9 +5,9 @@ Every run echoes its resolved flags (including the seed) to stderr so runs
 are self-documenting; stdout carries only machine-readable output. Exit
 codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 The tolerance gates of `stream --check` and `gradcheck` fail closed: a NaN
-deviation or error is a numeric failure. `stream` runs each sequence
-through the recurrence with O(H*N) state per block. No verb mutates its
-input files.
+deviation or error is a numeric failure, and so is a non-finite logit in
+`eval` or `stream`. `stream` runs each sequence through the recurrence with
+O(H*N) state per block. No verb mutates its input files.
 """
 
 from __future__ import annotations
@@ -171,18 +171,39 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_eval(args):
+def _load_model_and_data(args):
+    """The checkpoint and dataset of `eval`/`stream`, checked to agree on F."""
     mdl = model_mod.load_checkpoint(args.model)
     dataset = data_mod.load_dataset(args.data)
-    predictions = model_mod.predict(dataset.x, mdl, batch_size=args.batch)
-    print(repr(eval_mod.misclassification_error(predictions, dataset.y)))
+    if dataset.n_features != mdl.n_features:
+        raise DataFormatError(
+            f"{args.data}: F={dataset.n_features} but {args.model} "
+            f"expects n_features={mdl.n_features}"
+        )
+    return mdl, dataset
+
+
+def _finite_logits(logits, path):
+    """(n, n_c) logits of the samples in `path`; NumericError names a non-finite one."""
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"{path}:{i + 2}: sample {i} has non-finite logits {logits[i]}")
+    return logits
+
+
+def _cmd_eval(args):
+    mdl, dataset = _load_model_and_data(args)
+    logits = _finite_logits(model_mod.batch_logits(dataset.x, mdl, args.batch), args.data)
+    print(repr(eval_mod.misclassification_error(np.argmax(logits, axis=-1), dataset.y)))
     return 0
 
 
 def _cmd_stream(args):
-    mdl = model_mod.load_checkpoint(args.model)
-    dataset = data_mod.load_dataset(args.data)
-    streamed = np.stack([model_mod.stream_logits(mdl, xi) for xi in dataset.x])
+    mdl, dataset = _load_model_and_data(args)
+    streamed = _finite_logits(
+        np.stack([model_mod.stream_logits(mdl, xi) for xi in dataset.x]), args.data
+    )
     if args.check:
         batch = model_mod.forward(dataset.x, mdl)
         deviation = float(np.abs(streamed - batch).max())

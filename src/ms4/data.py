@@ -82,9 +82,9 @@ def load_dataset(path):
     """Parse TSC-CSV v1, validating the header against the body.
 
     Raises DataFormatError naming the offending line for a garbled header,
-    a row of the wrong width, an unparsable or out-of-range label, an
-    unparsable or non-finite value, or a body whose sample count disagrees
-    with the header.
+    a header size below its minimum (n, L, F >= 1; classes >= 2), a row of
+    the wrong width, an unparsable or out-of-range label, an unparsable or
+    non-finite value, or a body whose sample count disagrees with the header.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -96,19 +96,25 @@ def load_dataset(path):
     if m is None:
         raise DataFormatError(f"{path}:1: malformed header {lines[0]!r}")
     n, length, n_feat, n_classes = (int(g) for g in m.groups())
+    for name, value, least in (("n", n, 1), ("L", length, 1), ("F", n_feat, 1),
+                               ("classes", n_classes, 2)):
+        if value < least:
+            raise DataFormatError(f"{path}:1: header {name}={value} is below {least}")
     if len(lines) - 1 != n:
         raise DataFormatError(
             f"{path}: header declares n={n} but body has {len(lines) - 1} data lines"
         )
-    x = np.empty((n, length, n_feat))
-    y = np.empty(n, dtype=np.int64)
+    # Every row's width is checked before anything sized by the header is allocated.
     width = 1 + length * n_feat
     for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != width:
+        if line.count(",") != width - 1:
             raise DataFormatError(
-                f"{path}:{i}: expected {width} comma-separated fields, got {len(fields)}"
+                f"{path}:{i}: expected {width} comma-separated fields, got {line.count(',') + 1}"
             )
+    x = np.empty((n, length, n_feat))
+    y = np.empty(n, dtype=np.int64)
+    for i, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
         try:
             label = int(fields[0])
         except ValueError as exc:

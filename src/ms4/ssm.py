@@ -16,6 +16,7 @@ The layer has two equivalent execution forms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,11 +144,23 @@ def discretize_t(p):
 
 
 def kernel_t(p, length):
-    """Materialized convolution kernel K[k, h] = 2*Re(sum_n C A_bar^k B_bar)."""
+    """Materialized convolution kernel K[k, h] = 2*Re(sum_n C A_bar^k B_bar).
+
+    With k = q*c + r and c = isqrt(length), A_bar^k = A_bar^(q*c) A_bar^r, so
+    each of the H channels' kernels is one (nq, N/2) @ (N/2, c) product of
+    giant steps and C*B_bar-weighted baby steps; no (L, H, N/2) power table
+    is formed.
+    """
     _, b_bar, rate = discretize_t(p)
     weight = ad.make_complex(p["c_re"], p["c_im"]) * b_bar
-    powers = ad.decay_powers(rate, length)
-    return 2.0 * ad.real((powers * weight.reshape((1,) + weight.shape)).sum(axis=-1))
+    h, m = rate.shape
+    c = math.isqrt(length)
+    nq = -(-length // c)
+    rdtype = rate.data.real.dtype
+    baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype)) * weight.reshape(h, m, 1)
+    giant = ad.exp(rate.reshape(h, 1, m) * np.arange(0, nq * c, c, dtype=rdtype).reshape(-1, 1))
+    k = (giant @ baby).reshape(h, nq * c)[:, :length]
+    return 2.0 * ad.real(k).swapaxes(0, 1)
 
 
 def causal_conv_t(x, kernel):

@@ -49,14 +49,22 @@ class TestPrimitiveAdjoints:
         loss = lambda p: (p["a"] * p["b"] + p["c"]).sum()
         assert fd_check(loss, params) < 1e-6
 
-    def test_matmul(self):
-        params = {"x": self._real(2, 5, 3), "w": self._real(3, 4)}
-        loss = lambda p: ((p["x"] @ p["w"]) * (p["x"] @ p["w"])).sum()
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, dtype",
+        [((2, 5, 3), (3, 4), float), ((3, 4, 2), (3, 2, 5), complex)],
+        ids=["real", "complex-batched"],
+    )
+    def test_matmul(self, x_shape, w_shape, dtype):
+        make = self._real if dtype is float else self._cplx
+        params = {"x": make(*x_shape), "w": make(*w_shape)}
+        loss = lambda p: ad.real((p["x"] @ p["w"]) * (p["x"] @ p["w"])).sum()
         assert fd_check(loss, params) < 1e-6
 
     def test_getitem_and_reshape(self):
         params = {"x": self._real(4, 6)}
-        loss = lambda p: (p["x"][1:3, ::2] * p["x"][0:2, 1::2]).reshape(-1).sum()
+        loss = lambda p: (
+            p["x"][1:3, ::2] * p["x"][0:2, 1::2] * p["x"][:3, :2].swapaxes(0, 1)
+        ).reshape(-1).sum()
         assert fd_check(loss, params) < 1e-6
 
     def test_reductions(self):
@@ -103,16 +111,6 @@ class TestPrimitiveAdjoints:
         assert fd_check(loss, params) < 1e-6
         with pytest.raises(ValueError, match="2L-1"):
             ad.causal_conv(params["x"], params["k"], 10)
-
-    def test_decay_powers(self):
-        base = self._cplx(2, 3)
-        probe = self._cplx(7, 2, 3)
-        params = {"s": base - np.abs(base.real) - 0.2}
-
-        def loss(p):
-            return ad.real(ad.decay_powers(p["s"], 7) * probe).sum()
-
-        assert fd_check(loss, params, epsilon=1e-6) < 1e-6
 
 
 class TestBackwardContract:

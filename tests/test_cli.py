@@ -165,7 +165,7 @@ class TestStreamVerb:
 
 
 class TestMalformedInputs:
-    """A non-finite value or a checkpoint at odds with its hyper block exits 2."""
+    """Malformed data or checkpoints exit 2; non-finite logits exit 3."""
 
     @pytest.mark.parametrize("verb", ["eval", "stream"])
     def test_nan_in_data(self, capsys, workdir, tmp_path, verb):
@@ -173,6 +173,43 @@ class TestMalformedInputs:
                              "--data", str(nan_dataset(workdir, tmp_path)))
         assert (code, out) == (2, "")
         assert "nan.csv:2" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("header, line", [
+        ("n=1 L=1 F=1 classes=1", 1), ("n=1 L=0 F=1 classes=2", 1),
+        ("n=1 L=1 F=0 classes=2", 1), ("n=0 L=1 F=1 classes=2", 1),
+        ("n=1 L=999999999999 F=1 classes=2", 2),
+    ])
+    def test_degenerate_header(self, capsys, workdir, tmp_path, header, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"#tsc v1 {header}\n" + ("0,1.0\n" if "n=1" in header else ""))
+        code, out, err = run(capsys, "eval", "--model", str(workdir / "model.ckpt"),
+                             "--data", str(bad))
+        assert (code, out) == (2, "")
+        assert f"bad.csv:{line}:" in err
+
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_feature_count_mismatch(self, capsys, workdir, tmp_path, verb):
+        wide = tmp_path / "wide.csv"
+        assert cli.main(["gen", "--n", "4", "--len", "8", "--features", "2",
+                         "--out", str(wide)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(wide))
+        assert (code, out) == (2, "")
+        assert "wide.csv" in err and "model.ckpt" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_non_finite_logits(self, capsys, workdir, tmp_path, verb):
+        lines = (workdir / "d.csv").read_text().splitlines(keepends=True)
+        label, *values = lines[3].rstrip("\n").split(",")
+        lines[3] = ",".join([label] + ["1e308"] * len(values)) + "\n"
+        huge = tmp_path / "huge.csv"
+        huge.write_text("".join(lines))
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(huge))
+        assert (code, out) == (3, "")
+        assert "huge.csv:4: sample 2" in err
 
     def _eval_with(self, capsys, workdir, tmp_path, name, edit):
         doc = json.loads((workdir / "model.ckpt").read_text())

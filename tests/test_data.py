@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ms4 import data
 from ms4.errors import DataFormatError
@@ -84,6 +85,29 @@ class TestTscCsv:
         path.write_text("#tsc v1 n=1 L=2 F=1 classes=2\n0,1.0,oops\n")
         with pytest.raises(DataFormatError, match=":2:"):
             data.load_dataset(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(0, 3)] * 4),
+        huge_length=st.booleans(),
+        rows=st.lists(
+            st.tuples(st.integers(-1, 3), st.lists(st.floats(width=32), max_size=6)),
+            max_size=4,
+        ),
+    )
+    def test_fuzzed_file_loads_or_raises_format_error(self, tmp_path_factory, sizes,
+                                                      huge_length, rows):
+        n, length, n_feat, n_classes = sizes
+        length = 10**12 if huge_length else length
+        path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        body = "".join(",".join([str(label)] + [repr(v) for v in values]) + "\n"
+                       for label, values in rows)
+        path.write_text(f"#tsc v1 n={n} L={length} F={n_feat} classes={n_classes}\n" + body)
+        try:
+            ds = data.load_dataset(path)
+        except DataFormatError:
+            return
+        assert ds.x.shape == (n, length, n_feat)
 
 
 class TestSynthFreqTask:

@@ -1,6 +1,8 @@
 """SSM layer tests: initialization, discretization, kernel, convolution, and
 the convolution/recurrence duality, each against an independent oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,16 @@ class TestKernel:
         p = ssm.init_s4d_params(1, 2, seed=0)
         with pytest.raises(ValueError):
             ssm.compute_kernel(p, 0)
+
+    def test_peak_memory_below_power_table(self):
+        # the (L, H, N/2) complex table alone would be 4096 * 64 * 32 * 16 B = 134 MB
+        tracemalloc.start()
+        try:
+            ssm.compute_kernel(ssm.init_s4d_params(64, 64), 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestFftConv:
