@@ -84,10 +84,14 @@ def load_dataset(path):
     Raises DataFormatError naming the offending line for a garbled header,
     a header size below its minimum (n, L, F >= 1; classes >= 2), a row of
     the wrong width, an unparsable or out-of-range label, an unparsable or
-    non-finite value, or a body whose sample count disagrees with the header.
+    non-finite value, or a body whose sample count disagrees with the header,
+    and naming the file for bytes that are not UTF-8.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

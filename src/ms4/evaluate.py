@@ -129,7 +129,10 @@ def summarize(table, params=None, mmacs=None):
 
 def read_error_matrix(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{path}: not a readable CSV matrix: {exc}") from exc
     if not rows or len(rows[0]) < 2 or rows[0][0] != "model":
         raise DataFormatError(f"{path}:1: expected header 'model,<dataset>,...'")
     datasets = rows[0][1:]

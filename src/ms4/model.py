@@ -241,10 +241,11 @@ def stream_logits(model, x):
     """Classify one (L, F) sequence with O(H*N) recurrent state per block.
 
     The sequence is read in chunks of STREAM_CHUNK steps, so working memory
-    is O(STREAM_CHUNK*H) whatever L is. Each block scans a chunk through its
-    S4D recurrence, carrying the state to the next chunk, then applies GELU
-    and `channel_mix_t` exactly as `forward_t` does. A running sum over time
-    replaces pooling and feeds the shared head `classify_t`.
+    is O(STREAM_CHUNK*H*N) whatever L is. Each block runs a chunk through
+    `ssm.chunk_scanner` (the chunk's convolution plus the state carried from
+    the previous chunk), then applies GELU and `channel_mix_t` exactly as
+    `forward_t` does. A running sum over time replaces pooling and feeds
+    the shared head `classify_t`.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
@@ -254,13 +255,14 @@ def stream_logits(model, x):
     if x.shape[0] < 1:
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    discretized = [ssm.zoh_discretize(blk.ssm) for blk in model.blocks]
+    chunk = min(STREAM_CHUNK, x.shape[0])
+    scanners = [ssm.chunk_scanner(blk.ssm, chunk) for blk in model.blocks]
     states = [ssm.StreamState.for_params(blk.ssm) for blk in model.blocks]
     total = np.zeros(model.n_hidden)
-    for start in range(0, x.shape[0], STREAM_CHUNK):
-        h = x[start : start + STREAM_CHUNK] @ model.w1 + model.b1
-        for i, blk in enumerate(model.blocks):
-            states[i], y = ssm.scan(states[i], h, *discretized[i], blk.ssm.c, blk.ssm.d)
+    for start in range(0, x.shape[0], chunk):
+        h = x[start : start + chunk] @ model.w1 + model.b1
+        for i in range(model.n_layers):
+            states[i], y = scanners[i](states[i], h)
             h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i, model.normalized).data
         total += h.sum(axis=0)
     mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
@@ -351,8 +353,10 @@ def load_checkpoint(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
             raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: checkpoint is a JSON {type(doc).__name__}, not an object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DataFormatError(
             f"{path}: unsupported checkpoint format_version {doc.get('format_version')!r}"
@@ -374,7 +378,7 @@ def load_checkpoint(path):
             dropout_rate=hyper["dropout_rate"],
             head_hidden=hyper["head_hidden"],
         )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
     expected = template.leaves()
     if leaves.keys() != expected.keys():

@@ -11,7 +11,14 @@ The layer has two equivalent execution forms:
 * convolution: materialize the impulse response K[k] = 2*Re(C A_bar^k B_bar)
   and convolve causally via padded real FFTs (training / batch scoring), and
 * recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
-  time with state of size H x N/2 regardless of sequence length (streaming).
+  time with state of size H x N/2 regardless of sequence length.
+
+Streaming mixes the two (`chunk_scanner`): a chunk of t <= T steps entered
+with carried state h0 is the convolution with K[:t] plus the feedthrough
+plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves the state
+A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. All factors come from one
+(H, N/2, T+1) table of A_bar powers, so each chunk is one convolution and
+two batched products, and memory stays independent of the sequence length.
 """
 
 from __future__ import annotations
@@ -229,21 +236,57 @@ def recurrent_step(state, x_k, a_bar, b_bar, c, d):
     return StreamState(h), y
 
 
-def scan(state, x, a_bar, b_bar, c, d):
-    """recurrent_step over the rows of a (T, H) input; returns (final state, (T, H) outputs)."""
-    out = np.empty_like(x)
-    for k in range(x.shape[0]):
-        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, c, d)
-    return state, out
+def chunk_scanner(params, chunk):
+    """Streaming over chunks of at most `chunk` steps with carried state.
+
+    Returns `scan(state, x) -> (state, y)` for a (t, H) input with
+    1 <= t <= chunk; it equals t calls of `recurrent_step` up to roundoff.
+    Everything derives from one (H, N/2, chunk+1) table of the powers
+    A_bar^0..A_bar^chunk, made by doubling (A_bar^(n+k) = A_bar^n A_bar^k):
+    the kernel K[:chunk] once, and per chunk the carry term
+    2*Re((C h0) @ A_bar^(k+1)) and the input sum B_bar (A_bar^i @ x[t-1-i]),
+    two batched products over H.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    a_bar, b_bar = zoh_discretize(params)
+    c, d = params.c, params.d
+    powers = np.empty(a_bar.shape + (chunk + 1,), dtype=a_bar.dtype)
+    powers[..., 0] = 1.0
+    powers[..., 1] = a_bar
+    n = 1
+    while n < chunk:
+        k = min(n, chunk - n)
+        powers[..., n + 1 : n + 1 + k] = powers[..., n : n + 1] * powers[..., 1 : 1 + k]
+        n += k
+    kernel = 2.0 * ((c * b_bar)[:, None, :] @ powers[..., :chunk]).real[:, 0, :].T
+
+    def scan(state, x):
+        t = x.shape[0]
+        if state.h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= chunk:
+            raise ValueError(
+                f"state {state.h.shape} / input {x.shape} inconsistent with "
+                f"A_bar {a_bar.shape} and chunk {chunk}"
+            )
+        y = causal_conv_t(ad.Tensor(x), ad.Tensor(kernel[:t])).data + d * x
+        y += 2.0 * ((c * state.h)[:, None, :] @ powers[..., 1 : t + 1]).real[:, 0, :].T
+        inputs = (powers[..., :t] @ x[::-1].T[:, :, None])[..., 0]
+        return StreamState(powers[..., t] * state.h + b_bar * inputs), y
+
+    return scan
 
 
 def stream_sequence(params, x):
-    """Run the recurrence over a whole (L, H) input; equals conv + D*x."""
+    """Run the recurrence step by step over a whole (L, H) input; equals conv + D*x."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (L, {params.n_channels}) input, got {x.shape}")
     a_bar, b_bar = zoh_discretize(params)
-    return scan(StreamState.for_params(params), x, a_bar, b_bar, params.c, params.d)[1]
+    state = StreamState.for_params(params)
+    out = np.empty_like(x)
+    for k in range(x.shape[0]):
+        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, params.c, params.d)
+    return out
 
 
 def s4d_forward(x_p, params, dropout_rate=0.1, training=False, seed=0):

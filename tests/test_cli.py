@@ -211,6 +211,43 @@ class TestMalformedInputs:
         assert (code, out) == (3, "")
         assert "huge.csv:4: sample 2" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_near_overflow_row_fails_both_paths(self, capsys, tmp_path):
+        """A finite row of 1e308 overflows the batch and the streaming path alike."""
+        huge, ckpt = tmp_path / "huge.csv", tmp_path / "small.ckpt"
+        assert cli.main(["gen", "--n", "20", "--len", "16", "--out", str(huge)]) == 0
+        assert cli.main(["train", "--data", str(huge), "--hidden", "4", "--state", "4",
+                         "--epochs", "3", "--out", str(ckpt)]) == 0
+        lines = huge.read_text().splitlines(keepends=True)
+        label, *values = lines[1].rstrip("\n").split(",")
+        lines[1] = ",".join([label] + ["1e308"] * len(values)) + "\n"
+        huge.write_text("".join(lines))
+        capsys.readouterr()
+        for verb in ("eval", "stream"):
+            code, out, err = run(capsys, verb, "--model", str(ckpt), "--data", str(huge))
+            assert (code, out) == (3, ""), verb
+            assert "huge.csv:2: sample 0" in err
+
+    @pytest.mark.parametrize("text", [b"[1, 2]", b"[" * 100_000, b'{"hyper": "\xff"}'],
+                             ids=["top-level-list", "deep-nesting", "non-utf8"])
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_unreadable_checkpoint(self, capsys, workdir, tmp_path, verb, text):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(text)
+        code, out, err = run(capsys, verb, "--model", str(bad), "--data", str(workdir / "d.csv"))
+        assert (code, out) == (2, "")
+        assert "bad.ckpt" in err
+
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_non_utf8_data(self, capsys, workdir, tmp_path, verb):
+        raw = (workdir / "d.csv").read_bytes()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(raw[:60] + b"\xff" + raw[61:])
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(bad))
+        assert (code, out) == (2, "")
+        assert "bad.csv" in err
+
     def _eval_with(self, capsys, workdir, tmp_path, name, edit):
         doc = json.loads((workdir / "model.ckpt").read_text())
         edit(doc["params"][name])
@@ -301,6 +338,13 @@ class TestRankVerb:
         bad.write_text("model,d1\nA,0.5,0.9\n")
         code, _, _ = run(capsys, "rank", "--table", str(bad), "--out", str(tmp_path / "s.csv"))
         assert code == 2
+
+    def test_non_utf8_table_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"model,d1\nA,\xff0.5\n")
+        code, out, err = run(capsys, "rank", "--table", str(bad), "--out", str(tmp_path / "s.csv"))
+        assert (code, out) == (2, "")
+        assert "bad.csv" in err
 
 
 class TestConvergeVerb:

@@ -136,6 +136,30 @@ class TestCsvInterchange:
         with pytest.raises(DataFormatError):
             evaluate.read_error_matrix(path)
 
+    def test_oversized_field(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("model,d1\nA," + "1" * 200_000 + "\n")
+        with pytest.raises(DataFormatError, match="m.csv"):
+            evaluate.read_error_matrix(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.lists(st.text(alphabet='model0123456789.-+eEnaif"x \x00\r', max_size=6),
+                     max_size=4),
+            max_size=4,
+        ).map(lambda rows: "\n".join(",".join(row) for row in rows).encode()),
+    ))
+    def test_fuzzed_file_loads_or_raises_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+        path.write_bytes(raw)
+        try:
+            table = evaluate.read_error_matrix(path)
+        except DataFormatError:
+            return
+        assert table.errors.shape == (len(table.models), len(table.datasets))
+
     def test_summary_format(self, tmp_path):
         rows = evaluate.summarize(small_table())
         path = tmp_path / "s.csv"

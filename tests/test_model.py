@@ -2,13 +2,16 @@
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ms4 import autodiff as ad
 from ms4 import model, ssm, training
+from ms4.errors import DataFormatError
 
 
 def tiny_model(normalized=True, n_layers=1, seed=0, **kw):
@@ -269,6 +272,24 @@ class TestCounts:
         assert sum(v.size for v in p.leaves().values()) == per_mode_pairs * 2 + 2 + 2
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def json_paths(node, prefix=()):
+    """Every key path of a JSON document, entering only the first element of a list."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(node, list) and node:
+        yield from json_paths(node[0], prefix + (0,))
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical_forward(self, tmp_path):
         mdl = tiny_model(seed=7, n_layers=2)
@@ -303,12 +324,11 @@ class TestCheckpoint:
             lambda doc: doc["params"].update(w3=[1]),
             lambda doc: doc["hyper"].update(n_hidden="4"),
             lambda doc: doc["params"].update(extra={"shape": [1], "data": [0.0]}),
+            lambda doc: doc["params"]["b4"]["data"].__setitem__(0, 10**400),
         ],
-        ids=["params-list", "entry-list", "hyper-str", "extra-param"],
+        ids=["params-list", "entry-list", "hyper-str", "extra-param", "huge-int"],
     )
     def test_rejects_malformed_structure(self, tmp_path, edit):
-        from ms4.errors import DataFormatError
-
         path = tmp_path / "m.ckpt"
         model.save_checkpoint(tiny_model(seed=9), path)
         doc = json.loads(path.read_text())
@@ -316,6 +336,40 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
             model.load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=64))
+    def test_fuzzed_bytes_raise_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError):
+            model.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES, delete=st.booleans())
+    def test_fuzzed_structure_loads_or_raises_format_error(self, tmp_path_factory, data,
+                                                           value, delete):
+        """One node of a valid checkpoint replaced by a random JSON value, or deleted."""
+        path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+        model.save_checkpoint(model.init_model(2, 2, 2, 2, dropout_rate=0.0), path)
+        doc = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(list(json_paths(doc))))
+        if not where:
+            doc = value
+        else:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = model.load_checkpoint(path)
+        except DataFormatError:
+            return
+        assert loaded.leaves().keys() == doc["params"].keys()
 
     def test_flags_preserved(self, tmp_path):
         mdl = tiny_model(normalized=False, seed=8)
@@ -345,3 +399,23 @@ class TestStreaming:
     @pytest.mark.parametrize("length", STREAM_LENGTHS)
     def test_stream_matches_batch_forward_multilayer_ms4(self, length):
         self.assert_stream_matches_forward(tiny_model(normalized=False, n_layers=2, seed=10), length)
+
+    def test_stream_does_not_step_the_recurrence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stream_logits called recurrent_step")
+
+        monkeypatch.setattr(ssm, "recurrent_step", refuse)
+        self.assert_stream_matches_forward(tiny_model(seed=11), 3 * model.STREAM_CHUNK + 7)
+
+    def test_working_memory_independent_of_length(self):
+        mdl = tiny_model(seed=12)
+        peaks = {}
+        for length in (512, 8192):
+            x = np.random.default_rng(length).standard_normal((length, 3))
+            tracemalloc.start()
+            try:
+                model.stream_logits(mdl, x)
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8192] <= 1.5 * peaks[512]

@@ -254,6 +254,59 @@ class TestRecurrence:
         np.testing.assert_allclose(streamed, batch, rtol=0, atol=1e-9)
 
 
+CHUNK = 16
+
+
+def stepwise(params, state, x):
+    """Reference for `chunk_scanner`: one `recurrent_step` per row of x."""
+    a_bar, b_bar = ssm.zoh_discretize(params)
+    out = np.empty_like(x)
+    for k in range(x.shape[0]):
+        state, out[k] = ssm.recurrent_step(state, x[k], a_bar, b_bar, params.c, params.d)
+    return state, out
+
+
+class TestChunkScanner:
+    """Chunked carried-state streaming against the per-step recurrence."""
+
+    def assert_matches_stepwise(self, params, x, rng):
+        state = ssm.StreamState(
+            rng.standard_normal(params.c.shape) + 1j * rng.standard_normal(params.c.shape)
+        )
+        expected_state, expected = stepwise(params, state, x)
+        scan = ssm.chunk_scanner(params, CHUNK)
+        outputs = []
+        for start in range(0, x.shape[0], CHUNK):
+            state, y = scan(state, x[start : start + CHUNK])
+            outputs.append(y)
+        np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.h, expected_state.h, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    def test_matches_recurrent_steps(self, length):
+        rng = np.random.default_rng(length)
+        params = helpers.random_ssm_params(rng, 4, 8)
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
+
+    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    def test_fast_decay_underflows_cleanly(self, length):
+        rng = np.random.default_rng(100 + length)
+        params = helpers.random_ssm_params(rng, 4, 8)
+        params.log_delta[:] = np.log(1e3)  # delta = 1000, so A_bar^CHUNK underflows to 0
+        assert np.abs(ssm.zoh_discretize(params)[0] ** CHUNK).max() == 0.0
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
+
+    def test_rejects_bad_chunks(self):
+        params = ssm.init_s4d_params(3, 4, seed=0)
+        scan = ssm.chunk_scanner(params, CHUNK)
+        state = ssm.StreamState.for_params(params)
+        for x in (np.zeros((0, 3)), np.zeros((CHUNK + 1, 3)), np.zeros((4, 2))):
+            with pytest.raises(ValueError):
+                scan(state, x)
+        with pytest.raises(ValueError):
+            ssm.chunk_scanner(params, 0)
+
+
 class TestDuality:
     """Streaming recurrence and FFT convolution agree on every tested shape."""
 
