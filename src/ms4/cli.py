@@ -205,7 +205,7 @@ def _cmd_stream(args):
         np.stack([model_mod.stream_logits(mdl, xi) for xi in dataset.x]), args.data
     )
     if args.check:
-        batch = model_mod.forward(dataset.x, mdl)
+        batch = model_mod.batch_logits(dataset.x, mdl)
         deviation = float(np.abs(streamed - batch).max())
         print(repr(deviation))
         if not (deviation <= args.tol):

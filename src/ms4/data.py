@@ -70,12 +70,8 @@ def save_dataset(dataset, path):
     n, length, n_feat = dataset.x.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#tsc v1 n={n} L={length} F={n_feat} classes={dataset.n_classes}\n")
-        for i in range(n):
-            values = dataset.x[i].ravel(order="C")
-            fh.write(str(int(dataset.y[i])))
-            fh.write(",")
-            fh.write(",".join(repr(float(v)) for v in values))
-            fh.write("\n")
+        for label, values in zip(dataset.y.tolist(), dataset.x.reshape(n, -1)):
+            fh.write(f"{label},{','.join(map(repr, values.tolist()))}\n")
 
 
 def load_dataset(path):

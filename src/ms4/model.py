@@ -15,6 +15,8 @@ of accounting for parameter counts.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,12 +220,37 @@ def forward(x, model, training=False, seed=0):
     return logits[0] if single else logits
 
 
+SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
+STREAM_CHUNK = 64  # steps per pass through the pointwise stages; bounds working memory
+
+
 def batch_logits(x, model, batch_size=256):
-    """Eval-mode logits for an (n, L, F) dataset tensor, `batch_size` sequences per forward."""
+    """Eval-mode logits for an (n, L, F) dataset tensor, scored on the CPUs of this process.
+
+    Each forward takes min(batch_size, SCORE_CHUNK) sequences, a size that does
+    not depend on the machine, so the logits are the same on any CPU count.
+    Forwards run on up to one thread per CPU in the process's affinity set,
+    with at most `batch_size` sequences in flight at once; a call with a
+    single forward runs in the calling thread.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
+    step = min(batch_size, SCORE_CHUNK)
+    starts = range(0, x.shape[0], step)
     logits = np.empty((x.shape[0], model.n_classes))
-    for start in range(0, x.shape[0], batch_size):
-        logits[start : start + batch_size] = forward(x[start : start + batch_size], model)
+
+    def score(start):
+        logits[start : start + step] = forward(x[start : start + step], model)
+
+    workers = min(len(os.sched_getaffinity(0)), batch_size // step, len(starts))
+    if workers <= 1:
+        for start in starts:
+            score(start)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(score, starts):  # reading each result re-raises a worker's error
+                pass
     return logits
 
 
@@ -233,8 +260,6 @@ def predict(x, model, batch_size=256):
 
 
 # -- streaming inference -------------------------------------------------------
-
-STREAM_CHUNK = 64  # steps per pass through the pointwise stages; bounds working memory
 
 
 def stream_logits(model, x):
@@ -349,7 +374,30 @@ def save_checkpoint(model, path):
         fh.write("\n")
 
 
+def _implied_shapes(hyper, n_stored):
+    """Each parameter's shape as a checkpoint's `hyper` block implies it, by arithmetic alone."""
+    for name, least in (("n_features", 1), ("n_hidden", 1), ("n_state", 2), ("n_classes", 2),
+                        ("head_hidden", 1), ("n_layers", 1)):
+        if type(hyper[name]) is not int or hyper[name] < least:
+            raise ValueError(f"hyper {name}={hyper[name]!r} is not an integer >= {least}")
+    if type(hyper["normalized"]) is not bool:
+        raise ValueError(f"hyper normalized={hyper['normalized']!r} is not a boolean")
+    hidden, head, classes = hyper["n_hidden"], hyper["head_hidden"], hyper["n_classes"]
+    if hyper["n_layers"] > n_stored:  # every block stores parameters; bounds the loop below
+        raise ValueError(f"hyper n_layers={hyper['n_layers']} exceeds the {n_stored} "
+                         f"parameters stored")
+    shapes = {"w1": (hyper["n_features"], hidden), "b1": (hidden,)}
+    for i in range(hyper["n_layers"]):
+        shapes.update(ssm.leaf_shapes(hidden, hyper["n_state"], prefix=f"block{i}.ssm."))
+        shapes[f"block{i}.w2"], shapes[f"block{i}.b2"] = (hidden, 2 * hidden), (2 * hidden,)
+        if hyper["normalized"]:
+            shapes[f"block{i}.gamma"] = shapes[f"block{i}.beta"] = (hidden,)
+    shapes.update(w3=(hidden, head), b3=(head,), w4=(head, classes), b4=(classes,))
+    return shapes
+
+
 def load_checkpoint(path):
+    """Read a checkpoint, checking every stored shape before building anything sized by it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -368,6 +416,21 @@ def load_checkpoint(path):
             name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
             for name, entry in raw.items()
         }
+        expected = _implied_shapes(hyper, len(leaves))
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
+    if leaves.keys() != expected.keys():
+        names = sorted(leaves.keys() ^ expected.keys())
+        raise DataFormatError(f"{path}: parameters {names} disagree with the hyper block")
+    for name, arr in leaves.items():
+        if arr.shape != expected[name]:
+            raise DataFormatError(
+                f"{path}: parameter {name!r} has shape {arr.shape}, "
+                f"the hyper block implies {expected[name]}"
+            )
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: parameter {name!r} holds a non-finite value")
+    try:
         template = init_model(
             n_features=hyper["n_features"],
             n_hidden=hyper["n_hidden"],
@@ -378,18 +441,6 @@ def load_checkpoint(path):
             dropout_rate=hyper["dropout_rate"],
             head_hidden=hyper["head_hidden"],
         )
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # odd n_state, bad dropout_rate
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
-    expected = template.leaves()
-    if leaves.keys() != expected.keys():
-        names = sorted(leaves.keys() ^ expected.keys())
-        raise DataFormatError(f"{path}: parameters {names} disagree with the hyper block")
-    for name, arr in leaves.items():
-        if arr.shape != expected[name].shape:
-            raise DataFormatError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, "
-                f"the hyper block implies {expected[name].shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise DataFormatError(f"{path}: parameter {name!r} holds a non-finite value")
     return template.with_leaves(leaves)

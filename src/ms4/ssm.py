@@ -104,6 +104,13 @@ class StreamState:
         return cls.zeros(params.n_channels, params.n_modes, dtype=cdtype)
 
 
+def leaf_shapes(n_channels, n_state, prefix=""):
+    """Shape of each SsmParams leaf for H channels and state size N, allocating nothing."""
+    per_mode = (n_channels, n_state // 2)
+    return {prefix + name: (n_channels,) if name in ("d", "log_delta") else per_mode
+            for name in SSM_LEAF_NAMES}
+
+
 def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
     """HiPPO-flavored diagonal initialization lambda_n = -1/2 + i*pi*n.
 
@@ -306,7 +313,7 @@ def s4d_forward(x_p, params, dropout_rate=0.1, training=False, seed=0):
 
 def write_kernel_csv(kernel, path):
     """Dump a kernel matrix as CSV: one row per step, one column per channel."""
-    kernel = np.asarray(kernel)
+    kernel = np.asarray(kernel, dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in kernel:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

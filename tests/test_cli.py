@@ -137,6 +137,13 @@ class TestEvalVerb:
         value = float(out.strip())
         assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("batch", ["-1", "0"])
+    def test_non_positive_batch_is_usage_error(self, capsys, workdir, batch):
+        code, out, err = run(capsys, "eval", "--model", str(workdir / "model.ckpt"),
+                             "--data", str(workdir / "d.csv"), "--batch", batch)
+        assert (code, out) == (1, "")
+        assert "batch_size" in err
+
 
 class TestStreamVerb:
     def test_check_prints_small_deviation(self, capsys, workdir):
@@ -144,6 +151,25 @@ class TestStreamVerb:
                            "--data", str(workdir / "d.csv"), "--check")
         assert code == 0
         assert float(out.strip()) <= 1e-4
+
+    def test_check_scores_in_bounded_forwards(self, capsys, workdir, tmp_path, monkeypatch):
+        """The --check reference is scored in forwards of at most SCORE_CHUNK samples."""
+        many = tmp_path / "many.csv"
+        assert cli.main(["gen", "--n", str(2 * model.SCORE_CHUNK + 2), "--len", "8",
+                         "--out", str(many)]) == 0
+        sizes, inner = [], model.forward
+
+        def recording(x, mdl, *args, **kwargs):
+            sizes.append(len(x))
+            return inner(x, mdl, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        capsys.readouterr()
+        code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                           "--data", str(many), "--check")
+        assert code == 0 and float(out) <= 1e-4
+        assert sum(sizes) == 2 * model.SCORE_CHUNK + 2
+        assert max(sizes) <= model.SCORE_CHUNK
 
     def test_without_check_prints_error_rate(self, capsys, workdir):
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
@@ -247,6 +273,16 @@ class TestMalformedInputs:
                              "--data", str(bad))
         assert (code, out) == (2, "")
         assert "bad.csv" in err
+
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_huge_hyper_size(self, capsys, workdir, tmp_path, verb):
+        doc = json.loads((workdir / "model.ckpt").read_text())
+        doc["hyper"]["n_hidden"] = 10**12
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, verb, "--model", str(bad), "--data", str(workdir / "d.csv"))
+        assert (code, out) == (2, "")
+        assert "bad.ckpt" in err and "shape" in err
 
     def _eval_with(self, capsys, workdir, tmp_path, name, edit):
         doc = json.loads((workdir / "model.ckpt").read_text())

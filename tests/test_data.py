@@ -48,6 +48,15 @@ class TestTscCsv:
         body = path.read_text().split("\n")[1]
         assert body == "1,0.0,1.0,2.0,3.0,4.0,5.0"
 
+    def test_exact_text(self, tmp_path):
+        ds = data.Dataset(x=np.array([[[-0.0], [5e-324]], [[1e308], [0.1]]]),
+                          y=np.array([1, 0]), n_classes=2)
+        path = tmp_path / "d.csv"
+        data.save_dataset(ds, path)
+        assert path.read_text() == "#tsc v1 n=2 L=2 F=1 classes=2\n1,-0.0,5e-324\n0,1e+308,0.1\n"
+        back = data.load_dataset(path)
+        assert back.x.tobytes() == ds.x.tobytes()
+
     def test_short_row_names_line(self, tmp_path):
         ds = make_dataset(n=3, seed=3)
         path = tmp_path / "d.csv"

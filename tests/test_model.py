@@ -2,6 +2,8 @@
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
 import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ms4 import autodiff as ad
-from ms4 import model, ssm, training
+from ms4 import data, model, ssm, training
 from ms4.errors import DataFormatError
 
 
@@ -232,6 +234,85 @@ class TestForward:
         assert err <= 1e-4
 
 
+class TestBatchLogits:
+    """Chunked, threaded scoring against one `forward` over the whole batch."""
+
+    @staticmethod
+    def record_forwards(monkeypatch):
+        """Wrap model.forward to log (thread id, batch size) of each call."""
+        calls, inner = [], model.forward
+
+        def recording(x, mdl, *args, **kwargs):
+            calls.append((threading.get_ident(), len(x)))
+            return inner(x, mdl, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        return calls
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 256])
+    @pytest.mark.parametrize("n", [0, 1, 65, 130])
+    def test_matches_forward(self, monkeypatch, n, batch_size):
+        mdl = tiny_model(seed=30)
+        x = np.random.default_rng(n).standard_normal((n, 8, 3))
+        expected = model.forward(x, mdl)
+        calls = self.record_forwards(monkeypatch)
+        logits = model.batch_logits(x, mdl, batch_size)
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+        assert sum(size for _, size in calls) == n
+        assert all(size <= min(batch_size, model.SCORE_CHUNK) for _, size in calls)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_logits_independent_of_cpu_count(self, monkeypatch, cpus):
+        """Four threads on a short switch interval must lose no worker's rows either."""
+        mdl = model.init_model(3, 8, 8, 3, seed=31)
+        x = np.random.default_rng(31).standard_normal((130, 16, 3))
+        native = model.batch_logits(x, mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scored = model.batch_logits(x, mdl)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(scored, native)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        mdl = tiny_model(seed=32)
+        wide = np.zeros((3 * model.SCORE_CHUNK, 8, 4))
+        with pytest.raises(ValueError) as direct:
+            model.forward(wide[: model.SCORE_CHUNK], mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = self.record_forwards(monkeypatch)
+        with pytest.raises(ValueError) as scored:
+            model.batch_logits(wide, mdl)
+        assert str(scored.value) == str(direct.value)
+        assert calls and threading.get_ident() not in {ident for ident, _ in calls}
+
+    def test_single_forward_runs_inline_and_no_thread_outlives_a_call(self, monkeypatch):
+        mdl = tiny_model(seed=33)
+        x = np.random.default_rng(33).standard_normal((2 * model.SCORE_CHUNK + 1, 8, 3))
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        calls = self.record_forwards(monkeypatch)
+        model.batch_logits(x[:model.SCORE_CHUNK], mdl)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        model.batch_logits(x, mdl)
+        assert threading.active_count() == before
+
+    def test_empty_input(self):
+        mdl = tiny_model(seed=34)
+        assert model.batch_logits(np.zeros((0, 8, 3)), mdl).shape == (0, mdl.n_classes)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, -3])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        mdl = tiny_model(seed=35)
+        x = np.zeros((4, 8, 3))
+        with pytest.raises(ValueError, match="batch_size"):
+            model.batch_logits(x, mdl, batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            training.evaluate(mdl, data.Dataset(x=x, y=np.zeros(4), n_classes=3), batch_size)
+
+
 class TestCounts:
     def test_single_linear_layer_counts(self):
         mdl = model.init_model(5, 64, 4, 2, seed=0)
@@ -273,7 +354,8 @@ class TestCounts:
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from([2**31, 10**12])
+    | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                max_size=3),
     max_leaves=8,
@@ -336,6 +418,24 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [1500, 2**31, 10**12])
+    @pytest.mark.parametrize("field", ["n_features", "n_hidden"])
+    def test_header_size_checked_before_allocating(self, tmp_path, field, size):
+        """Memory follows the file, not the sizes its hyper block claims."""
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.init_model(2, 2, 2, 2, dropout_rate=0.0), path)
+        doc = json.loads(path.read_text())
+        doc["hyper"][field] = size
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="m.ckpt.*'w1' has shape"):
+                model.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @settings(max_examples=200, deadline=None)
     @given(raw=st.binary(max_size=64))

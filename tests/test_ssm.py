@@ -401,3 +401,8 @@ class TestKernelCsv:
         assert len(lines) == 17
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
         np.testing.assert_array_equal(parsed, kernel)
+
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "k.csv"
+        ssm.write_kernel_csv(np.array([[-0.0, 5e-324], [1e308, 0.1]]), path)
+        assert path.read_text() == "-0.0,5e-324\n1e+308,0.1\n"
