@@ -30,7 +30,6 @@ from .ssm import (
     fft_causal_conv,
     init_s4d_params,
     recurrent_step,
-    s4d_forward,
     stream_sequence,
     zoh_discretize,
 )

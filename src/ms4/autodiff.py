@@ -88,10 +88,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def is_leaf(self):
-        return self._vjp is None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"
 

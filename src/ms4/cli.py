@@ -221,6 +221,10 @@ def _cmd_stream(args):
 def _cmd_gradcheck(args):
     from . import autodiff as ad
 
+    for flag, value in (("--len", args.length), ("--batch", args.batch),
+                        ("--features", args.features)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be >= 1, got {value}")
     mdl = model_mod.init_model(
         args.features, args.hidden, args.state, args.classes,
         normalized=args.normalized, dropout_rate=0.0, seed=args.seed,
@@ -250,7 +254,7 @@ def _cmd_kernel_dump(args):
     mdl = model_mod.load_checkpoint(args.model)
     if not 0 <= args.block < mdl.n_layers:
         raise ValueError(f"--block must be in [0, {mdl.n_layers}), got {args.block}")
-    kernel = ssm_mod.compute_kernel(mdl.blocks[args.block].ssm, args.length)
+    kernel = ssm_mod.compute_kernel(mdl.block_ssm(args.block), args.length)
     ssm_mod.write_kernel_csv(kernel, args.out)
     print(args.out)
     return 0

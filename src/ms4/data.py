@@ -144,6 +144,8 @@ def synth_freq_task(n, length, f_low=0.05, f_high=0.125, noise_std=0.1, seed=0, 
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if not (0.0 < f_low < f_high < 0.5):
         raise ValueError(f"need 0 < f_low < f_high < 0.5, got {f_low}, {f_high}")
     if noise_std < 0.0:

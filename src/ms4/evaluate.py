@@ -136,16 +136,26 @@ def read_error_matrix(path):
     if not rows or len(rows[0]) < 2 or rows[0][0] != "model":
         raise DataFormatError(f"{path}:1: expected header 'model,<dataset>,...'")
     datasets = rows[0][1:]
+    for j, name in enumerate(datasets):
+        if name in datasets[:j]:
+            raise DataFormatError(f"{path}:1: column {j + 2} repeats dataset {name!r}")
     models = []
     values = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(datasets) + 1:
             raise DataFormatError(f"{path}:{i}: expected {len(datasets) + 1} cells, got {len(row)}")
+        if row[0] in models:
+            raise DataFormatError(f"{path}:{i}: column 1 repeats model {row[0]!r}")
         models.append(row[0])
         try:
             values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{i}: unparsable value: {exc}") from exc
+        for j, value in enumerate(values[-1]):
+            if not np.isfinite(value):
+                raise DataFormatError(
+                    f"{path}:{i}: column {j + 2} ({datasets[j]!r}) holds non-finite {row[j + 1]!r}"
+                )
     if not models:
         raise DataFormatError(f"{path}: matrix has no model rows")
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,88 +29,74 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass
-class BlockParams:
-    """One S4D + channel-mixing block; gamma/beta present only when normalized."""
-
-    ssm: ssm.SsmParams
-    w2: np.ndarray
-    b2: np.ndarray
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-
-
-@dataclass
 class ModelParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    blocks: list[BlockParams]
-    w3: np.ndarray
-    b3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
-    normalized: bool
+    """A model is its named parameter arrays, in `param_shapes` order, plus its dropout rate.
+
+    Every size, the block count and whether blocks are normalized are read
+    off the names and shapes, so none of them can disagree with the arrays.
+    """
+
+    params: dict
     dropout_rate: float
 
     @property
     def n_features(self):
-        return self.w1.shape[0]
+        return self.params["w1"].shape[0]
 
     @property
     def n_hidden(self):
-        return self.w1.shape[1]
+        return self.params["w1"].shape[1]
 
     @property
     def n_state(self):
-        return self.blocks[0].ssm.n_state
+        return 2 * self.params["block0.ssm.c_re"].shape[1]
 
     @property
     def head_hidden(self):
-        return self.w3.shape[1]
+        return self.params["w3"].shape[1]
 
     @property
     def n_classes(self):
-        return self.w4.shape[1]
+        return self.params["w4"].shape[1]
 
     @property
     def n_layers(self):
-        return len(self.blocks)
+        return sum(name.endswith(".w2") for name in self.params)
+
+    @property
+    def normalized(self):
+        return "block0.gamma" in self.params
 
     def leaves(self):
-        """Flat name -> array view of every trainable parameter."""
-        out = {"w1": self.w1, "b1": self.b1}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.ssm.leaves(prefix=f"block{i}.ssm."))
-            out[f"block{i}.w2"] = blk.w2
-            out[f"block{i}.b2"] = blk.b2
-            if self.normalized:
-                out[f"block{i}.gamma"] = blk.gamma
-                out[f"block{i}.beta"] = blk.beta
-        out.update({"w3": self.w3, "b3": self.b3, "w4": self.w4, "b4": self.b4})
-        return out
+        """Flat name -> array of every trainable parameter (a new dict of the same arrays)."""
+        return dict(self.params)
 
-    def with_leaves(self, leaves):
-        """Copy of the model with arrays replaced from a leaf dict."""
-        blocks = []
-        for i, blk in enumerate(self.blocks):
-            blocks.append(
-                BlockParams(
-                    ssm=blk.ssm.with_leaves(leaves, prefix=f"block{i}.ssm."),
-                    w2=np.asarray(leaves[f"block{i}.w2"]),
-                    b2=np.asarray(leaves[f"block{i}.b2"]),
-                    gamma=np.asarray(leaves[f"block{i}.gamma"]) if self.normalized else None,
-                    beta=np.asarray(leaves[f"block{i}.beta"]) if self.normalized else None,
-                )
-            )
-        return replace(
-            self,
-            w1=np.asarray(leaves["w1"]),
-            b1=np.asarray(leaves["b1"]),
-            blocks=blocks,
-            w3=np.asarray(leaves["w3"]),
-            b3=np.asarray(leaves["b3"]),
-            w4=np.asarray(leaves["w4"]),
-            b4=np.asarray(leaves["b4"]),
-        )
+    def block_ssm(self, i):
+        """Block i's S4D core as an SsmParams of views of this model's arrays."""
+        return ssm.SsmParams(**{name: self.params[f"block{i}.ssm.{name}"]
+                                for name in ssm.SSM_LEAF_NAMES})
+
+
+def param_shapes(n_features, n_hidden, n_state, n_classes, n_layers=1, normalized=True,
+                 head_hidden=None):
+    """Name -> shape of every parameter, in checkpoint order; allocates nothing.
+
+    This is the one definition of the layout: `init_model` fills it and
+    `load_checkpoint` checks a file against it. An S4D core stores its
+    complex B, C and eigenvalues as real pairs of (H, N/2) arrays beside the
+    per-channel `d` and `log_delta`; MS4N adds `gamma` and `beta` per block.
+    """
+    head = n_hidden if head_hidden is None else head_hidden
+    shapes = {"w1": (n_features, n_hidden), "b1": (n_hidden,)}
+    for i in range(n_layers):
+        for name in ssm.SSM_LEAF_NAMES:
+            per_channel = name in ("d", "log_delta")
+            shapes[f"block{i}.ssm.{name}"] = (n_hidden,) if per_channel else (n_hidden, n_state // 2)
+        shapes[f"block{i}.w2"], shapes[f"block{i}.b2"] = (n_hidden, 2 * n_hidden), (2 * n_hidden,)
+        if normalized:
+            shapes[f"block{i}.gamma"] = shapes[f"block{i}.beta"] = (n_hidden,)
+    shapes.update(w3=(n_hidden, head), b3=(head,), w4=(head, n_classes), b4=(n_classes,))
+    return shapes
 
 
 def init_model(
@@ -126,38 +112,33 @@ def init_model(
     dt_max=1e-1,
     seed=0,
 ):
-    """Seeded model initialization; linear weights ~ N(0, 1/fan_in), zero biases."""
+    """Seeded model initialization; linear weights ~ N(0, 1/fan_in), zero biases.
+
+    One generator is drawn in layout order; each block's S4D core is made by
+    `ssm.init_s4d_params` from a seed drawn where the core starts.
+    """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-    head_hidden = n_hidden if head_hidden is None else head_hidden
     rng = np.random.default_rng(seed)
-
-    def linear(n_in, n_out):
-        return rng.standard_normal((n_in, n_out)) / np.sqrt(n_in), np.zeros(n_out)
-
-    w1, b1 = linear(n_features, n_hidden)
-    blocks = []
-    for _ in range(n_layers):
-        block_ssm = ssm.init_s4d_params(
-            n_hidden, n_state, dt_min=dt_min, dt_max=dt_max, seed=int(rng.integers(2**31))
-        )
-        w2, b2 = linear(n_hidden, 2 * n_hidden)
-        blocks.append(
-            BlockParams(
-                ssm=block_ssm,
-                w2=w2,
-                b2=b2,
-                gamma=np.ones(n_hidden) if normalized else None,
-                beta=np.zeros(n_hidden) if normalized else None,
-            )
-        )
-    w3, b3 = linear(n_hidden, head_hidden)
-    w4, b4 = linear(head_hidden, n_classes)
-    return ModelParams(w1, b1, blocks, w3, b3, w4, b4, normalized, dropout_rate)
+    params = {}
+    shapes = param_shapes(n_features, n_hidden, n_state, n_classes, n_layers, normalized,
+                          head_hidden)
+    for name, shape in shapes.items():
+        owner, _, leaf = name.rpartition(".")
+        if owner.endswith("ssm"):
+            if leaf == ssm.SSM_LEAF_NAMES[0]:  # a block's core starts: draw all of it
+                core = ssm.init_s4d_params(n_hidden, n_state, dt_min=dt_min, dt_max=dt_max,
+                                           seed=int(rng.integers(2**31)))
+            params[name] = getattr(core, leaf)
+        elif leaf.startswith("w"):
+            params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+        else:  # biases and beta start at zero, gamma at one
+            params[name] = np.ones(shape) if leaf == "gamma" else np.zeros(shape)
+    return ModelParams(params, dropout_rate)
 
 
 # -- differentiable pipeline ---------------------------------------------------
@@ -201,8 +182,8 @@ def forward_t(x, leaves, n_layers, normalized, dropout_rate, training, rng):
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
 
 
-def forward(x, model, training=False, seed=0):
-    """Logits for one (L, F) sequence or a (B, L, F) batch of sequences."""
+def forward(x, model):
+    """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
     if single:
@@ -212,10 +193,8 @@ def forward(x, model, training=False, seed=0):
     if x.shape[-2] < 1:
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    rng = np.random.default_rng(seed)
     logits = forward_t(
-        ad.Tensor(x), leaves, model.n_layers, model.normalized,
-        model.dropout_rate, training, rng,
+        ad.Tensor(x), leaves, model.n_layers, model.normalized, model.dropout_rate, False, None,
     ).data
     return logits[0] if single else logits
 
@@ -281,11 +260,12 @@ def stream_logits(model, x):
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
     chunk = min(STREAM_CHUNK, x.shape[0])
-    scanners = [ssm.chunk_scanner(blk.ssm, chunk) for blk in model.blocks]
-    states = [ssm.StreamState.for_params(blk.ssm) for blk in model.blocks]
+    cores = [model.block_ssm(i) for i in range(model.n_layers)]
+    scanners = [ssm.chunk_scanner(core, chunk) for core in cores]
+    states = [ssm.StreamState.for_params(core) for core in cores]
     total = np.zeros(model.n_hidden)
     for start in range(0, x.shape[0], chunk):
-        h = x[start : start + chunk] @ model.w1 + model.b1
+        h = x[start : start + chunk] @ model.params["w1"] + model.params["b1"]
         for i in range(model.n_layers):
             states[i], y = scanners[i](states[i], h)
             h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i, model.normalized).data
@@ -374,30 +354,13 @@ def save_checkpoint(model, path):
         fh.write("\n")
 
 
-def _implied_shapes(hyper, n_stored):
-    """Each parameter's shape as a checkpoint's `hyper` block implies it, by arithmetic alone."""
-    for name, least in (("n_features", 1), ("n_hidden", 1), ("n_state", 2), ("n_classes", 2),
-                        ("head_hidden", 1), ("n_layers", 1)):
-        if type(hyper[name]) is not int or hyper[name] < least:
-            raise ValueError(f"hyper {name}={hyper[name]!r} is not an integer >= {least}")
-    if type(hyper["normalized"]) is not bool:
-        raise ValueError(f"hyper normalized={hyper['normalized']!r} is not a boolean")
-    hidden, head, classes = hyper["n_hidden"], hyper["head_hidden"], hyper["n_classes"]
-    if hyper["n_layers"] > n_stored:  # every block stores parameters; bounds the loop below
-        raise ValueError(f"hyper n_layers={hyper['n_layers']} exceeds the {n_stored} "
-                         f"parameters stored")
-    shapes = {"w1": (hyper["n_features"], hidden), "b1": (hidden,)}
-    for i in range(hyper["n_layers"]):
-        shapes.update(ssm.leaf_shapes(hidden, hyper["n_state"], prefix=f"block{i}.ssm."))
-        shapes[f"block{i}.w2"], shapes[f"block{i}.b2"] = (hidden, 2 * hidden), (2 * hidden,)
-        if hyper["normalized"]:
-            shapes[f"block{i}.gamma"] = shapes[f"block{i}.beta"] = (hidden,)
-    shapes.update(w3=(hidden, head), b3=(head,), w4=(head, classes), b4=(classes,))
-    return shapes
-
-
 def load_checkpoint(path):
-    """Read a checkpoint, checking every stored shape before building anything sized by it."""
+    """Read a checkpoint, checking `hyper` and every stored shape against `param_shapes`.
+
+    The model is built from the stored arrays themselves, and nothing is
+    sized by the `hyper` block, so a file that claims huge sizes costs only
+    its own bytes before it is rejected.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -411,18 +374,33 @@ def load_checkpoint(path):
         )
     try:
         hyper = doc["hyper"]
-        raw = doc["params"]
-        leaves = {
+        stored = {
             name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for name, entry in raw.items()
+            for name, entry in doc["params"].items()
         }
-        expected = _implied_shapes(hyper, len(leaves))
+        for name, least in (("n_features", 1), ("n_hidden", 1), ("n_state", 2), ("n_classes", 2),
+                            ("head_hidden", 1), ("n_layers", 1)):
+            if type(hyper[name]) is not int or hyper[name] < least:
+                raise ValueError(f"hyper {name}={hyper[name]!r} is not an integer >= {least}")
+        if hyper["n_state"] % 2:
+            raise ValueError(f"hyper n_state={hyper['n_state']} is odd")
+        if type(hyper["normalized"]) is not bool:
+            raise ValueError(f"hyper normalized={hyper['normalized']!r} is not a boolean")
+        rate = hyper["dropout_rate"]
+        if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
+            raise ValueError(f"hyper dropout_rate={rate!r} is not a number in [0, 1)")
+        if hyper["n_layers"] > len(stored):  # every block stores parameters; bounds the layout
+            raise ValueError(f"hyper n_layers={hyper['n_layers']} exceeds the {len(stored)} "
+                             f"parameters stored")
+        expected = param_shapes(hyper["n_features"], hyper["n_hidden"], hyper["n_state"],
+                                hyper["n_classes"], hyper["n_layers"], hyper["normalized"],
+                                hyper["head_hidden"])
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
-    if leaves.keys() != expected.keys():
-        names = sorted(leaves.keys() ^ expected.keys())
+    if stored.keys() != expected.keys():
+        names = sorted(stored.keys() ^ expected.keys())
         raise DataFormatError(f"{path}: parameters {names} disagree with the hyper block")
-    for name, arr in leaves.items():
+    for name, arr in stored.items():
         if arr.shape != expected[name]:
             raise DataFormatError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, "
@@ -430,17 +408,4 @@ def load_checkpoint(path):
             )
         if not np.isfinite(arr).all():
             raise DataFormatError(f"{path}: parameter {name!r} holds a non-finite value")
-    try:
-        template = init_model(
-            n_features=hyper["n_features"],
-            n_hidden=hyper["n_hidden"],
-            n_state=hyper["n_state"],
-            n_classes=hyper["n_classes"],
-            n_layers=hyper["n_layers"],
-            normalized=hyper["normalized"],
-            dropout_rate=hyper["dropout_rate"],
-            head_hidden=hyper["head_hidden"],
-        )
-    except (KeyError, ValueError, TypeError) as exc:  # odd n_state, bad dropout_rate
-        raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
-    return template.with_leaves(leaves)
+    return ModelParams({name: stored[name] for name in expected}, rate)

@@ -77,11 +77,8 @@ class SsmParams:
     def c(self):
         return self.c_re + 1j * self.c_im
 
-    def leaves(self, prefix=""):
-        return {prefix + name: getattr(self, name) for name in SSM_LEAF_NAMES}
-
-    def with_leaves(self, leaves, prefix=""):
-        return replace(self, **{name: np.asarray(leaves[prefix + name]) for name in SSM_LEAF_NAMES})
+    def leaves(self):
+        return {name: getattr(self, name) for name in SSM_LEAF_NAMES}
 
     def astype(self, dtype):
         """Copy with every array cast to a real dtype (e.g. float32)."""
@@ -102,13 +99,6 @@ class StreamState:
     def for_params(cls, params):
         cdtype = np.result_type(params.log_a_real.dtype, np.complex64)
         return cls.zeros(params.n_channels, params.n_modes, dtype=cdtype)
-
-
-def leaf_shapes(n_channels, n_state, prefix=""):
-    """Shape of each SsmParams leaf for H channels and state size N, allocating nothing."""
-    per_mode = (n_channels, n_state // 2)
-    return {prefix + name: (n_channels,) if name in ("d", "log_delta") else per_mode
-            for name in SSM_LEAF_NAMES}
 
 
 def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
@@ -203,7 +193,7 @@ def _next_pow2(n):
 
 
 def _constants(params):
-    return {name: ad.Tensor(getattr(params, name)) for name in SSM_LEAF_NAMES}
+    return {name: ad.Tensor(v) for name, v in params.leaves().items()}
 
 
 # -- plain-array surface -------------------------------------------------------
@@ -294,21 +284,6 @@ def stream_sequence(params, x):
     for k in range(x.shape[0]):
         state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, params.c, params.d)
     return out
-
-
-def s4d_forward(x_p, params, dropout_rate=0.1, training=False, seed=0):
-    """S4D stage on a projected (L, H) or (B, L, H) input.
-
-    Dropout uses inverted scaling from a generator seeded per call, and is
-    active only when `training` is set; evaluation mode is deterministic.
-    """
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-    x_p = np.asarray(x_p)
-    if x_p.shape[-1] != params.n_channels:
-        raise ValueError(f"expected {params.n_channels} channels, got input shape {x_p.shape}")
-    rng = np.random.default_rng(seed)
-    return s4d_apply(ad.Tensor(x_p), _constants(params), dropout_rate, training, rng).data
 
 
 def write_kernel_csv(kernel, path):

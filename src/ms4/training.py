@@ -145,8 +145,9 @@ def train(mdl, dataset, config):
             loss_sum += float(loss.data) * len(batch)
             correct += int((np.argmax(logits.data, axis=-1) == yb).sum())
 
-        current = mdl.with_leaves(leaves)
-        radii = np.array([np.abs(ssm.zoh_discretize(blk.ssm)[0]) for blk in current.blocks])
+        current = replace(mdl, params=leaves)
+        radii = np.array([np.abs(ssm.zoh_discretize(current.block_ssm(i))[0])
+                          for i in range(mdl.n_layers)])
         if not (radii < 1.0).all():
             raise NumericError(f"|A_bar| >= 1 after epoch {epoch}: max {radii.max()}")
 
@@ -174,7 +175,7 @@ def train(mdl, dataset, config):
             if since_improve >= config.patience:
                 break
 
-    return mdl.with_leaves(best_leaves), history
+    return replace(mdl, params=best_leaves), history
 
 
 def write_history_csv(history, path):

@@ -154,8 +154,8 @@ def test_criterion_8_stability_after_training():
     config = training.TrainConfig(lr=1e-3, batch_size=32, max_epochs=20, patience=20, seed=0)
     best, history = training.train(mdl, dataset, config)
     radii = []
-    for blk in best.blocks:
-        bar, _ = ssm.zoh_discretize(blk.ssm)
+    for i in range(best.n_layers):
+        bar, _ = ssm.zoh_discretize(best.block_ssm(i))
         radii.append(np.abs(bar))
     worst = float(np.concatenate([r.ravel() for r in radii]).max())
     ok = history.n_epochs == 20 and worst < 1.0

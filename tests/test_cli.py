@@ -89,6 +89,14 @@ class TestGen:
         assert "seed=7" in err
 
 
+    def test_zero_length_is_rejected_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(capsys, "gen", "--n", "4", "--len", "0", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "length" in err
+        assert not out.exists()
+
+
 class TestTrainVerb:
     def test_end_to_end_determinism(self, capsys, tmp_path, workdir):
         """gen then train twice with the same seed: identical history files."""
@@ -335,6 +343,14 @@ class TestGradcheckVerb:
         assert "gradient check failed" in err
 
 
+    @pytest.mark.parametrize("flag", ["--len", "--batch", "--features"])
+    def test_zero_size_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4", flag, "0")
+        assert (code, out) == (1, "")
+        assert f"error: {flag} must be >= 1" in err
+        assert "Traceback" not in err
+
+
 class TestKernelDumpVerb:
     def test_writes_len_rows(self, capsys, workdir, tmp_path):
         out = tmp_path / "k.csv"
@@ -381,6 +397,24 @@ class TestRankVerb:
         code, out, err = run(capsys, "rank", "--table", str(bad), "--out", str(tmp_path / "s.csv"))
         assert (code, out) == (2, "")
         assert "bad.csv" in err
+
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("model,d1,d2\nA,0.5,nan\nB,0.1,0.2\n", ":2: column 3 ('d2')"),
+         ("model,d1,d2\nA,0.5,0.4\nB,inf,0.2\n", ":3: column 2 ('d1')"),
+         ("model,d1,d2\nA,0.5,0.4\nA,0.1,0.2\n", ":3: column 1 repeats model 'A'"),
+         ("model,d1,d1\nA,0.5,0.4\nB,0.1,0.2\n", ":1: column 3 repeats dataset 'd1'")],
+        ids=["nan", "inf", "repeated-model", "repeated-dataset"],
+    )
+    def test_incomplete_or_duplicated_table_is_exit_2(self, capsys, tmp_path, text, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(capsys, "rank", "--table", str(bad), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert f"bad.csv{where}" in err
+        assert not out.exists()
 
 
 class TestConvergeVerb:

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from ms4 import autodiff as ad
 from ms4 import data, model, ssm, training
 from ms4.errors import DataFormatError
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def tiny_model(normalized=True, n_layers=1, seed=0, **kw):
@@ -43,14 +46,17 @@ class TestInputProjection:
         # projecting by hand into an identity-projection model changes nothing
         mdl = tiny_model(seed=1)
         x = np.random.default_rng(0).standard_normal((10, 3))
-        identity = replace(mdl, w1=np.eye(8), b1=np.zeros(8))
+        identity = replace(mdl, params={**mdl.params, "w1": np.eye(8), "b1": np.zeros(8)})
+        projected = x @ mdl.params["w1"] + mdl.params["b1"]
         np.testing.assert_allclose(
-            model.forward(x @ mdl.w1 + mdl.b1, identity), model.forward(x, mdl), atol=1e-12
+            model.forward(projected, identity), model.forward(x, mdl), atol=1e-12
         )
 
     def test_zero_weights_give_bias(self):
         # with W1 = 0 every step projects to b1, so the input cannot matter
-        mdl = replace(tiny_model(seed=1), w1=np.zeros((3, 8)), b1=np.linspace(-1.0, 1.0, 8))
+        mdl = tiny_model(seed=1)
+        mdl = replace(mdl, params={**mdl.params, "w1": np.zeros((3, 8)),
+                                   "b1": np.linspace(-1.0, 1.0, 8)})
         x = np.random.default_rng(1).standard_normal((6, 3))
         np.testing.assert_array_equal(model.forward(x, mdl), model.forward(np.zeros((6, 3)), mdl))
 
@@ -58,9 +64,8 @@ class TestInputProjection:
         # C = 0 leaves only the feedthrough D*x, so every stage before pooling
         # acts on one step at a time and the logits ignore the step order
         mdl = tiny_model(seed=2)
-        blk = mdl.blocks[0]
-        no_conv = replace(blk.ssm, c_re=np.zeros_like(blk.ssm.c_re), c_im=np.zeros_like(blk.ssm.c_im))
-        mdl = replace(mdl, blocks=[replace(blk, ssm=no_conv)])
+        no_conv = {name: np.zeros((8, 4)) for name in ("block0.ssm.c_re", "block0.ssm.c_im")}
+        mdl = replace(mdl, params={**mdl.params, **no_conv})
         rng = np.random.default_rng(2)
         x = rng.standard_normal((9, 3))
         perm = rng.permutation(9)
@@ -178,26 +183,26 @@ class TestForward:
         ms4n = tiny_model(normalized=True, seed=3)
         x = np.random.default_rng(13).standard_normal((12, 3))
         # manual pipeline sharing the same weights, norm toggled by hand
-        blk = ms4n.blocks[0]
-        head = (ms4n.w3, ms4n.b3, ms4n.w4, ms4n.b4)
-        y = ssm.s4d_forward(x @ ms4n.w1 + ms4n.b1, blk.ssm, dropout_rate=0.0)
-        g = glu(y, blk.w2, blk.b2)
-        with_norm = classify(layer_norm(g, blk.gamma, blk.beta), *head)
+        p = ms4n.params
+        head = (p["w3"], p["b3"], p["w4"], p["b4"])
+        core = {k: ad.Tensor(v) for k, v in ms4n.block_ssm(0).leaves().items()}
+        y = ssm.s4d_apply(ad.Tensor(x @ p["w1"] + p["b1"]), core, 0.0, False, None).data
+        g = glu(y, p["block0.w2"], p["block0.b2"])
+        with_norm = classify(layer_norm(g, p["block0.gamma"], p["block0.beta"]), *head)
         without_norm = classify(g, *head)
         np.testing.assert_allclose(model.forward(x, ms4n), with_norm, atol=1e-12)
         ms4 = model.ModelParams(
-            w1=ms4n.w1, b1=ms4n.b1,
-            blocks=[model.BlockParams(ssm=blk.ssm, w2=blk.w2, b2=blk.b2)],
-            w3=ms4n.w3, b3=ms4n.b3, w4=ms4n.w4, b4=ms4n.b4,
-            normalized=False, dropout_rate=0.0,
+            {k: v for k, v in p.items() if k not in ("block0.gamma", "block0.beta")}, 0.0
         )
+        assert not ms4.normalized
         np.testing.assert_allclose(model.forward(x, ms4), without_norm, atol=1e-12)
 
     def test_eval_mode_bit_identical(self):
+        # forward is eval mode: the dropout rate must not touch the logits
         mdl = tiny_model()
         x = np.random.default_rng(14).standard_normal((16, 3))
-        np.testing.assert_array_equal(model.forward(x, mdl, seed=0),
-                                      model.forward(x, mdl, seed=42))
+        np.testing.assert_array_equal(model.forward(x, replace(mdl, dropout_rate=0.5)),
+                                      model.forward(x, replace(mdl, dropout_rate=0.0)))
 
     def test_batched_matches_single(self):
         mdl = tiny_model(seed=4)
@@ -216,7 +221,7 @@ class TestForward:
         # the projection absorbs F; everything downstream has fixed size
         def non_projection_params(n_features):
             m = model.init_model(n_features, 8, 8, 3, seed=0)
-            return model.count_params(m) - m.w1.size - m.b1.size
+            return model.count_params(m) - m.params["w1"].size - m.params["b1"].size
 
         assert non_projection_params(1) == non_projection_params(23)
 
@@ -316,7 +321,7 @@ class TestBatchLogits:
 class TestCounts:
     def test_single_linear_layer_counts(self):
         mdl = model.init_model(5, 64, 4, 2, seed=0)
-        assert mdl.w1.size + mdl.b1.size == 5 * 64 + 64 == 384
+        assert mdl.params["w1"].size + mdl.params["b1"].size == 5 * 64 + 64 == 384
         breakdown = model.mac_breakdown(mdl, 100)
         assert breakdown["projection"] == 100 * 5 * 64
 
@@ -351,6 +356,27 @@ class TestCounts:
         p = ssm.init_s4d_params(2, 4, seed=0)
         per_mode_pairs = 2 * 2 * 3  # B, C and the eigenvalue pair, 2x2 modes each
         assert sum(v.size for v in p.leaves().values()) == per_mode_pairs * 2 + 2 + 2
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_init_model_in_order(self, n_layers, normalized):
+        args = (3, 8, 6, 4)
+        shapes = model.param_shapes(*args, n_layers, normalized, head_hidden=5)
+        mdl = model.init_model(*args, n_layers=n_layers, normalized=normalized, head_hidden=5)
+        assert list(shapes.items()) == [(k, v.shape) for k, v in mdl.leaves().items()]
+
+    def test_sizes_read_off_the_arrays(self):
+        mdl = model.init_model(3, 8, 6, 4, n_layers=2, normalized=False, head_hidden=5)
+        assert (mdl.n_features, mdl.n_hidden, mdl.n_state, mdl.n_classes, mdl.head_hidden,
+                mdl.n_layers, mdl.normalized) == (3, 8, 6, 4, 5, 2, False)
+
+    def test_block_ssm_views_the_model_arrays(self):
+        mdl = tiny_model(n_layers=2, seed=13)
+        core = mdl.block_ssm(1)
+        for name, arr in core.leaves().items():
+            assert arr is mdl.params[f"block1.ssm.{name}"]
 
 
 JSON_VALUES = st.recursive(
@@ -470,6 +496,45 @@ class TestCheckpoint:
         except DataFormatError:
             return
         assert loaded.leaves().keys() == doc["params"].keys()
+
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(
+            model.init_model(1, 1, 2, 2, head_hidden=1, dropout_rate=0.25, seed=3), path
+        )
+        pinned = (DATA_DIR / "tiny_checkpoint.json").read_text()
+        assert path.read_text() == pinned
+        model.save_checkpoint(model.load_checkpoint(path), path)
+        assert path.read_text() == pinned
+
+    def test_loads_without_init_model(self, tmp_path, monkeypatch):
+        mdl = tiny_model(n_layers=2, seed=14)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(mdl, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint called init_model")
+
+        monkeypatch.setattr(model, "init_model", refuse)
+        loaded = model.load_checkpoint(path)
+        assert list(loaded.leaves()) == list(mdl.leaves())
+        for name, arr in mdl.leaves().items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_state", 9), ("dropout_rate", 1.0), ("dropout_rate", True),
+         ("dropout_rate", None), ("dropout_rate", "0.1")],
+    )
+    def test_rejects_bad_hyper_value(self, tmp_path, field, value):
+        """n_state 9 implies the stored 4 modes per channel, so only the odd check can catch it."""
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(tiny_model(seed=15), path)
+        doc = json.loads(path.read_text())
+        doc["hyper"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=f"m.ckpt.*{field}"):
+            model.load_checkpoint(path)
 
     def test_flags_preserved(self, tmp_path):
         mdl = tiny_model(normalized=False, seed=8)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ms4 import autodiff as ad
-from ms4 import ssm
+from ms4 import model, ssm
 
 import helpers
 
@@ -334,9 +334,17 @@ class TestDuality:
 
 
 class TestS4dForward:
+    """`ssm.s4d_apply` on constant Tensors: conv + feedthrough, GELU, dropout."""
+
+    @staticmethod
+    def apply(x, p, dropout_rate=0.1, training=False, seed=0):
+        core = {name: ad.Tensor(v) for name, v in p.leaves().items()}
+        rng = np.random.default_rng(seed)
+        return ssm.s4d_apply(ad.Tensor(x), core, dropout_rate, training, rng).data
+
     def test_zero_input_zero_output(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
-        out = ssm.s4d_forward(np.zeros((10, 3)), p)
+        out = self.apply(np.zeros((10, 3)), p)
         np.testing.assert_array_equal(out, np.zeros((10, 3)))
 
     def test_pure_feedthrough_is_gelu(self):
@@ -347,30 +355,29 @@ class TestS4dForward:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((9, 2))
         np.testing.assert_allclose(
-            ssm.s4d_forward(x, p), ad.gelu(ad.Tensor(x)).data, atol=1e-14
+            self.apply(x, p), ad.gelu(ad.Tensor(x)).data, atol=1e-14
         )
 
     def test_eval_mode_bit_identical(self):
         p = ssm.init_s4d_params(3, 6, seed=2)
         x = np.random.default_rng(18).standard_normal((20, 3))
-        a = ssm.s4d_forward(x, p, dropout_rate=0.5, training=False, seed=0)
-        b = ssm.s4d_forward(x, p, dropout_rate=0.5, training=False, seed=99)
+        a = self.apply(x, p, dropout_rate=0.5, training=False, seed=0)
+        b = self.apply(x, p, dropout_rate=0.5, training=False, seed=99)
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_scales_and_masks(self):
         p = ssm.init_s4d_params(2, 4, seed=3)
         x = np.random.default_rng(19).standard_normal((50, 2))
-        eval_out = ssm.s4d_forward(x, p, dropout_rate=0.5, training=False)
-        train_out = ssm.s4d_forward(x, p, dropout_rate=0.5, training=True, seed=7)
+        eval_out = self.apply(x, p, dropout_rate=0.5, training=False)
+        train_out = self.apply(x, p, dropout_rate=0.5, training=True, seed=7)
         dropped = train_out == 0.0
         assert 0.2 < dropped.mean() < 0.8
         kept = ~dropped
         np.testing.assert_allclose(train_out[kept], 2.0 * eval_out[kept], atol=1e-12)
 
     def test_invalid_dropout(self):
-        p = ssm.init_s4d_params(2, 4, seed=0)
-        with pytest.raises(ValueError):
-            ssm.s4d_forward(np.zeros((4, 2)), p, dropout_rate=1.0)
+        with pytest.raises(ValueError, match="dropout_rate"):
+            model.init_model(2, 4, 4, 2, dropout_rate=1.0)
 
     def test_linearity_before_activation(self):
         rng = np.random.default_rng(20)

@@ -120,8 +120,8 @@ class TestTrainLoop:
         ds = tiny_dataset(n=60, seed=4)
         config = training.TrainConfig(max_epochs=5, batch_size=8, seed=2)
         best, _ = training.train(tiny_model(ds, seed=3), ds, config)
-        for blk in best.blocks:
-            a_bar, _ = ssm.zoh_discretize(blk.ssm)
+        for i in range(best.n_layers):
+            a_bar, _ = ssm.zoh_discretize(best.block_ssm(i))
             assert (np.abs(a_bar) < 1.0).all()
 
     def test_single_class_data_rejected(self):
