@@ -24,7 +24,6 @@ from .model import (
     stream_logits,
 )
 from .ssm import (
-    SsmParams,
     StreamState,
     compute_kernel,
     fft_causal_conv,

@@ -225,6 +225,8 @@ def _cmd_gradcheck(args):
                         ("--features", args.features)):
         if value < 1:
             raise _UsageError(f"{flag} must be >= 1, got {value}")
+    if not 0.0 < args.eps < np.inf:
+        raise _UsageError(f"--eps must be finite and > 0, got {args.eps}")
     mdl = model_mod.init_model(
         args.features, args.hidden, args.state, args.classes,
         normalized=args.normalized, dropout_rate=0.0, seed=args.seed,
@@ -234,10 +236,7 @@ def _cmd_gradcheck(args):
     labels = rng.integers(0, args.classes, size=args.batch)
 
     def loss_fn(leaves):
-        logits = model_mod.forward_t(
-            ad.Tensor(x), leaves, mdl.n_layers, mdl.normalized, 0.0, False, rng,
-        )
-        return train_mod.cross_entropy_t(logits, labels)
+        return train_mod.cross_entropy_t(model_mod.forward_t(ad.Tensor(x), leaves), labels)
 
     errors = ad.finite_diff_errors(loss_fn, mdl.leaves(), epsilon=args.eps)
     width = max(len(k) for k in errors)
@@ -254,7 +253,7 @@ def _cmd_kernel_dump(args):
     mdl = model_mod.load_checkpoint(args.model)
     if not 0 <= args.block < mdl.n_layers:
         raise ValueError(f"--block must be in [0, {mdl.n_layers}), got {args.block}")
-    kernel = ssm_mod.compute_kernel(mdl.block_ssm(args.block), args.length)
+    kernel = ssm_mod.compute_kernel(model_mod.block_core(mdl.params, args.block), args.length)
     ssm_mod.write_kernel_csv(kernel, args.out)
     print(args.out)
     return 0

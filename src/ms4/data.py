@@ -148,8 +148,8 @@ def synth_freq_task(n, length, f_low=0.05, f_high=0.125, noise_std=0.1, seed=0, 
         raise ValueError(f"length must be >= 1, got {length}")
     if not (0.0 < f_low < f_high < 0.5):
         raise ValueError(f"need 0 < f_low < f_high < 0.5, got {f_low}, {f_high}")
-    if noise_std < 0.0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     rng = np.random.default_rng(seed)

@@ -61,7 +61,7 @@ class ModelParams:
 
     @property
     def n_layers(self):
-        return sum(name.endswith(".w2") for name in self.params)
+        return block_count(self.params)
 
     @property
     def normalized(self):
@@ -71,10 +71,15 @@ class ModelParams:
         """Flat name -> array of every trainable parameter (a new dict of the same arrays)."""
         return dict(self.params)
 
-    def block_ssm(self, i):
-        """Block i's S4D core as an SsmParams of views of this model's arrays."""
-        return ssm.SsmParams(**{name: self.params[f"block{i}.ssm.{name}"]
-                                for name in ssm.SSM_LEAF_NAMES})
+
+def block_count(leaves):
+    """Number of blocks in a name -> leaf dict: one `block{i}.w2` each."""
+    return sum(name.endswith(".w2") for name in leaves)
+
+
+def block_core(leaves, i):
+    """Block i's S4D core keyed by `ssm.SSM_LEAF_NAMES`: the same leaves, arrays or Tensors."""
+    return {name: leaves[f"block{i}.ssm.{name}"] for name in ssm.SSM_LEAF_NAMES}
 
 
 def param_shapes(n_features, n_hidden, n_state, n_classes, n_layers=1, normalized=True,
@@ -108,8 +113,6 @@ def init_model(
     normalized=True,
     dropout_rate=0.1,
     head_hidden=None,
-    dt_min=1e-3,
-    dt_max=1e-1,
     seed=0,
 ):
     """Seeded model initialization; linear weights ~ N(0, 1/fan_in), zero biases.
@@ -131,9 +134,8 @@ def init_model(
         owner, _, leaf = name.rpartition(".")
         if owner.endswith("ssm"):
             if leaf == ssm.SSM_LEAF_NAMES[0]:  # a block's core starts: draw all of it
-                core = ssm.init_s4d_params(n_hidden, n_state, dt_min=dt_min, dt_max=dt_max,
-                                           seed=int(rng.integers(2**31)))
-            params[name] = getattr(core, leaf)
+                core = ssm.init_s4d_params(n_hidden, n_state, seed=int(rng.integers(2**31)))
+            params[name] = core[leaf]
         elif leaf.startswith("w"):
             params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
         else:  # biases and beta start at zero, gamma at one
@@ -164,21 +166,22 @@ def classify_t(g, w3, b3, w4, b4):
     return ad.gelu(pooled @ w3 + b3) @ w4 + b4
 
 
-def channel_mix_t(h, leaves, i, normalized):
-    """Block i after its S4D stage: GLU channel mixing, then LayerNorm for MS4N."""
+def channel_mix_t(h, leaves, i):
+    """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N)."""
     h = glu_t(h, leaves[f"block{i}.w2"], leaves[f"block{i}.b2"])
-    if normalized:
+    if f"block{i}.gamma" in leaves:
         h = layer_norm_t(h, leaves[f"block{i}.gamma"], leaves[f"block{i}.beta"])
     return h
 
 
-def forward_t(x, leaves, n_layers, normalized, dropout_rate, training, rng):
-    """Logits for a (B, L, F) batch given leaf Tensors; the training graph."""
+def forward_t(x, leaves, dropout_rate=0.0, rng=None):
+    """Logits for a (B, L, F) batch given leaf Tensors; the training graph.
+
+    The blocks are those the leaves name; dropout runs only when `rng` is given.
+    """
     h = x @ leaves["w1"] + leaves["b1"]
-    for i in range(n_layers):
-        p = {name: leaves[f"block{i}.ssm.{name}"] for name in ssm.SSM_LEAF_NAMES}
-        h = ssm.s4d_apply(h, p, dropout_rate, training, rng)
-        h = channel_mix_t(h, leaves, i, normalized)
+    for i in range(block_count(leaves)):
+        h = channel_mix_t(ssm.s4d_apply(h, block_core(leaves, i), dropout_rate, rng), leaves, i)
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
 
 
@@ -193,9 +196,7 @@ def forward(x, model):
     if x.shape[-2] < 1:
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    logits = forward_t(
-        ad.Tensor(x), leaves, model.n_layers, model.normalized, model.dropout_rate, False, None,
-    ).data
+    logits = forward_t(ad.Tensor(x), leaves).data
     return logits[0] if single else logits
 
 
@@ -260,7 +261,7 @@ def stream_logits(model, x):
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
     chunk = min(STREAM_CHUNK, x.shape[0])
-    cores = [model.block_ssm(i) for i in range(model.n_layers)]
+    cores = [block_core(model.params, i) for i in range(model.n_layers)]
     scanners = [ssm.chunk_scanner(core, chunk) for core in cores]
     states = [ssm.StreamState.for_params(core) for core in cores]
     total = np.zeros(model.n_hidden)
@@ -268,7 +269,7 @@ def stream_logits(model, x):
         h = x[start : start + chunk] @ model.params["w1"] + model.params["b1"]
         for i in range(model.n_layers):
             states[i], y = scanners[i](states[i], h)
-            h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i, model.normalized).data
+            h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i).data
         total += h.sum(axis=0)
     mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
     return classify_t(mean, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"]).data[0]
@@ -285,7 +286,7 @@ def count_params(model):
     return sum(int(v.size) for v in model.leaves().values())
 
 
-def mac_breakdown(model, length, n_features=None):
+def mac_breakdown(model, length):
     """Analytic multiply-accumulate counts per stage for one forward pass.
 
     FFT stages are charged 5*P*log2(P) real MACs per transform at padded
@@ -296,13 +297,12 @@ def mac_breakdown(model, length, n_features=None):
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    n_feat = model.n_features if n_features is None else int(n_features)
     hidden = model.n_hidden
     modes = model.n_state // 2
     padded = ssm._next_pow2(2 * length - 1)
     fft_per_channel = 3 * 5 * padded * int(np.log2(padded)) + 4 * padded
     counts = {
-        "projection": length * n_feat * hidden,
+        "projection": length * model.n_features * hidden,
         "ssm_kernel": model.n_layers * length * hidden * modes * KERNEL_MACS_PER_ENTRY,
         "ssm_fft": model.n_layers * hidden * fft_per_channel,
         "feedthrough": model.n_layers * length * hidden,
@@ -314,14 +314,14 @@ def mac_breakdown(model, length, n_features=None):
     return counts
 
 
-def count_macs(model, length, n_features=None):
+def count_macs(model, length):
     """Total MACs for one forward pass (raw count)."""
-    return sum(mac_breakdown(model, length, n_features).values())
+    return sum(mac_breakdown(model, length).values())
 
 
-def count_mmacs(model, length, n_features=None):
+def count_mmacs(model, length):
     """Forward-pass cost in MMac (10^6 multiply-accumulates)."""
-    return count_macs(model, length, n_features) / 1e6
+    return count_macs(model, length) / 1e6
 
 
 # -- checkpoint format ---------------------------------------------------------

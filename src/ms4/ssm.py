@@ -24,65 +24,16 @@ two batched products, and memory stays independent of the sequence length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 
+# An S4D core is a dict of these real arrays: the eigenvalues as log_a_real
+# and a_imag, the complex B and C as real/imaginary pairs, all (H, N/2), and
+# the per-channel feedthrough gain d and log step size log_delta, both (H,).
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
-
-
-@dataclass
-class SsmParams:
-    """Trainable bundle for one diagonal SSM layer (all arrays real-valued).
-
-    Complex quantities are stored as real/imaginary pairs: the input matrix B
-    as (b_re, b_im), the output matrix C as (c_re, c_im). Shapes are
-    (H, N/2) for per-mode arrays and (H,) for the feedthrough gain `d` and
-    the per-channel log step size `log_delta`.
-    """
-
-    log_a_real: np.ndarray
-    a_imag: np.ndarray
-    b_re: np.ndarray
-    b_im: np.ndarray
-    c_re: np.ndarray
-    c_im: np.ndarray
-    d: np.ndarray
-    log_delta: np.ndarray
-
-    @property
-    def n_channels(self):
-        return self.log_a_real.shape[0]
-
-    @property
-    def n_modes(self):
-        return self.log_a_real.shape[1]
-
-    @property
-    def n_state(self):
-        return 2 * self.n_modes
-
-    @property
-    def lam(self):
-        """Complex eigenvalues, Re < 0 by construction."""
-        return -np.exp(self.log_a_real) + 1j * self.a_imag
-
-    @property
-    def b(self):
-        return self.b_re + 1j * self.b_im
-
-    @property
-    def c(self):
-        return self.c_re + 1j * self.c_im
-
-    def leaves(self):
-        return {name: getattr(self, name) for name in SSM_LEAF_NAMES}
-
-    def astype(self, dtype):
-        """Copy with every array cast to a real dtype (e.g. float32)."""
-        return replace(self, **{name: getattr(self, name).astype(dtype) for name in SSM_LEAF_NAMES})
 
 
 @dataclass
@@ -97,12 +48,12 @@ class StreamState:
 
     @classmethod
     def for_params(cls, params):
-        cdtype = np.result_type(params.log_a_real.dtype, np.complex64)
-        return cls.zeros(params.n_channels, params.n_modes, dtype=cdtype)
+        log_a_real = params["log_a_real"]
+        return cls.zeros(*log_a_real.shape, dtype=np.result_type(log_a_real.dtype, np.complex64))
 
 
 def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
-    """HiPPO-flavored diagonal initialization lambda_n = -1/2 + i*pi*n.
+    """An S4D core with the HiPPO-flavored diagonal eigenvalues lambda_n = -1/2 + i*pi*n.
 
     All channels start from the same eigenvalues; B = 1, D = 1, C is drawn
     from a seeded standard normal (real and imaginary parts), and log(delta)
@@ -118,16 +69,16 @@ def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
     rng = np.random.default_rng(seed)
     shape = (n_channels, n_modes)
     log_delta = rng.uniform(np.log(dt_min), np.log(dt_max), size=n_channels)
-    return SsmParams(
-        log_a_real=np.full(shape, np.log(0.5)),
-        a_imag=np.broadcast_to(np.pi * np.arange(n_modes), shape).copy(),
-        b_re=np.ones(shape),
-        b_im=np.zeros(shape),
-        c_re=rng.standard_normal(shape),
-        c_im=rng.standard_normal(shape),
-        d=np.ones(n_channels),
-        log_delta=log_delta,
-    )
+    return {
+        "log_a_real": np.full(shape, np.log(0.5)),
+        "a_imag": np.broadcast_to(np.pi * np.arange(n_modes), shape).copy(),
+        "b_re": np.ones(shape),
+        "b_im": np.zeros(shape),
+        "c_re": rng.standard_normal(shape),
+        "c_im": rng.standard_normal(shape),
+        "d": np.ones(n_channels),
+        "log_delta": log_delta,
+    }
 
 
 # -- differentiable core -------------------------------------------------------
@@ -177,12 +128,13 @@ def causal_conv_t(x, kernel):
     return ad.causal_conv(x, kernel, _next_pow2(2 * kernel.shape[-2] - 1))
 
 
-def s4d_apply(x, p, dropout_rate, training, rng):
-    """Full S4D stage on a projected input: conv + feedthrough, GELU, dropout."""
+def s4d_apply(x, p, dropout_rate=0.0, rng=None):
+    """Full S4D stage on a projected input: conv + feedthrough, GELU, then
+    dropout, which runs only when a generator `rng` is given (training)."""
     length = x.shape[-2]
     y = causal_conv_t(x, kernel_t(p, length)) + x * p["d"]
     y = ad.gelu(y)
-    if training and dropout_rate > 0.0:
+    if rng is not None and dropout_rate > 0.0:
         keep = (rng.random(y.shape) >= dropout_rate).astype(y.dtype)
         y = y * (keep / (1.0 - dropout_rate))
     return y
@@ -193,20 +145,20 @@ def _next_pow2(n):
 
 
 def _constants(params):
-    return {name: ad.Tensor(v) for name, v in params.leaves().items()}
+    return {name: ad.Tensor(v) for name, v in params.items()}
 
 
 # -- plain-array surface -------------------------------------------------------
 
 
 def zoh_discretize(params):
-    """Discrete (A_bar, B_bar) arrays for a parameter bundle; all |A_bar| < 1."""
+    """Discrete (A_bar, B_bar) arrays of an S4D core; all |A_bar| < 1."""
     a_bar, b_bar, _ = discretize_t(_constants(params))
     return a_bar.data, b_bar.data
 
 
 def compute_kernel(params, length):
-    """Kernel matrix of shape (length, H); finite for any valid bundle."""
+    """Kernel matrix of shape (length, H); finite for any valid core."""
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
     return kernel_t(_constants(params), length).data
@@ -247,7 +199,7 @@ def chunk_scanner(params, chunk):
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     a_bar, b_bar = zoh_discretize(params)
-    c, d = params.c, params.d
+    c, d = params["c_re"] + 1j * params["c_im"], params["d"]
     powers = np.empty(a_bar.shape + (chunk + 1,), dtype=a_bar.dtype)
     powers[..., 0] = 1.0
     powers[..., 1] = a_bar
@@ -276,13 +228,14 @@ def chunk_scanner(params, chunk):
 def stream_sequence(params, x):
     """Run the recurrence step by step over a whole (L, H) input; equals conv + D*x."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != params.n_channels:
-        raise ValueError(f"expected (L, {params.n_channels}) input, got {x.shape}")
+    c, d = params["c_re"] + 1j * params["c_im"], params["d"]
+    if x.ndim != 2 or x.shape[1] != d.shape[0]:
+        raise ValueError(f"expected (L, {d.shape[0]}) input, got {x.shape}")
     a_bar, b_bar = zoh_discretize(params)
     state = StreamState.for_params(params)
     out = np.empty_like(x)
     for k in range(x.shape[0]):
-        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, params.c, params.d)
+        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, c, d)
     return out
 
 

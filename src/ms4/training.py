@@ -20,13 +20,12 @@ from . import model as model_mod
 from . import ssm
 from .errors import NumericError
 
+BETA1, BETA2, EPS_ADAM = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 20
@@ -36,9 +35,9 @@ class TrainConfig:
 
     def validate(self):
         # lr = 0 is allowed so early-stopping mechanics can be exercised in
-        # isolation; negative rates are rejected.
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # isolation; negative and non-finite rates are rejected.
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.patience < 1:
@@ -86,15 +85,14 @@ def adam_step(params, grads, moment1, moment2, t, config):
     """Bias-corrected Adam update; returns new (params, moment1, moment2)."""
     if t < 1:
         raise ValueError(f"Adam step index must be >= 1, got {t}")
-    b1, b2 = config.beta1, config.beta2
     new_p, new_m, new_v = {}, {}, {}
     for key, p in params.items():
         g = grads[key]
-        m = b1 * moment1[key] + (1.0 - b1) * g
-        v = b2 * moment2[key] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_p[key] = p - config.lr * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+        m = BETA1 * moment1[key] + (1.0 - BETA1) * g
+        v = BETA2 * moment2[key] + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        new_p[key] = p - config.lr * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
         new_m[key] = m
         new_v[key] = v
     return new_p, new_m, new_v
@@ -132,10 +130,7 @@ def train(mdl, dataset, config):
             batch = order[start : start + config.batch_size]
             xb, yb = train_set.x[batch], train_set.y[batch]
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in leaves.items()}
-            logits = model_mod.forward_t(
-                ad.Tensor(xb), tensors, mdl.n_layers, mdl.normalized,
-                mdl.dropout_rate, True, rng,
-            )
+            logits = model_mod.forward_t(ad.Tensor(xb), tensors, mdl.dropout_rate, rng)
             loss = cross_entropy_t(logits, yb)
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -145,13 +140,12 @@ def train(mdl, dataset, config):
             loss_sum += float(loss.data) * len(batch)
             correct += int((np.argmax(logits.data, axis=-1) == yb).sum())
 
-        current = replace(mdl, params=leaves)
-        radii = np.array([np.abs(ssm.zoh_discretize(current.block_ssm(i))[0])
+        radii = np.array([np.abs(ssm.zoh_discretize(model_mod.block_core(leaves, i))[0])
                           for i in range(mdl.n_layers)])
         if not (radii < 1.0).all():
             raise NumericError(f"|A_bar| >= 1 after epoch {epoch}: max {radii.max()}")
 
-        val_loss, val_err = evaluate(current, val_set)
+        val_loss, val_err = evaluate(replace(mdl, params=leaves), val_set)
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.train_loss.append(loss_sum / train_set.n_samples)

@@ -59,30 +59,36 @@ def impulse_kernel_oracle(params, length):
     The feedthrough term is excluded, matching the kernel definition.
     """
     a_bar, b_bar = ssm.zoh_discretize(params)
-    c = params.c
+    c = complex_of(params, "c")
+    n_channels = a_bar.shape[0]
     h = np.zeros_like(a_bar)
-    out = np.empty((length, params.n_channels))
+    out = np.empty((length, n_channels))
     for k in range(length):
-        x_k = np.ones(params.n_channels) if k == 0 else np.zeros(params.n_channels)
+        x_k = np.ones(n_channels) if k == 0 else np.zeros(n_channels)
         h = a_bar * h + b_bar * x_k[:, None]
         out[k] = 2.0 * (c * h).sum(axis=-1).real
     return out
 
 
+def complex_of(params, name):
+    """Complex B (name "b") or C (name "c") of an S4D core from its real/imaginary pair."""
+    return params[f"{name}_re"] + 1j * params[f"{name}_im"]
+
+
 def random_ssm_params(rng, n_channels, n_state):
-    """Randomized bundle exercising arbitrary (post-update) parameter values."""
+    """Randomized S4D core exercising arbitrary (post-update) parameter values."""
     n_modes = n_state // 2
     shape = (n_channels, n_modes)
-    return ssm.SsmParams(
-        log_a_real=rng.normal(0.0, 1.0, shape),
-        a_imag=rng.normal(0.0, 3.0, shape),
-        b_re=rng.normal(0.0, 1.0, shape),
-        b_im=rng.normal(0.0, 1.0, shape),
-        c_re=rng.normal(0.0, 1.0, shape),
-        c_im=rng.normal(0.0, 1.0, shape),
-        d=rng.normal(0.0, 1.0, n_channels),
-        log_delta=rng.uniform(np.log(1e-3), np.log(0.3), n_channels),
-    )
+    return {
+        "log_a_real": rng.normal(0.0, 1.0, shape),
+        "a_imag": rng.normal(0.0, 3.0, shape),
+        "b_re": rng.normal(0.0, 1.0, shape),
+        "b_im": rng.normal(0.0, 1.0, shape),
+        "c_re": rng.normal(0.0, 1.0, shape),
+        "c_im": rng.normal(0.0, 1.0, shape),
+        "d": rng.normal(0.0, 1.0, n_channels),
+        "log_delta": rng.uniform(np.log(1e-3), np.log(0.3), n_channels),
+    }
 
 
 def spectral_peak_labels(dataset, f_low, f_high):

@@ -96,6 +96,15 @@ class TestGen:
         assert "length" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_rejected_before_writing(self, capsys, tmp_path, noise):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(capsys, "gen", "--n", "4", "--len", "8", "--noise", noise,
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert f"noise_std must be finite and >= 0, got {noise}" in err
+        assert not out.exists()
+
 
 class TestTrainVerb:
     def test_end_to_end_determinism(self, capsys, tmp_path, workdir):
@@ -135,6 +144,16 @@ class TestTrainVerb:
         bad.write_text("#tsc v1 n=2 L=2 F=1 classes=2\n0,1.0,2.0\n")
         code, _, _ = run(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"))
         assert code == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    @pytest.mark.parametrize("verb", ["train", "converge"])
+    def test_non_finite_lr_is_usage_error(self, capsys, workdir, tmp_path, verb, lr):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, verb, "--data", str(workdir / "d.csv"), "--hidden", "4",
+                                "--state", "4", "--epochs", "1", "--lr", lr, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert f"error: lr must be finite and >= 0, got {lr}" in err
+        assert "A_bar" not in err and not out.exists()
 
 
 class TestEvalVerb:
@@ -343,11 +362,19 @@ class TestGradcheckVerb:
         assert "gradient check failed" in err
 
 
-    @pytest.mark.parametrize("flag", ["--len", "--batch", "--features"])
-    def test_zero_size_is_usage_error(self, capsys, flag):
-        code, out, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4", flag, "0")
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param(flag, "0", f"{flag} must be >= 1", id=flag)
+        for flag in ("--len", "--batch", "--features")
+    ] + [
+        pytest.param("--eps", eps, f"--eps must be finite and > 0, got {float(eps)}",
+                     id=f"--eps={eps}")
+        for eps in ("0", "-1e-4", "nan", "inf")
+    ])
+    def test_zero_size_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4",
+                             f"{flag}={value}")
         assert (code, out) == (1, "")
-        assert f"error: {flag} must be >= 1" in err
+        assert f"error: {message}" in err
         assert "Traceback" not in err
 
 

@@ -180,22 +180,24 @@ class TestForward:
             assert model.count_params(ms4n) - model.count_params(ms4) == 2 * 8 * layers
 
     def test_normalization_is_the_only_difference(self):
-        ms4n = tiny_model(normalized=True, seed=3)
-        x = np.random.default_rng(13).standard_normal((12, 3))
-        # manual pipeline sharing the same weights, norm toggled by hand
-        p = ms4n.params
-        head = (p["w3"], p["b3"], p["w4"], p["b4"])
-        core = {k: ad.Tensor(v) for k, v in ms4n.block_ssm(0).leaves().items()}
-        y = ssm.s4d_apply(ad.Tensor(x @ p["w1"] + p["b1"]), core, 0.0, False, None).data
-        g = glu(y, p["block0.w2"], p["block0.b2"])
-        with_norm = classify(layer_norm(g, p["block0.gamma"], p["block0.beta"]), *head)
-        without_norm = classify(g, *head)
-        np.testing.assert_allclose(model.forward(x, ms4n), with_norm, atol=1e-12)
-        ms4 = model.ModelParams(
-            {k: v for k, v in p.items() if k not in ("block0.gamma", "block0.beta")}, 0.0
-        )
-        assert not ms4.normalized
-        np.testing.assert_allclose(model.forward(x, ms4), without_norm, atol=1e-12)
+        # 2-block pipelines composed by hand from one MS4N model's weights, the
+        # norm toggled by hand; MS4 is the same arrays without gamma and beta
+        p = tiny_model(normalized=True, n_layers=2, seed=3).params
+        x = np.random.default_rng(13).standard_normal((1, 12, 3))
+        plain = {k: v for k, v in p.items() if not k.endswith((".gamma", ".beta"))}
+        for params, norm in ((p, True), (plain, False)):
+            t = {k: ad.Tensor(v) for k, v in params.items()}
+            h = ad.Tensor(x) @ t["w1"] + t["b1"]
+            for i in range(2):
+                core = {name: t[f"block{i}.ssm.{name}"] for name in ssm.SSM_LEAF_NAMES}
+                h = model.glu_t(ssm.s4d_apply(h, core), t[f"block{i}.w2"], t[f"block{i}.b2"])
+                if norm:
+                    h = model.layer_norm_t(h, t[f"block{i}.gamma"], t[f"block{i}.beta"])
+            expected = model.classify_t(h, t["w3"], t["b3"], t["w4"], t["b4"]).data
+            np.testing.assert_array_equal(model.forward_t(ad.Tensor(x), t).data, expected)
+            mdl = model.ModelParams(params, 0.0)
+            assert (mdl.normalized, mdl.n_layers) == (norm, 2)
+            np.testing.assert_allclose(model.forward(x[0], mdl), expected[0], atol=1e-12)
 
     def test_eval_mode_bit_identical(self):
         # forward is eval mode: the dropout rate must not touch the logits
@@ -232,7 +234,7 @@ class TestForward:
         labels = np.array([0, 2])
 
         def loss_fn(leaves):
-            logits = model.forward_t(ad.Tensor(x), leaves, 1, True, 0.0, False, rng)
+            logits = model.forward_t(ad.Tensor(x), leaves)
             return training.cross_entropy_t(logits, labels)
 
         err = ad.finite_diff_check(loss_fn, mdl.leaves(), epsilon=1e-4)
@@ -355,7 +357,7 @@ class TestCounts:
     def test_complex_parameters_count_twice(self):
         p = ssm.init_s4d_params(2, 4, seed=0)
         per_mode_pairs = 2 * 2 * 3  # B, C and the eigenvalue pair, 2x2 modes each
-        assert sum(v.size for v in p.leaves().values()) == per_mode_pairs * 2 + 2 + 2
+        assert sum(v.size for v in p.values()) == per_mode_pairs * 2 + 2 + 2
 
 
 class TestParamShapes:
@@ -372,10 +374,11 @@ class TestParamShapes:
         assert (mdl.n_features, mdl.n_hidden, mdl.n_state, mdl.n_classes, mdl.head_hidden,
                 mdl.n_layers, mdl.normalized) == (3, 8, 6, 4, 5, 2, False)
 
-    def test_block_ssm_views_the_model_arrays(self):
+    def test_block_core_views_the_model_arrays(self):
         mdl = tiny_model(n_layers=2, seed=13)
-        core = mdl.block_ssm(1)
-        for name, arr in core.leaves().items():
+        core = model.block_core(mdl.params, 1)
+        assert list(core) == list(ssm.SSM_LEAF_NAMES)
+        for name, arr in core.items():
             assert arr is mdl.params[f"block1.ssm.{name}"]
 
 

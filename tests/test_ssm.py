@@ -16,29 +16,31 @@ import helpers
 class TestInit:
     def test_eigenvalue_formula(self):
         p = ssm.init_s4d_params(1, 4, seed=0)
-        np.testing.assert_allclose(p.log_a_real, np.log(0.5))
-        np.testing.assert_allclose(p.a_imag[0], [0.0, np.pi])
+        np.testing.assert_allclose(p["log_a_real"], np.log(0.5))
+        np.testing.assert_allclose(p["a_imag"][0], [0.0, np.pi])
 
     def test_channels_share_eigenvalues_at_init(self):
         p = ssm.init_s4d_params(3, 2, seed=5)
-        assert (p.lam == p.lam[0]).all()
-        np.testing.assert_allclose(p.lam[0], [-0.5 + 0.0j])
+        lam = -np.exp(p["log_a_real"]) + 1j * p["a_imag"]
+        assert (lam == lam[0]).all()
+        np.testing.assert_allclose(lam[0], [-0.5 + 0.0j])
 
     def test_b_d_unit_and_c_seeded_normal(self):
         p = ssm.init_s4d_params(4, 6, seed=1)
-        np.testing.assert_array_equal(p.b, np.ones((4, 3), dtype=complex))
-        np.testing.assert_array_equal(p.d, np.ones(4))
-        assert p.c_re.std() > 0.1
+        np.testing.assert_array_equal(helpers.complex_of(p, "b"), np.ones((4, 3), dtype=complex))
+        np.testing.assert_array_equal(p["d"], np.ones(4))
+        assert p["c_re"].std() > 0.1
 
     def test_log_delta_within_bounds(self):
         p = ssm.init_s4d_params(64, 4, dt_min=1e-3, dt_max=1e-1, seed=3)
-        assert (p.log_delta >= np.log(1e-3)).all() and (p.log_delta < np.log(1e-1)).all()
+        assert (p["log_delta"] >= np.log(1e-3)).all() and (p["log_delta"] < np.log(1e-1)).all()
 
     def test_same_seed_bit_identical(self):
         a = ssm.init_s4d_params(5, 8, seed=11)
         b = ssm.init_s4d_params(5, 8, seed=11)
+        assert list(a) == list(b) == list(ssm.SSM_LEAF_NAMES)
         for name in ssm.SSM_LEAF_NAMES:
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(a[name], b[name])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,17 +58,17 @@ class TestInit:
 
 
 def _explicit_params(lam, delta, b=1.0 + 0.0j, c=1.0 + 0.0j):
-    """Single-channel single-mode bundle with exact eigenvalue and step."""
-    return ssm.SsmParams(
-        log_a_real=np.log(-np.array([[lam.real]])),
-        a_imag=np.array([[lam.imag]]),
-        b_re=np.array([[b.real]]),
-        b_im=np.array([[b.imag]]),
-        c_re=np.array([[c.real]]),
-        c_im=np.array([[c.imag]]),
-        d=np.zeros(1),
-        log_delta=np.log(np.array([delta])),
-    )
+    """Single-channel single-mode S4D core with exact eigenvalue and step."""
+    return {
+        "log_a_real": np.log(-np.array([[lam.real]])),
+        "a_imag": np.array([[lam.imag]]),
+        "b_re": np.array([[b.real]]),
+        "b_im": np.array([[b.imag]]),
+        "c_re": np.array([[c.real]]),
+        "c_im": np.array([[c.imag]]),
+        "d": np.zeros(1),
+        "log_delta": np.log(np.array([delta])),
+    }
 
 
 class TestZohDiscretize:
@@ -91,9 +93,9 @@ class TestZohDiscretize:
         p = helpers.random_ssm_params(rng, 3, 8)
         norms = {}
         for delta in (1e-4, 1e-5):
-            q = p.__class__(**{**p.__dict__, "log_delta": np.full(3, np.log(delta))})
+            q = {**p, "log_delta": np.full(3, np.log(delta))}
             _, b_bar = ssm.zoh_discretize(q)
-            norms[delta] = np.linalg.norm(b_bar - delta * q.b)
+            norms[delta] = np.linalg.norm(b_bar - delta * helpers.complex_of(q, "b"))
         ratio = norms[1e-4] / norms[1e-5]
         assert 99.0 < ratio < 101.0
 
@@ -108,8 +110,8 @@ class TestZohDiscretize:
 class TestKernel:
     def test_zero_output_matrix(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
-        p.c_re[:] = 0.0
-        p.c_im[:] = 0.0
+        p["c_re"][:] = 0.0
+        p["c_im"][:] = 0.0
         for length in (1, 5, 33):
             np.testing.assert_array_equal(ssm.compute_kernel(p, length), np.zeros((length, 3)))
 
@@ -117,7 +119,7 @@ class TestKernel:
         rng = np.random.default_rng(4)
         p = helpers.random_ssm_params(rng, 2, 6)
         _, b_bar = ssm.zoh_discretize(p)
-        expected = 2.0 * (p.c * b_bar).sum(axis=-1).real
+        expected = 2.0 * (helpers.complex_of(p, "c") * b_bar).sum(axis=-1).real
         np.testing.assert_allclose(ssm.compute_kernel(p, 1)[0], expected, atol=1e-12)
 
     def test_matches_impulse_response_oracle(self):
@@ -142,7 +144,8 @@ class TestKernel:
             assert np.isfinite(kernel).all()
             a_bar, b_bar = ssm.zoh_discretize(p)
             k = np.arange(64)[:, None, None]
-            envelope = (2.0 * np.abs(p.c * b_bar) * np.abs(a_bar) ** k).sum(axis=-1)
+            envelope = (2.0 * np.abs(helpers.complex_of(p, "c") * b_bar)
+                        * np.abs(a_bar) ** k).sum(axis=-1)
             assert (np.abs(kernel) <= envelope + 1e-12).all()
 
     def test_per_mode_geometric_decay(self):
@@ -150,7 +153,7 @@ class TestKernel:
         p = helpers.random_ssm_params(rng, 2, 6)
         a_bar, b_bar = ssm.zoh_discretize(p)
         k = np.arange(32)[:, None, None]
-        per_mode = np.abs(p.c * b_bar) * np.abs(a_bar) ** k
+        per_mode = np.abs(helpers.complex_of(p, "c") * b_bar) * np.abs(a_bar) ** k
         assert (np.diff(per_mode, axis=0) <= 1e-15).all()
 
     def test_invalid_length(self):
@@ -226,7 +229,8 @@ class TestRecurrence:
         p = ssm.init_s4d_params(3, 4, seed=0)
         a_bar, b_bar = ssm.zoh_discretize(p)
         state = ssm.StreamState.for_params(p)
-        new_state, y = ssm.recurrent_step(state, np.zeros(3), a_bar, b_bar, p.c, p.d)
+        new_state, y = ssm.recurrent_step(state, np.zeros(3), a_bar, b_bar,
+                                          helpers.complex_of(p, "c"), p["d"])
         np.testing.assert_array_equal(new_state.h, np.zeros_like(state.h))
         np.testing.assert_array_equal(y, np.zeros(3))
 
@@ -235,22 +239,24 @@ class TestRecurrence:
         p = helpers.random_ssm_params(rng, 4, 8)
         a_bar, b_bar = ssm.zoh_discretize(p)
         x0 = rng.standard_normal(4)
-        _, y0 = ssm.recurrent_step(ssm.StreamState.for_params(p), x0, a_bar, b_bar, p.c, p.d)
-        expected = (ssm.compute_kernel(p, 1)[0] + p.d) * x0
+        _, y0 = ssm.recurrent_step(ssm.StreamState.for_params(p), x0, a_bar, b_bar,
+                                   helpers.complex_of(p, "c"), p["d"])
+        expected = (ssm.compute_kernel(p, 1)[0] + p["d"]) * x0
         np.testing.assert_allclose(y0, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
         a_bar, b_bar = ssm.zoh_discretize(p)
         with pytest.raises(ValueError):
-            ssm.recurrent_step(ssm.StreamState.zeros(2, 2), np.zeros(3), a_bar, b_bar, p.c, p.d)
+            ssm.recurrent_step(ssm.StreamState.zeros(2, 2), np.zeros(3), a_bar, b_bar,
+                               helpers.complex_of(p, "c"), p["d"])
 
     def test_stream_equals_conv_plus_feedthrough(self):
         rng = np.random.default_rng(14)
         p = helpers.random_ssm_params(rng, 4, 8)
         x = rng.standard_normal((256, 4))
         streamed = ssm.stream_sequence(p, x)
-        batch = ssm.fft_causal_conv(x, ssm.compute_kernel(p, 256)) + x * p.d
+        batch = ssm.fft_causal_conv(x, ssm.compute_kernel(p, 256)) + x * p["d"]
         np.testing.assert_allclose(streamed, batch, rtol=0, atol=1e-9)
 
 
@@ -262,7 +268,8 @@ def stepwise(params, state, x):
     a_bar, b_bar = ssm.zoh_discretize(params)
     out = np.empty_like(x)
     for k in range(x.shape[0]):
-        state, out[k] = ssm.recurrent_step(state, x[k], a_bar, b_bar, params.c, params.d)
+        state, out[k] = ssm.recurrent_step(state, x[k], a_bar, b_bar,
+                                           helpers.complex_of(params, "c"), params["d"])
     return state, out
 
 
@@ -270,9 +277,8 @@ class TestChunkScanner:
     """Chunked carried-state streaming against the per-step recurrence."""
 
     def assert_matches_stepwise(self, params, x, rng):
-        state = ssm.StreamState(
-            rng.standard_normal(params.c.shape) + 1j * rng.standard_normal(params.c.shape)
-        )
+        shape = params["c_re"].shape
+        state = ssm.StreamState(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         expected_state, expected = stepwise(params, state, x)
         scan = ssm.chunk_scanner(params, CHUNK)
         outputs = []
@@ -292,7 +298,7 @@ class TestChunkScanner:
     def test_fast_decay_underflows_cleanly(self, length):
         rng = np.random.default_rng(100 + length)
         params = helpers.random_ssm_params(rng, 4, 8)
-        params.log_delta[:] = np.log(1e3)  # delta = 1000, so A_bar^CHUNK underflows to 0
+        params["log_delta"][:] = np.log(1e3)  # delta = 1000, so A_bar^CHUNK underflows to 0
         assert np.abs(ssm.zoh_discretize(params)[0] ** CHUNK).max() == 0.0
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
@@ -318,16 +324,16 @@ class TestDuality:
             length = int(rng.integers(1, 513))
             p = helpers.random_ssm_params(rng, channels, n_state)
             x = rng.standard_normal((length, channels))
-            conv = ssm.fft_causal_conv(x, ssm.compute_kernel(p, length)) + x * p.d
+            conv = ssm.fft_causal_conv(x, ssm.compute_kernel(p, length)) + x * p["d"]
             np.testing.assert_allclose(ssm.stream_sequence(p, x), conv, rtol=0, atol=1e-9)
 
     def test_single_precision_relaxed(self):
         rng = np.random.default_rng(16)
-        p = helpers.random_ssm_params(rng, 4, 8).astype(np.float32)
+        p = {k: v.astype(np.float32) for k, v in helpers.random_ssm_params(rng, 4, 8).items()}
         x = rng.standard_normal((300, 4)).astype(np.float32)
         kernel = ssm.compute_kernel(p, 300)
         assert kernel.dtype == np.float32
-        conv = ssm.fft_causal_conv(x, kernel) + x * p.d
+        conv = ssm.fft_causal_conv(x, kernel) + x * p["d"]
         streamed = ssm.stream_sequence(p, x)
         assert streamed.dtype == np.float32
         np.testing.assert_allclose(streamed, conv, rtol=0, atol=1e-4)
@@ -337,10 +343,11 @@ class TestS4dForward:
     """`ssm.s4d_apply` on constant Tensors: conv + feedthrough, GELU, dropout."""
 
     @staticmethod
-    def apply(x, p, dropout_rate=0.1, training=False, seed=0):
-        core = {name: ad.Tensor(v) for name, v in p.leaves().items()}
-        rng = np.random.default_rng(seed)
-        return ssm.s4d_apply(ad.Tensor(x), core, dropout_rate, training, rng).data
+    def apply(x, p, dropout_rate=0.1, seed=None):
+        """Dropout runs only when a seed is given, as `s4d_apply` does with an rng."""
+        core = {name: ad.Tensor(v) for name, v in p.items()}
+        rng = None if seed is None else np.random.default_rng(seed)
+        return ssm.s4d_apply(ad.Tensor(x), core, dropout_rate, rng).data
 
     def test_zero_input_zero_output(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
@@ -349,9 +356,9 @@ class TestS4dForward:
 
     def test_pure_feedthrough_is_gelu(self):
         p = ssm.init_s4d_params(2, 4, seed=1)
-        p.c_re[:] = 0.0
-        p.c_im[:] = 0.0
-        p.d[:] = 1.0
+        p["c_re"][:] = 0.0
+        p["c_im"][:] = 0.0
+        p["d"][:] = 1.0
         rng = np.random.default_rng(17)
         x = rng.standard_normal((9, 2))
         np.testing.assert_allclose(
@@ -359,17 +366,25 @@ class TestS4dForward:
         )
 
     def test_eval_mode_bit_identical(self):
+        # a zero rate draws nothing, so the generator's state cannot matter
         p = ssm.init_s4d_params(3, 6, seed=2)
         x = np.random.default_rng(18).standard_normal((20, 3))
-        a = self.apply(x, p, dropout_rate=0.5, training=False, seed=0)
-        b = self.apply(x, p, dropout_rate=0.5, training=False, seed=99)
+        a = self.apply(x, p, dropout_rate=0.0, seed=0)
+        b = self.apply(x, p, dropout_rate=0.0, seed=99)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, self.apply(x, p, dropout_rate=0.0))
+
+    def test_no_rng_means_no_dropout(self):
+        p = ssm.init_s4d_params(3, 6, seed=2)
+        x = np.random.default_rng(18).standard_normal((20, 3))
+        np.testing.assert_array_equal(self.apply(x, p, dropout_rate=0.5),
+                                      self.apply(x, p, dropout_rate=0.0))
 
     def test_training_dropout_scales_and_masks(self):
         p = ssm.init_s4d_params(2, 4, seed=3)
         x = np.random.default_rng(19).standard_normal((50, 2))
-        eval_out = self.apply(x, p, dropout_rate=0.5, training=False)
-        train_out = self.apply(x, p, dropout_rate=0.5, training=True, seed=7)
+        eval_out = self.apply(x, p, dropout_rate=0.5)
+        train_out = self.apply(x, p, dropout_rate=0.5, seed=7)
         dropped = train_out == 0.0
         assert 0.2 < dropped.mean() < 0.8
         kept = ~dropped
@@ -385,7 +400,7 @@ class TestS4dForward:
         kernel = ssm.compute_kernel(p, 32)
 
         def response(x):
-            return ssm.fft_causal_conv(x, kernel) + x * p.d
+            return ssm.fft_causal_conv(x, kernel) + x * p["d"]
 
         x1 = rng.standard_normal((32, 3))
         x2 = rng.standard_normal((32, 3))

@@ -121,7 +121,7 @@ class TestTrainLoop:
         config = training.TrainConfig(max_epochs=5, batch_size=8, seed=2)
         best, _ = training.train(tiny_model(ds, seed=3), ds, config)
         for i in range(best.n_layers):
-            a_bar, _ = ssm.zoh_discretize(best.block_ssm(i))
+            a_bar, _ = ssm.zoh_discretize(model.block_core(best.params, i))
             assert (np.abs(a_bar) < 1.0).all()
 
     def test_single_class_data_rejected(self):
@@ -153,8 +153,9 @@ class TestTrainLoop:
             training.TrainConfig(val_fraction=0.0).validate()
         with pytest.raises(ValueError):
             training.TrainConfig(patience=0).validate()
-        with pytest.raises(ValueError):
-            training.TrainConfig(lr=-1.0).validate()
+        for lr in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+                training.TrainConfig(lr=lr).validate()
 
 
 class TestHistoryCsv:
