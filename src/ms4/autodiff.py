@@ -2,9 +2,9 @@
 
 The tape is the implicit graph of ``Tensor`` nodes: each non-leaf node keeps
 references to its parents and a closure computing the parent adjoints from its
-own adjoint (the saved forward values live in the closure). ``backward``
+own adjoint (the saved forward values live in the closure). ``gradients``
 replays that record in reverse topological order, so every leaf reachable from
-a scalar loss receives a gradient. A graph is single-use: build, backward,
+a scalar loss receives a gradient. A graph is single-use: build, differentiate,
 discard.
 
 Complex arrays use the real-pair convention: the adjoint stored for a complex
@@ -28,7 +28,6 @@ from scipy.special import erf, expit
 __all__ = [
     "Tensor",
     "as_tensor",
-    "backward",
     "gradients",
     "exp",
     "log",
@@ -39,7 +38,6 @@ __all__ = [
     "make_complex",
     "causal_conv",
     "finite_diff_errors",
-    "finite_diff_check",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -67,11 +65,10 @@ def _match(grad, data):
 class Tensor:
     """Array node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data)
-        self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._vjp = _vjp
@@ -92,26 +89,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"
 
     # -- arithmetic ---------------------------------------------------------
-    # Non-Tensor operands (python scalars, ndarrays) stay out of the graph:
-    # python scalars in particular must not be wrapped into 0-d float64
-    # arrays, or they would promote float32 data.
+    # Each operator hands its adjoint expressions to `_binary`, which keeps
+    # non-Tensor operands (python scalars, ndarrays) out of the graph.
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            out = self.data + other.data
-
-            def vjp(g):
-                return (
-                    _match(_unbroadcast(g, self.shape), self.data),
-                    _match(_unbroadcast(g, other.shape), other.data),
-                )
-
-            return _node(out, (self, other), vjp)
-        return _node(
-            self.data + other,
-            (self,),
-            lambda g: (_match(_unbroadcast(g, self.shape), self.data),),
-        )
+        return _binary(self, other, self.data + _value(other), lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
@@ -125,56 +107,22 @@ class Tensor:
         return (-self) + other
 
     def __mul__(self, other):
-        a = self.data
-        if isinstance(other, Tensor):
-            b = other.data
-            out = a * b
-
-            def vjp(g):
-                return (
-                    _match(_unbroadcast(g * np.conj(b), self.shape), a),
-                    _match(_unbroadcast(g * np.conj(a), other.shape), b),
-                )
-
-            return _node(out, (self, other), vjp)
-        b = other
-        return _node(
-            a * b,
-            (self,),
-            lambda g: (_match(_unbroadcast(g * np.conj(b), self.shape), a),),
-        )
+        a, b = self.data, _value(other)
+        return _binary(self, other, a * b, lambda g: g * np.conj(b), lambda g: g * np.conj(a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a = self.data
-        if isinstance(other, Tensor):
-            b = other.data
-            out = a / b
-
-            def vjp(g):
-                cb = np.conj(b)
-                return (
-                    _match(_unbroadcast(g / cb, self.shape), a),
-                    _match(_unbroadcast(-g * np.conj(out) / cb, other.shape), b),
-                )
-
-            return _node(out, (self, other), vjp)
-        b = other
-        return _node(
-            a / b,
-            (self,),
-            lambda g: (_match(_unbroadcast(g / np.conj(b), self.shape), a),),
+        b = _value(other)
+        out = self.data / b
+        return _binary(
+            self, other, out, lambda g: g / np.conj(b), lambda g: -g * np.conj(out) / np.conj(b)
         )
 
     def __rtruediv__(self, other):
         b = self.data
         out = other / b
-
-        def vjp(g):
-            return (_match(_unbroadcast(-g * np.conj(out / b), self.shape), b),)
-
-        return _node(out, (self,), vjp)
+        return _binary(other, self, out, None, lambda g: -g * np.conj(out / b))
 
     def __matmul__(self, other):
         """Matrix product (..., m, k) @ (k, n), or batched with equal ranks."""
@@ -235,9 +183,6 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
-    def backward(self, adjoint=1.0):
-        backward(self, adjoint)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -247,6 +192,24 @@ def _node(data, parents, vjp):
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(data)
+
+
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _binary(a, b, out, da, db):
+    """Node for `out` = a (op) b, where `da`/`db` map the output adjoint to an
+    operand's before broadcasting is summed out. Only Tensor operands become
+    parents: a python scalar stays unwrapped, so it cannot promote float32."""
+    if not isinstance(b, Tensor):
+        return _node(out, (a,), lambda g: (_match(_unbroadcast(da(g), a.shape), a.data),))
+    if not isinstance(a, Tensor):
+        return _node(out, (b,), lambda g: (_match(_unbroadcast(db(g), b.shape), b.data),))
+    return _node(out, (a, b), lambda g: (
+        _match(_unbroadcast(da(g), a.shape), a.data),
+        _match(_unbroadcast(db(g), b.shape), b.data),
+    ))
 
 
 # -- elementwise primitives ---------------------------------------------------
@@ -334,63 +297,49 @@ def causal_conv(x, kernel, n):
 # -- backward pass ------------------------------------------------------------
 
 
-def backward(root, adjoint=1.0):
-    """Propagate adjoints from a scalar root; leaves receive `.grad`.
-
-    The graph rooted at `root` is the tape; it is walked once in reverse
-    topological order and should be discarded afterwards.
-    """
-    if root.data.size != 1:
-        raise ValueError(f"backward root must be scalar, got shape {root.shape}")
-    if not root.requires_grad:
-        return
-
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-
-    adjoints = {id(root): np.broadcast_to(
-        _match(np.asarray(adjoint, dtype=np.result_type(root.dtype, float)), root.data),
-        root.shape,
-    ).copy()}
-    for node in reversed(order):
-        g = adjoints.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad:
-                continue
-            pg = np.asarray(pg)
-            acc = adjoints.get(id(parent))
-            adjoints[id(parent)] = pg if acc is None else acc + pg
-
-
-def gradients(loss, leaves, adjoint=1.0):
+def gradients(loss, leaves):
     """Gradient bundle keyed by parameter name for a scalar `loss`.
 
-    `leaves` maps names to Tensors; parameters the loss never touched get
-    zero gradients so optimizer bookkeeping stays aligned.
+    `leaves` maps names to Tensors. The graph rooted at `loss` is the tape:
+    it is walked once in reverse topological order, which leaves each leaf's
+    adjoint in the walk's dict. Leaves the loss never reached get zeros, so
+    optimizer bookkeeping stays aligned.
     """
-    for t in leaves.values():
-        t.grad = None
-    backward(loss, adjoint)
+    if loss.data.size != 1:
+        raise ValueError(f"gradient root must be scalar, got shape {loss.shape}")
+    adjoints = {}
+    if loss.requires_grad:
+        order = []
+        seen = set()
+        stack = [(loss, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    stack.append((p, False))
+
+        adjoints[id(loss)] = np.ones(loss.shape, np.result_type(loss.dtype, float))
+        for node in reversed(order):
+            if node._vjp is None:
+                continue
+            g = adjoints.pop(id(node), None)
+            if g is None:
+                continue
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if not parent.requires_grad:
+                    continue
+                pg = np.asarray(pg)
+                acc = adjoints.get(id(parent))
+                adjoints[id(parent)] = pg if acc is None else acc + pg
     return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        name: adjoints[id(t)] if id(t) in adjoints else np.zeros_like(t.data)
         for name, t in leaves.items()
     }
 
@@ -440,9 +389,3 @@ def finite_diff_errors(loss_fn, params, epsilon=1e-5, analytic=None):
                 worst = max(worst, err if np.isfinite(err) else np.inf)
         errors[name] = worst
     return errors
-
-
-def finite_diff_check(loss_fn, params, epsilon=1e-5, analytic=None):
-    """Max relative error over all parameter groups (see finite_diff_errors)."""
-    errors = finite_diff_errors(loss_fn, params, epsilon=epsilon, analytic=analytic)
-    return max(errors.values()) if errors else 0.0

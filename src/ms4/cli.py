@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Verbs: gen, train, eval, stream, gradcheck, kernel-dump, rank, converge.
-Every run echoes its resolved flags (including the seed) to stderr so runs
-are self-documenting; stdout carries only machine-readable output. Exit
-codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
+Every run echoes its resolved flags to stderr so runs are self-documenting;
+among them is the seed of gen, train and gradcheck, the verbs that draw
+random numbers. stdout carries only machine-readable output. Exit codes:
+0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 The tolerance gates of `stream --check` and `gradcheck` fail closed: a NaN
-deviation or error is a numeric failure, and so is a non-finite logit in
-`eval` or `stream`. `stream` runs each sequence through the recurrence with
-O(H*N) state per block. No verb mutates its input files.
+or negative --tol is a usage error, and a NaN deviation or error is a
+numeric failure, as is a non-finite logit in `eval` or `stream`. `stream`
+runs each sequence through the recurrence with O(H*N) state per block. No
+verb mutates its input files.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch", type=int, default=256)
-    common(p)
 
     p = sub.add_parser("stream", help="recurrent inference with O(H*N) state per block")
     p.add_argument("--model", required=True)
@@ -80,7 +81,6 @@ def _build_parser():
     p.add_argument("--check", action="store_true",
                    help="compare with the batch path and print the max abs deviation")
     p.add_argument("--tol", type=float, default=1e-4)
-    common(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient engine")
     p.add_argument("--hidden", type=int, default=8)
@@ -99,13 +99,11 @@ def _build_parser():
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--out", required=True)
-    common(p)
 
     p = sub.add_parser("rank", help="summarize an error-matrix CSV")
     p.add_argument("--table", required=True)
     p.add_argument("--std", default=None)
     p.add_argument("--out", required=True)
-    common(p)
 
     p = sub.add_parser("converge", help="MS4 vs MS4N threshold-crossing report")
     p.add_argument("--data", required=True)
@@ -120,7 +118,6 @@ def _build_parser():
     p.add_argument("--val-frac", type=float, default=0.1)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--out", required=True)
-    common(p)
 
     return parser
 
@@ -199,7 +196,13 @@ def _cmd_eval(args):
     return 0
 
 
+def _check_tol(tol):
+    if not tol >= 0.0:
+        raise _UsageError(f"--tol must be >= 0, got {tol}")
+
+
 def _cmd_stream(args):
+    _check_tol(args.tol)
     mdl, dataset = _load_model_and_data(args)
     streamed = _finite_logits(
         np.stack([model_mod.stream_logits(mdl, xi) for xi in dataset.x]), args.data
@@ -227,6 +230,7 @@ def _cmd_gradcheck(args):
             raise _UsageError(f"{flag} must be >= 1, got {value}")
     if not 0.0 < args.eps < np.inf:
         raise _UsageError(f"--eps must be finite and > 0, got {args.eps}")
+    _check_tol(args.tol)
     mdl = model_mod.init_model(
         args.features, args.hidden, args.state, args.classes,
         normalized=args.normalized, dropout_rate=0.0, seed=args.seed,

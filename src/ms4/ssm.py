@@ -144,16 +144,12 @@ def _next_pow2(n):
     return 1 << max(0, (int(n) - 1).bit_length())
 
 
-def _constants(params):
-    return {name: ad.Tensor(v) for name, v in params.items()}
-
-
 # -- plain-array surface -------------------------------------------------------
 
 
 def zoh_discretize(params):
     """Discrete (A_bar, B_bar) arrays of an S4D core; all |A_bar| < 1."""
-    a_bar, b_bar, _ = discretize_t(_constants(params))
+    a_bar, b_bar, _ = discretize_t(params)
     return a_bar.data, b_bar.data
 
 
@@ -161,7 +157,7 @@ def compute_kernel(params, length):
     """Kernel matrix of shape (length, H); finite for any valid core."""
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
-    return kernel_t(_constants(params), length).data
+    return kernel_t(params, length).data
 
 
 def fft_causal_conv(x, kernel):

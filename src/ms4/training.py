@@ -31,7 +31,6 @@ class TrainConfig:
     patience: int = 20
     val_fraction: float = 0.10
     seed: int = 0
-    ref_accuracy: float | None = None
 
     def validate(self):
         # lr = 0 is allowed so early-stopping mechanics can be exercised in
@@ -55,7 +54,6 @@ class TrainHistory:
     val_loss: list = field(default_factory=list)
     val_acc: list = field(default_factory=list)
     best_epoch: int = 0
-    crossing_epoch: int | None = None
 
     @property
     def n_epochs(self):
@@ -152,12 +150,6 @@ def train(mdl, dataset, config):
         history.train_acc.append(correct / train_set.n_samples)
         history.val_loss.append(val_loss)
         history.val_acc.append(1.0 - val_err)
-        if (
-            history.crossing_epoch is None
-            and config.ref_accuracy is not None
-            and history.val_acc[-1] >= config.ref_accuracy
-        ):
-            history.crossing_epoch = epoch
 
         if val_loss < best_loss:
             best_loss = val_loss
@@ -189,12 +181,14 @@ def compare_convergence(dataset, config, seeds, n_hidden, n_state, threshold, dr
     Trains both variants from matched seeds and reports, per (seed, variant),
     the first epoch whose validation accuracy reaches `threshold`. The
     ordering is reported, never asserted: which variant converges faster is
-    an empirical, per-dataset question.
+    an empirical, per-dataset question. A threshold outside [0, 1] is
+    rejected before any training.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     rows = []
     for seed in seeds:
         for normalized in (False, True):
-            cfg = replace(config, seed=seed, ref_accuracy=threshold)
             mdl = model_mod.init_model(
                 dataset.n_features,
                 n_hidden,
@@ -204,12 +198,13 @@ def compare_convergence(dataset, config, seeds, n_hidden, n_state, threshold, dr
                 dropout_rate=dropout_rate,
                 seed=seed,
             )
-            _, history = train(mdl, dataset, cfg)
+            _, history = train(mdl, dataset, replace(config, seed=seed))
+            crossed = [i for i, acc in enumerate(history.val_acc, 1) if acc >= threshold]
             rows.append(
                 {
                     "seed": seed,
                     "model": "MS4N" if normalized else "MS4",
-                    "crossing_epoch": history.crossing_epoch,
+                    "crossing_epoch": crossed[0] if crossed else None,
                     "epochs_run": history.n_epochs,
                     "best_epoch": history.best_epoch,
                     "best_val_loss": min(history.val_loss),

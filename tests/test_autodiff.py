@@ -9,8 +9,9 @@ from ms4 import autodiff as ad
 import helpers
 
 
-def fd_check(loss_fn, params, epsilon=1e-5):
-    return ad.finite_diff_check(loss_fn, params, epsilon=epsilon)
+def fd_check(loss_fn, params, epsilon=1e-5, analytic=None):
+    """Max relative error over all parameter groups (see finite_diff_errors)."""
+    return max(ad.finite_diff_errors(loss_fn, params, epsilon, analytic).values())
 
 
 def test_exports_exist():
@@ -116,25 +117,24 @@ class TestPrimitiveAdjoints:
 class TestBackwardContract:
     def test_sum_gradient_is_ones(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        grad = ad.gradients(x.sum(), {"x": x})["x"]
+        np.testing.assert_array_equal(grad, np.ones((2, 3)))
 
     def test_half_square_norm_gradient_is_x(self):
         data = np.random.default_rng(0).standard_normal((4, 3))
         x = ad.Tensor(data, requires_grad=True)
-        (0.5 * (x * x).sum()).backward()
-        np.testing.assert_allclose(x.grad, data, rtol=0, atol=1e-15)
+        grad = ad.gradients(0.5 * (x * x).sum(), {"x": x})["x"]
+        np.testing.assert_allclose(grad, data, rtol=0, atol=1e-15)
 
     def test_non_scalar_root_rejected(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            (x * 2.0).backward()
+            ad.gradients(x * 2.0, {"x": x})
 
     def test_fanin_accumulation(self):
         x = ad.Tensor(np.array(3.0), requires_grad=True)
         y = x * x + x * 2.0  # dy/dx = 2x + 2
-        y.backward()
-        assert x.grad == pytest.approx(8.0)
+        assert ad.gradients(y, {"x": x})["x"] == pytest.approx(8.0)
 
     def test_unused_leaf_gets_zeros(self):
         leaves = {
@@ -153,9 +153,51 @@ class TestBackwardContract:
         # d/dRe and d/dIm of Re(z^2) at z = x+iy are (2x, -2y)
         z0 = np.array([1.5 + 0.5j])
         z = ad.Tensor(z0, requires_grad=True)
-        ad.real(z * z).sum().backward()
-        assert z.grad[0].real == pytest.approx(2 * z0[0].real)
-        assert z.grad[0].imag == pytest.approx(-2 * z0[0].imag)
+        grad = ad.gradients(ad.real(z * z).sum(), {"z": z})["z"]
+        assert grad[0].real == pytest.approx(2 * z0[0].real)
+        assert grad[0].imag == pytest.approx(-2 * z0[0].imag)
+
+    def test_loss_without_gradient_gives_zeros(self):
+        leaves = {"a": ad.Tensor(np.ones(2)), "b": ad.Tensor(np.ones((2, 3)))}
+        grads = ad.gradients((leaves["a"] * 2.0).sum(), leaves)
+        assert list(grads) == ["a", "b"]
+        np.testing.assert_array_equal(grads["a"], np.zeros(2))
+        np.testing.assert_array_equal(grads["b"], np.zeros((2, 3)))
+
+
+class TestOperandRules:
+    """What every arithmetic operator keeps: scalars do not promote, and only
+    Tensor operands enter the graph."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda t: t + 2.5, lambda t: 2.5 + t, lambda t: t - 2.5, lambda t: 2.5 - t,
+         lambda t: t * 2.5, lambda t: 2.5 * t, lambda t: t / 2.5, lambda t: 2.5 / t],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
+    )
+    def test_python_float_keeps_float32(self, op):
+        x = ad.Tensor(np.linspace(1.0, 2.0, 6, dtype=np.float32), requires_grad=True)
+        assert op(x).dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "op",
+        # an ndarray on the left would broadcast over the Tensor object itself,
+        # so the reflected methods are called directly
+        [lambda t, c: t + c, lambda t, c: t.__radd__(c), lambda t, c: t - c,
+         lambda t, c: t.__rsub__(c), lambda t, c: t * c, lambda t, c: t.__rmul__(c),
+         lambda t, c: t / c, lambda t, c: t.__rtruediv__(c)],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
+    )
+    def test_ndarray_operand_is_never_a_parent(self, op):
+        x = ad.Tensor(np.array([1.0, 2.0, 4.0]), requires_grad=True)
+        c = np.array([0.5, 3.0, -2.0])
+        out = op(x, c)
+        assert all(isinstance(p, ad.Tensor) for p in out._parents)
+        assert not any(p.data is c for p in out._parents)
+        grad = ad.gradients(out.sum(), {"x": x})["x"]
+        shift = lambda h: op(ad.Tensor(x.data + h), c).data
+        numeric = (shift(1e-6) - shift(-1e-6)) / 2e-6
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6)
 
 
 class TestFiniteDifferenceVerifier:
@@ -163,20 +205,20 @@ class TestFiniteDifferenceVerifier:
         rng = np.random.default_rng(7)
         params = {"x": rng.standard_normal((3, 3))}
         loss = lambda p: (p["x"] * p["x"]).sum() * 0.5 + (p["x"] * 3.0).sum()
-        assert ad.finite_diff_check(loss, params, epsilon=1e-4) < 1e-10
+        assert fd_check(loss, params, epsilon=1e-4) < 1e-10
 
     def test_gelu_chain(self):
         rng = np.random.default_rng(8)
         params = {"x": rng.standard_normal((2, 5))}
         loss = lambda p: ad.gelu(ad.gelu(p["x"]) * 1.7).sum()
-        assert ad.finite_diff_check(loss, params, epsilon=1e-5) < 1e-6
+        assert fd_check(loss, params, epsilon=1e-5) < 1e-6
 
     def test_corrupted_adjoint_detected(self):
         rng = np.random.default_rng(9)
         params = {"x": rng.standard_normal(4) + 2.0}
         loss = lambda p: (p["x"] * p["x"]).sum()
         doubled = {"x": 4.0 * params["x"]}  # true gradient is 2x
-        err = ad.finite_diff_check(loss, params, epsilon=1e-5, analytic=doubled)
+        err = fd_check(loss, params, epsilon=1e-5, analytic=doubled)
         assert err == pytest.approx(0.5, abs=1e-3)
 
     def test_nan_gradient_is_worst_error(self):
@@ -223,7 +265,7 @@ class TestConvolutionGradientAgreement:
 
         x = ad.Tensor(x0, requires_grad=True)
         k = ad.Tensor(k0, requires_grad=True)
-        (ssm.causal_conv_t(x, k) * probe).sum().backward()
+        grads = ad.gradients((ssm.causal_conv_t(x, k) * probe).sum(), {"x": x, "k": k})
         gx_naive, gk_naive = helpers.naive_conv_grads(x0, k0, probe)
-        np.testing.assert_allclose(x.grad, gx_naive, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(k.grad, gk_naive, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(grads["x"], gx_naive, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(grads["k"], gk_naive, rtol=0, atol=1e-9)

@@ -209,6 +209,13 @@ class TestStreamVerb:
                          "--data", str(workdir / "d.csv"), "--check", "--tol", "0")
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, workdir, tol):
+        code, out, err = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                             "--data", str(workdir / "d.csv"), "--check", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert f"error: --tol must be >= 0, got {float(tol)}" in err
+
     def test_nan_in_data_fails_check(self, capsys, workdir, tmp_path):
         # the loader rejects the NaN, so no deviation is ever printed
         code, out, err = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
@@ -369,6 +376,9 @@ class TestGradcheckVerb:
         pytest.param("--eps", eps, f"--eps must be finite and > 0, got {float(eps)}",
                      id=f"--eps={eps}")
         for eps in ("0", "-1e-4", "nan", "inf")
+    ] + [
+        pytest.param("--tol", tol, f"--tol must be >= 0, got {float(tol)}", id=f"--tol={tol}")
+        for tol in ("nan", "-1")
     ])
     def test_zero_size_is_usage_error(self, capsys, flag, value, message):
         code, out, err = run(capsys, "gradcheck", "--hidden", "4", "--state", "4",
@@ -411,6 +421,15 @@ class TestRankVerb:
         assert lines[0] == "model,mean_error,mean_rank,mean_std"
         ms4n = next(line for line in lines if line.startswith("MS4N,"))
         assert abs(float(ms4n.split(",")[1]) - 0.185) <= 0.003
+
+    def test_seed_is_usage_error(self, capsys, tmp_path):
+        # rank draws no random numbers, so it takes no --seed
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(capsys, "rank", "--table", str(tmp_path / "t.csv"),
+                                "--out", str(out), "--seed", "0")
+        assert (code, stdout) == (1, "")
+        assert "unrecognized arguments: --seed 0" in err
+        assert not out.exists()
 
     def test_malformed_table_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -457,6 +476,17 @@ class TestConvergeVerb:
         assert lines[0] == "seed,model,crossing_epoch,epochs_run,best_epoch,best_val_loss"
         assert len(lines) == 1 + 4  # 2 seeds x 2 variants
         assert "MS4N" in err and "MS4" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "2"])
+    def test_threshold_outside_unit_interval_is_usage_error(
+        self, capsys, tmp_path, workdir, threshold
+    ):
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(capsys, "converge", "--data", str(workdir / "d.csv"),
+                                "--threshold", threshold, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert f"error: threshold must be in [0, 1], got {float(threshold)}" in err
+        assert not out.exists()
 
     def test_bad_seed_list(self, capsys, tmp_path, workdir):
         code, _, _ = run(capsys, "converge", "--data", str(workdir / "d.csv"),

@@ -40,12 +40,12 @@ class TestCrossEntropy:
         logits = rng.standard_normal((4, 6))
         labels = np.array([0, 2, 5, 2])
         t = ad.Tensor(logits, requires_grad=True)
-        training.cross_entropy_t(t, labels).backward()
+        grad = ad.gradients(training.cross_entropy_t(t, labels), {"logits": t})["logits"]
         onehot = np.zeros((4, 6))
         onehot[np.arange(4), labels] = 1.0
         probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         expected = (probs - onehot) / 4.0
-        np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -137,16 +137,27 @@ class TestTrainLoop:
         with pytest.raises(NumericError):
             training.train(tiny_model(ds), ds, config)
 
-    def test_crossing_epoch_recorded(self):
+    def test_crossing_epoch_recorded(self, monkeypatch):
+        """compare_convergence reports the first epoch at or above the threshold."""
         ds = tiny_dataset(n=80, seed=5, noise=0.05)
-        config = training.TrainConfig(
-            max_epochs=30, batch_size=16, seed=0, ref_accuracy=0.75, patience=30
-        )
-        _, history = training.train(tiny_model(ds, seed=6), ds, config)
-        if history.crossing_epoch is not None:
-            crossing = history.crossing_epoch
-            assert history.val_acc[crossing - 1] >= 0.75
-            assert all(acc < 0.75 for acc in history.val_acc[: crossing - 1])
+        config = training.TrainConfig(max_epochs=30, batch_size=16, patience=30)
+        histories, inner = [], training.train
+
+        def recording(*args):
+            best, history = inner(*args)
+            histories.append(history)
+            return best, history
+
+        monkeypatch.setattr(training, "train", recording)
+        rows = training.compare_convergence(ds, config, [6], 8, 8, 0.75, dropout_rate=0.0)
+        assert len(histories) == len(rows) == 2
+        for row, history in zip(rows, histories):
+            crossing = row["crossing_epoch"]
+            if crossing is None:
+                assert all(acc < 0.75 for acc in history.val_acc)
+            else:
+                assert history.val_acc[crossing - 1] >= 0.75
+                assert all(acc < 0.75 for acc in history.val_acc[: crossing - 1])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
