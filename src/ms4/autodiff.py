@@ -66,6 +66,9 @@ class Tensor:
     """Array node in the computation graph."""
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
+    # numpy defers every operator to Tensor, so `ndarray + Tensor` reaches
+    # __radd__ and builds a graph, and `ndarray @ Tensor` raises TypeError.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data)

@@ -14,8 +14,13 @@ of accounting for parameter counts.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -174,14 +179,16 @@ def channel_mix_t(h, leaves, i):
     return h
 
 
-def forward_t(x, leaves, dropout_rate=0.0, rng=None):
+def forward_t(x, leaves, keeps=None):
     """Logits for a (B, L, F) batch given leaf Tensors; the training graph.
 
-    The blocks are those the leaves name; dropout runs only when `rng` is given.
+    The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
+    multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
     """
     h = x @ leaves["w1"] + leaves["b1"]
     for i in range(block_count(leaves)):
-        h = channel_mix_t(ssm.s4d_apply(h, block_core(leaves, i), dropout_rate, rng), leaves, i)
+        keep = None if keeps is None else keeps[i]
+        h = channel_mix_t(ssm.s4d_apply(h, block_core(leaves, i), keep), leaves, i)
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
 
 
@@ -201,7 +208,71 @@ def forward(x, model):
 
 
 SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
+TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
 STREAM_CHUNK = 64  # steps per pass through the pointwise stages; bounds working memory
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+# BLAS's thread count is one per process, so the maps that hold it at one
+# thread share one count of holders; the first saves the old count and the
+# last puts it back.
+_blas_lock = threading.Lock()
+_blas_hold = {"maps": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    with _blas_lock:
+        if _blas_hold["maps"] == 0:
+            _blas_hold["saved"] = get()
+            put(1)
+        _blas_hold["maps"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold["maps"] -= 1
+            if _blas_hold["maps"] == 0:
+                put(_blas_hold["saved"])
+
+
+def cpu_map(fn, items, max_workers=None):
+    """`[fn(item) for item in items]`, on up to one thread per CPU in the affinity set.
+
+    Results keep the order of `items`, and a worker's exception reaches the
+    caller. With one worker the call runs in the calling thread. With more,
+    BLAS is held at one thread until every worker has finished, so its own
+    pool does not compete with the workers; the old count comes back after,
+    also when a worker raises. No thread outlives the call.
+    """
+    items = list(items)
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    if max_workers is not None:
+        workers = min(workers, max_workers)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def batch_logits(x, model, batch_size=256):
@@ -209,29 +280,17 @@ def batch_logits(x, model, batch_size=256):
 
     Each forward takes min(batch_size, SCORE_CHUNK) sequences, a size that does
     not depend on the machine, so the logits are the same on any CPU count.
-    Forwards run on up to one thread per CPU in the process's affinity set,
-    with at most `batch_size` sequences in flight at once; a call with a
-    single forward runs in the calling thread.
+    Forwards run on `cpu_map`, with at most `batch_size` sequences in flight
+    at once.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
     step = min(batch_size, SCORE_CHUNK)
     starts = range(0, x.shape[0], step)
-    logits = np.empty((x.shape[0], model.n_classes))
-
-    def score(start):
-        logits[start : start + step] = forward(x[start : start + step], model)
-
-    workers = min(len(os.sched_getaffinity(0)), batch_size // step, len(starts))
-    if workers <= 1:
-        for start in starts:
-            score(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(score, starts):  # reading each result re-raises a worker's error
-                pass
-    return logits
+    chunks = cpu_map(lambda start: forward(x[start : start + step], model), starts,
+                     batch_size // step)
+    return np.concatenate(chunks) if chunks else np.empty((0, model.n_classes))
 
 
 def predict(x, model, batch_size=256):

@@ -128,16 +128,15 @@ def causal_conv_t(x, kernel):
     return ad.causal_conv(x, kernel, _next_pow2(2 * kernel.shape[-2] - 1))
 
 
-def s4d_apply(x, p, dropout_rate=0.0, rng=None):
-    """Full S4D stage on a projected input: conv + feedthrough, GELU, then
-    dropout, which runs only when a generator `rng` is given (training)."""
-    length = x.shape[-2]
-    y = causal_conv_t(x, kernel_t(p, length)) + x * p["d"]
-    y = ad.gelu(y)
-    if rng is not None and dropout_rate > 0.0:
-        keep = (rng.random(y.shape) >= dropout_rate).astype(y.dtype)
-        y = y * (keep / (1.0 - dropout_rate))
-    return y
+def s4d_apply(x, p, keep=None):
+    """Full S4D stage on a projected input: conv + feedthrough, GELU, then dropout.
+
+    `keep` is the dropout multiplier, shaped like the output: 0 where a unit
+    is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
+    dropout runs.
+    """
+    y = ad.gelu(causal_conv_t(x, kernel_t(p, x.shape[-2])) + x * p["d"])
+    return y if keep is None else y * keep
 
 
 def _next_pow2(n):

@@ -104,7 +104,13 @@ def evaluate(mdl, dataset, batch_size=256):
 
 
 def train(mdl, dataset, config):
-    """Fit a model; returns (model at best validation loss, TrainHistory)."""
+    """Fit a model; returns (model at best validation loss, TrainHistory).
+
+    Each batch's gradient is the sum over shards of `model.TRAIN_SHARD`
+    sequences, each its own tape with its loss scaled by shard/batch, run on
+    `model.cpu_map`; the sums are taken in shard order, so the result does
+    not depend on the CPU count.
+    """
     config.validate()
     if dataset.n_classes < 2 or np.unique(dataset.y).size < 2:
         raise ValueError("training requires at least two classes present in the data")
@@ -127,16 +133,33 @@ def train(mdl, dataset, config):
         for start in range(0, train_set.n_samples, config.batch_size):
             batch = order[start : start + config.batch_size]
             xb, yb = train_set.x[batch], train_set.y[batch]
+            # One mask per block for the whole batch, drawn in block order
+            # before sharding, so no draw depends on the shards.
+            keeps = None
+            if mdl.dropout_rate > 0.0:
+                shape = (len(batch), xb.shape[1], mdl.n_hidden)
+                keeps = [(rng.random(shape) >= mdl.dropout_rate) / (1.0 - mdl.dropout_rate)
+                         for _ in range(mdl.n_layers)]
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in leaves.items()}
-            logits = model_mod.forward_t(ad.Tensor(xb), tensors, mdl.dropout_rate, rng)
-            loss = cross_entropy_t(logits, yb)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = ad.gradients(loss, tensors)
+
+            def shard_step(lo):
+                """Loss share, logits and gradients of sequences lo:lo+TRAIN_SHARD, one tape."""
+                part = slice(lo, lo + model_mod.TRAIN_SHARD)
+                logits = model_mod.forward_t(
+                    ad.Tensor(xb[part]), tensors, None if keeps is None else [k[part] for k in keeps]
+                )
+                loss = cross_entropy_t(logits, yb[part]) * (len(yb[part]) / len(yb))
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"non-finite training loss at epoch {epoch}")
+                return float(loss.data), logits.data, ad.gradients(loss, tensors)
+
+            shards = model_mod.cpu_map(shard_step, range(0, len(batch), model_mod.TRAIN_SHARD))
+            grads = {k: sum(g[k] for _, _, g in shards) for k in leaves}
             step += 1
             leaves, moment1, moment2 = adam_step(leaves, grads, moment1, moment2, step, config)
-            loss_sum += float(loss.data) * len(batch)
-            correct += int((np.argmax(logits.data, axis=-1) == yb).sum())
+            loss_sum += sum(loss for loss, _, _ in shards) * len(batch)
+            logits = np.concatenate([z for _, z, _ in shards])
+            correct += int((np.argmax(logits, axis=-1) == yb).sum())
 
         radii = np.array([np.abs(ssm.zoh_discretize(model_mod.block_core(leaves, i))[0])
                           for i in range(mdl.n_layers)])

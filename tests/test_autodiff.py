@@ -181,11 +181,8 @@ class TestOperandRules:
 
     @pytest.mark.parametrize(
         "op",
-        # an ndarray on the left would broadcast over the Tensor object itself,
-        # so the reflected methods are called directly
-        [lambda t, c: t + c, lambda t, c: t.__radd__(c), lambda t, c: t - c,
-         lambda t, c: t.__rsub__(c), lambda t, c: t * c, lambda t, c: t.__rmul__(c),
-         lambda t, c: t / c, lambda t, c: t.__rtruediv__(c)],
+        [lambda t, c: t + c, lambda t, c: c + t, lambda t, c: t - c, lambda t, c: c - t,
+         lambda t, c: t * c, lambda t, c: c * t, lambda t, c: t / c, lambda t, c: c / t],
         ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
     )
     def test_ndarray_operand_is_never_a_parent(self, op):
@@ -198,6 +195,11 @@ class TestOperandRules:
         shift = lambda h: op(ad.Tensor(x.data + h), c).data
         numeric = (shift(1e-6) - shift(-1e-6)) / 2e-6
         np.testing.assert_allclose(grad, numeric, rtol=1e-6)
+
+    def test_ndarray_matmul_tensor_raises(self):
+        x = ad.Tensor(np.eye(2), requires_grad=True)
+        with pytest.raises(TypeError):
+            np.ones((2, 2)) @ x
 
 
 class TestFiniteDifferenceVerifier:

@@ -320,6 +320,90 @@ class TestBatchLogits:
             training.evaluate(mdl, data.Dataset(x=x, y=np.zeros(4), n_classes=3), batch_size)
 
 
+class BlasRecorder:
+    """Stands in for the OpenBLAS thread count: `get` reads it, `put` sets and logs it."""
+
+    def __init__(self, count):
+        self.count = count
+        self.calls = []
+
+    def get(self):
+        return self.count
+
+    def put(self, n):
+        self.calls.append(n)
+        self.count = n
+
+
+class TestCpuMap:
+    """`cpu_map` holds BLAS at one thread while, and only while, it runs workers."""
+
+    @staticmethod
+    def recorder(monkeypatch, cpus=2, count=3):
+        blas = BlasRecorder(count)
+        monkeypatch.setattr(model, "_blas_threads", lambda: (blas.get, blas.put))
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return blas
+
+    def test_results_in_item_order(self, monkeypatch):
+        self.recorder(monkeypatch, cpus=4)
+        assert model.cpu_map(lambda i: i * i, range(9)) == [i * i for i in range(9)]
+
+    @pytest.mark.parametrize("cpus, items, max_workers", [(1, 4, None), (2, 1, None), (2, 4, 1)])
+    def test_single_worker_leaves_blas_alone(self, monkeypatch, cpus, items, max_workers):
+        blas = self.recorder(monkeypatch, cpus=cpus)
+        threads = model.cpu_map(lambda _: threading.get_ident(), range(items), max_workers)
+        assert set(threads) == {threading.get_ident()}
+        assert blas.calls == [] and blas.count == 3
+
+    def test_workers_see_one_blas_thread_then_the_old_count_returns(self, monkeypatch):
+        blas = self.recorder(monkeypatch)
+        seen = model.cpu_map(lambda _: blas.count, range(4))
+        assert seen == [1, 1, 1, 1]
+        assert blas.calls == [1, 3] and blas.count == 3
+
+    def test_old_count_returns_when_a_worker_raises(self, monkeypatch):
+        blas = self.recorder(monkeypatch)
+
+        def work(i):
+            if i == 1:
+                raise RuntimeError("worker 1")
+            return i
+
+        with pytest.raises(RuntimeError, match="worker 1"):
+            model.cpu_map(work, range(4))
+        assert blas.calls == [1, 3] and blas.count == 3
+
+    def test_overlapping_maps_restore_the_starting_count(self, monkeypatch):
+        """Map A enters, then map B; A leaves while B still runs, then B leaves."""
+        blas = self.recorder(monkeypatch)
+        both_running = threading.Barrier(4, timeout=10)  # two workers from each map
+        a_done = threading.Event()
+        seen = {}
+
+        def map_a():
+            model.cpu_map(lambda _: both_running.wait(), range(2))
+            seen["after a"] = blas.count
+            a_done.set()
+
+        def in_b(_):
+            both_running.wait()
+            assert a_done.wait(timeout=10)
+            return blas.count
+
+        def map_b():
+            seen["in b"] = model.cpu_map(in_b, range(2))
+
+        threads = [threading.Thread(target=map_a), threading.Thread(target=map_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"after a": 1, "in b": [1, 1]}
+        assert blas.count == 3 and blas.calls == [1, 3]
+
+
 class TestCounts:
     def test_single_linear_layer_counts(self):
         mdl = model.init_model(5, 64, 4, 2, seed=0)

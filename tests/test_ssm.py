@@ -344,10 +344,14 @@ class TestS4dForward:
 
     @staticmethod
     def apply(x, p, dropout_rate=0.1, seed=None):
-        """Dropout runs only when a seed is given, as `s4d_apply` does with an rng."""
+        """Dropout runs only when a seed is given: its keep mask is drawn from
+        that seed as training draws it; without one `keep` is None (eval)."""
         core = {name: ad.Tensor(v) for name, v in p.items()}
-        rng = None if seed is None else np.random.default_rng(seed)
-        return ssm.s4d_apply(ad.Tensor(x), core, dropout_rate, rng).data
+        keep = None
+        if seed is not None:
+            draw = np.random.default_rng(seed).random(x.shape)
+            keep = (draw >= dropout_rate) / (1.0 - dropout_rate)
+        return ssm.s4d_apply(ad.Tensor(x), core, keep).data
 
     def test_zero_input_zero_output(self):
         p = ssm.init_s4d_params(3, 4, seed=0)

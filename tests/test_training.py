@@ -92,6 +92,34 @@ class TestTrainLoop:
             np.testing.assert_array_equal(arr, results[1][0][name])
         assert results[0][1].val_loss == results[1][1].val_loss
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_sharded_steps_independent_of_cpu_count(self, monkeypatch, cpus):
+        """Batch 64 is two TRAIN_SHARD shards; running them inline or on threads
+        gives the same history and parameters, bit for bit."""
+        ds = tiny_dataset(n=160, seed=7)
+        config = training.TrainConfig(max_epochs=2, patience=2, batch_size=64, seed=8)
+        native = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        sharded = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+        assert sharded[1] == native[1]
+        for name, arr in native[0].leaves().items():
+            np.testing.assert_array_equal(sharded[0].params[name], arr)
+
+    def test_no_gradient_forward_exceeds_a_shard(self, monkeypatch):
+        ds = tiny_dataset(n=160, seed=7)
+        sizes, inner = [], model.forward_t
+
+        def recording(x, leaves, *args, **kwargs):
+            if any(t.requires_grad for t in leaves.values()):
+                sizes.append(len(x.data))
+            return inner(x, leaves, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_t", recording)
+        config = training.TrainConfig(max_epochs=1, batch_size=64, seed=8)
+        training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+        assert sizes and max(sizes) <= model.TRAIN_SHARD
+        assert sum(sizes) == data.split(ds, config.val_fraction, config.seed)[0].n_samples
+
     def test_patience_one_with_frozen_weights_stops_after_two_epochs(self):
         ds = tiny_dataset()
         config = training.TrainConfig(lr=0.0, patience=1, max_epochs=50, batch_size=8, seed=0)
