@@ -345,10 +345,6 @@ class TestCpuMap:
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         return blas
 
-    def test_results_in_item_order(self, monkeypatch):
-        self.recorder(monkeypatch, cpus=4)
-        assert model.cpu_map(lambda i: i * i, range(9)) == [i * i for i in range(9)]
-
     @pytest.mark.parametrize("cpus, items, max_workers", [(1, 4, None), (2, 1, None), (2, 4, 1)])
     def test_single_worker_leaves_blas_alone(self, monkeypatch, cpus, items, max_workers):
         blas = self.recorder(monkeypatch, cpus=cpus)
@@ -357,9 +353,9 @@ class TestCpuMap:
         assert blas.calls == [] and blas.count == 3
 
     def test_workers_see_one_blas_thread_then_the_old_count_returns(self, monkeypatch):
-        blas = self.recorder(monkeypatch)
-        seen = model.cpu_map(lambda _: blas.count, range(4))
-        assert seen == [1, 1, 1, 1]
+        blas = self.recorder(monkeypatch, cpus=4)
+        seen = model.cpu_map(lambda i: (i, blas.count), range(9))
+        assert seen == [(i, 1) for i in range(9)]  # in item order
         assert blas.calls == [1, 3] and blas.count == 3
 
     def test_old_count_returns_when_a_worker_raises(self, monkeypatch):
