@@ -4,7 +4,8 @@ Verbs: gen, train, eval, stream, gradcheck, kernel-dump, rank, converge.
 Every run echoes its resolved flags to stderr so runs are self-documenting;
 among them is the seed of gen, train and gradcheck, the verbs that draw
 random numbers. stdout carries only machine-readable output. Exit codes:
-0 success, 1 usage error, 2 data/format error, 3 numeric failure.
+0 success, 1 usage error (or sizes too large to allocate), 2 data/format
+error, 3 numeric failure.
 The tolerance gates of `stream --check` and `gradcheck` fail closed: a NaN
 or negative --tol is a usage error, and a NaN deviation or error is a
 numeric failure, as is a non-finite logit in `eval` or `stream`. `stream`
@@ -329,11 +330,11 @@ def run(argv):
     try:
         _announce(args)
         return _HANDLERS[args.verb](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a size that cannot be allocated, e.g. gen --n 10**12
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

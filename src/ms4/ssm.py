@@ -16,14 +16,21 @@ The layer has two equivalent execution forms:
 Streaming mixes the two (`chunk_scanner`): a chunk of t <= T steps entered
 with carried state h0 is the convolution with K[:t] plus the feedthrough
 plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves the state
-A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. All factors come from one
+A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The carry factors come from one
 (H, N/2, T+1) table of A_bar powers, so each chunk is one convolution and
 two batched products, and memory stays independent of the sequence length.
+
+Outside a training graph, a core's kernel and scanner depend only on its
+arrays, so `memo` keeps the most recent of them, keyed on the arrays'
+content; and since the H channels are independent, the eval-mode stage runs
+in slices of CHANNEL_BLOCK channels whose FFT spectra stay in cache.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,12 @@ from . import autodiff as ad
 # and a_imag, the complex B and C as real/imaginary pairs, all (H, N/2), and
 # the per-channel feedthrough gain d and log step size log_delta, both (H,).
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
+
+CHANNEL_BLOCK = 16  # channels per pass of the eval-mode S4D stage; keeps its spectra in L2
+MEMO_SIZE = 8  # kernels and scanners the eval-mode memo keeps; the least recently used goes
+
+_memo = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 @dataclass
@@ -133,10 +146,61 @@ def s4d_apply(x, p, keep=None):
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
-    dropout runs.
+    dropout runs. When no operand requires a gradient, the kernel comes from
+    `memo` and the stage runs on CHANNEL_BLOCK channels at a time; each
+    channel's arithmetic is the same, so the output is bit-identical.
     """
-    y = ad.gelu(causal_conv_t(x, kernel_t(p, x.shape[-2])) + x * p["d"])
+    length = x.shape[-2]
+    if x.requires_grad or any(ad.as_tensor(v).requires_grad for v in p.values()):
+        y = _stage(x, kernel_t(p, length), p["d"])
+    else:
+        kernel, d = _kernel(p, length), ad.as_tensor(p["d"]).data
+        y = np.empty(x.shape, np.result_type(x.dtype, kernel, d))
+        for lo in range(0, y.shape[-1], CHANNEL_BLOCK):
+            part = slice(lo, lo + CHANNEL_BLOCK)
+            y[..., part] = _stage(ad.Tensor(x.data[..., part]), kernel[:, part], d[part]).data
+        y = ad.Tensor(y)
     return y if keep is None else y * keep
+
+
+def _stage(x, kernel, d):
+    """Convolution plus feedthrough, then GELU: the stage's maths, for either path."""
+    return ad.gelu(causal_conv_t(x, kernel) + x * d)
+
+
+def _kernel(p, length):
+    """`kernel_t(p, length)`'s array, from `memo`."""
+    return memo(("kernel", length), p, lambda: kernel_t(p, length).data)
+
+
+def memo(kind, p, build):
+    """`build()`, kept for later calls with the same `kind` and the same core `p`.
+
+    The key holds the exact dtype, shape and bytes of each of the core's
+    leaves (arrays or Tensors), so a core edited in place misses. At most
+    MEMO_SIZE entries are kept, dropping the least recently used. The lock
+    only guards the table: `build` runs outside it, so it may itself use the
+    memo, and threads that miss together each build the same value.
+    """
+    leaves = (ad.as_tensor(p[name]).data for name in SSM_LEAF_NAMES)
+    key = (kind,) + tuple((a.dtype, a.shape, a.tobytes()) for a in leaves)
+    with _memo_lock:
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key]
+    value = build()
+    with _memo_lock:
+        _memo[key] = value
+        _memo.move_to_end(key)
+        while len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    return value
+
+
+def clear_memo():
+    """Empty `memo`, so the next call of every kernel and scanner builds it."""
+    with _memo_lock:
+        _memo.clear()
 
 
 def _next_pow2(n):
@@ -185,16 +249,21 @@ def chunk_scanner(params, chunk):
 
     Returns `scan(state, x) -> (state, y)` for a (t, H) input with
     1 <= t <= chunk; it equals t calls of `recurrent_step` up to roundoff.
-    Everything derives from one (H, N/2, chunk+1) table of the powers
-    A_bar^0..A_bar^chunk, made by doubling (A_bar^(n+k) = A_bar^n A_bar^k):
-    the kernel K[:chunk] once, and per chunk the carry term
+    The kernel K[:chunk] is `kernel_t`'s. The rest derives from one
+    (H, N/2, chunk+1) table of the powers A_bar^0..A_bar^chunk, made by
+    doubling (A_bar^(n+k) = A_bar^n A_bar^k): per chunk the carry term
     2*Re((C h0) @ A_bar^(k+1)) and the input sum B_bar (A_bar^i @ x[t-1-i]),
-    two batched products over H.
+    two batched products over H. Scanners come from `memo`, so a core's is
+    built once for any number of sequences.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    return memo(("scanner", chunk), params, lambda: _scanner(params, chunk))
+
+
+def _scanner(params, chunk):
     a_bar, b_bar = zoh_discretize(params)
-    c, d = params["c_re"] + 1j * params["c_im"], params["d"]
+    c, d = params["c_re"] + 1j * params["c_im"], params["d"].copy()  # kept past edits of params
     powers = np.empty(a_bar.shape + (chunk + 1,), dtype=a_bar.dtype)
     powers[..., 0] = 1.0
     powers[..., 1] = a_bar
@@ -203,7 +272,7 @@ def chunk_scanner(params, chunk):
         k = min(n, chunk - n)
         powers[..., n + 1 : n + 1 + k] = powers[..., n : n + 1] * powers[..., 1 : 1 + k]
         n += k
-    kernel = 2.0 * ((c * b_bar)[:, None, :] @ powers[..., :chunk]).real[:, 0, :].T
+    kernel = _kernel(params, chunk)
 
     def scan(state, x):
         t = x.shape[0]

@@ -106,6 +106,15 @@ class TestGen:
         assert not out.exists()
 
 
+    def test_unallocatable_size_is_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(capsys, "gen", "--n", "1000000000000", "--len", "10",
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "error: out of memory: Unable to allocate" in err
+        assert not out.exists()
+
+
 class TestTrainVerb:
     def test_end_to_end_determinism(self, capsys, tmp_path, workdir):
         """gen then train twice with the same seed: identical history files."""
@@ -399,6 +408,17 @@ class TestKernelDumpVerb:
         parsed = np.array([[float(v) for v in r.split(",")] for r in rows])
         loaded = model.load_checkpoint(workdir / "model.ckpt")
         assert parsed.shape == (12, loaded.n_hidden)
+
+    def test_unallocatable_length_is_exit_1(self, capsys, tmp_path):
+        # one channel of one mode: the kernel fails at its (1, 10**6, 10**6) product,
+        # after about 100 MB of smaller arrays
+        ckpt, out = tmp_path / "tiny.ckpt", tmp_path / "k.csv"
+        model.save_checkpoint(model.init_model(1, 1, 2, 2, seed=0), ckpt)
+        code, stdout, err = run(capsys, "kernel-dump", "--model", str(ckpt),
+                                "--len", "1000000000000", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "error: out of memory: Unable to allocate" in err
+        assert not out.exists()
 
     def test_bad_block_index(self, capsys, workdir, tmp_path):
         code, _, _ = run(capsys, "kernel-dump", "--model", str(workdir / "model.ckpt"),

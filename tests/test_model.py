@@ -227,6 +227,61 @@ class TestForward:
 
         assert non_projection_params(1) == non_projection_params(23)
 
+    @pytest.mark.parametrize("length", [1, 37])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_eval_stage_equals_taped(self, monkeypatch, dtype, length):
+        """H=20 is one full CHANNEL_BLOCK and a partial one, in each of two blocks."""
+        assert ssm.CHANNEL_BLOCK < 20 < 2 * ssm.CHANNEL_BLOCK
+        mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=41)
+        x = np.random.default_rng(41).standard_normal((2, length, 3)).astype(dtype)
+        arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
+        taped = model.forward_t(
+            ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        )
+        convs, inner = [], ssm.causal_conv_t
+        monkeypatch.setattr(ssm, "causal_conv_t", lambda u, k: convs.append(k.shape) or inner(u, k))
+        blocked = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
+        assert convs == [(length, ssm.CHANNEL_BLOCK), (length, 20 - ssm.CHANNEL_BLOCK)] * 2
+        assert taped.requires_grad and blocked.dtype == dtype
+        np.testing.assert_array_equal(blocked, taped.data)
+        if dtype == np.float64:
+            np.testing.assert_array_equal(model.forward(x, mdl), taped.data)
+
+    def test_in_place_edit_misses_the_memo(self):
+        """A memo keyed on array identity would return the kernel of the old values."""
+        mdl = tiny_model(n_layers=2, seed=42)
+        x = np.random.default_rng(42).standard_normal((2, 16, 3))
+        edited = {k: v.copy() for k, v in mdl.params.items()}
+        edited["block1.ssm.log_delta"] += 0.5
+        edited["block0.ssm.c_im"] *= -1.0
+        expected = model.forward(x, replace(mdl, params=edited))
+        before = model.forward(x, mdl)
+        mdl.params["block1.ssm.log_delta"] += 0.5
+        mdl.params["block0.ssm.c_im"] *= -1.0
+        assert not np.array_equal(before, expected)
+        np.testing.assert_array_equal(model.forward(x, mdl), expected)
+        np.testing.assert_allclose(model.stream_logits(mdl, x[0]), expected[0], rtol=0, atol=1e-9)
+
+    def test_memo_stays_bounded(self):
+        mdl = tiny_model(n_layers=2, seed=43)
+        rng = np.random.default_rng(43)
+        for length in range(1, ssm.MEMO_SIZE + 4):
+            model.forward(rng.standard_normal((length, 3)), mdl)
+            assert len(ssm._memo) <= ssm.MEMO_SIZE
+        assert len(ssm._memo) == ssm.MEMO_SIZE
+
+    def test_long_forward_peak_memory(self):
+        """One cold L=4096, H=N=64 forward; the whole-width stage peaked at 21 MB."""
+        mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=44)
+        x = np.random.default_rng(44).standard_normal((4096, 4))
+        tracemalloc.start()
+        try:
+            model.forward(x, mdl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
     def test_gradient_vs_finite_differences_tiny(self):
         mdl = tiny_model(seed=6)
         rng = np.random.default_rng(17)
@@ -282,6 +337,25 @@ class TestBatchLogits:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(scored, native)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_cold_memo_logits_independent_of_cpu_count(self, monkeypatch, cpus):
+        """Workers that all miss the memo build the same kernel and score the same."""
+        mdl = model.init_model(3, 20, 8, 3, n_layers=2, seed=36)
+        x = np.random.default_rng(36).standard_normal((4 * model.SCORE_CHUNK, 16, 3))
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
+        single = model.batch_logits(x, mdl)
+        ssm.clear_memo()
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cold = model.batch_logits(x, mdl)
+            warm = model.batch_logits(x, mdl)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(cold, single)
+        np.testing.assert_array_equal(warm, single)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         mdl = tiny_model(seed=32)
@@ -654,6 +728,18 @@ class TestStreaming:
 
         monkeypatch.setattr(ssm, "recurrent_step", refuse)
         self.assert_stream_matches_forward(tiny_model(seed=11), 3 * model.STREAM_CHUNK + 7)
+
+    def test_scanner_built_once_per_core(self, monkeypatch):
+        """Later sequences take each block's scanner and kernel from the memo."""
+        mdl = tiny_model(normalized=False, n_layers=2, seed=13)
+        kernels, tables = [], []
+        kernel_t, discretize = ssm.kernel_t, ssm.zoh_discretize
+        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: kernels.append(n) or kernel_t(p, n))
+        monkeypatch.setattr(ssm, "zoh_discretize", lambda p: tables.append(1) or discretize(p))
+        for x in np.random.default_rng(13).standard_normal((3, 2 * model.STREAM_CHUNK + 5, 3)):
+            model.stream_logits(mdl, x)
+        assert kernels == [model.STREAM_CHUNK] * 2
+        assert len(tables) == 2
 
     def test_working_memory_independent_of_length(self):
         mdl = tiny_model(seed=12)

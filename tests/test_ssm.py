@@ -1,7 +1,9 @@
 """SSM layer tests: initialization, discretization, kernel, convolution, and
 the convolution/recurrence duality, each against an independent oracle."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -337,6 +339,74 @@ class TestDuality:
         streamed = ssm.stream_sequence(p, x)
         assert streamed.dtype == np.float32
         np.testing.assert_allclose(streamed, conv, rtol=0, atol=1e-4)
+
+
+class TestMemo:
+    """`ssm.memo` is keyed on the content of a core's arrays and holds MEMO_SIZE entries."""
+
+    def test_key_is_content_shape_and_dtype(self):
+        core = ssm.init_s4d_params(4, 8, seed=0)
+        assert ssm.memo("k", core, lambda: "first") == "first"
+        copied = {name: v.copy() for name, v in core.items()}
+        assert ssm.memo("k", copied, lambda: "rebuilt") == "first"
+        # the same bytes as another shape, and as another dtype, are other cores
+        reshaped = {name: v.reshape(2, -1) if v.ndim == 2 else v for name, v in core.items()}
+        assert ssm.memo("k", reshaped, lambda: "reshaped") == "reshaped"
+        viewed = {name: v.view(np.int64) for name, v in core.items()}
+        assert ssm.memo("k", viewed, lambda: "viewed") == "viewed"
+        assert ssm.memo("other kind", core, lambda: "other") == "other"
+        tensors = {name: ad.Tensor(v) for name, v in core.items()}
+        assert ssm.memo("k", tensors, lambda: "rebuilt") == "first"
+
+    def test_bounded_and_drops_the_least_recently_used(self):
+        core = ssm.init_s4d_params(2, 4, seed=0)
+        for i in range(ssm.MEMO_SIZE):
+            ssm.memo(i, core, lambda i=i: i)
+        assert ssm.memo(0, core, lambda: "rebuilt") == 0  # 0 is now the most recent
+        for i in range(ssm.MEMO_SIZE, 3 * ssm.MEMO_SIZE):
+            ssm.memo(i, core, lambda i=i: i)
+            assert len(ssm._memo) == ssm.MEMO_SIZE
+        assert ssm.memo(3 * ssm.MEMO_SIZE - 1, core, lambda: "rebuilt") == 3 * ssm.MEMO_SIZE - 1
+        assert ssm.memo(0, core, lambda: "rebuilt") == "rebuilt"
+
+    def test_threads_keep_the_bound_and_get_their_own_values(self):
+        core = ssm.init_s4d_params(2, 4, seed=0)
+        kinds = 2 * ssm.MEMO_SIZE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda i: ssm.memo(i % kinds, core, lambda: i % kinds),
+                                    range(50 * kinds)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i % kinds for i in range(50 * kinds)]
+        assert len(ssm._memo) == ssm.MEMO_SIZE
+
+    def test_eval_stage_misses_after_an_in_place_edit(self):
+        rng = np.random.default_rng(21)
+        p = helpers.random_ssm_params(rng, 20, 8)
+        x = rng.standard_normal((2, 33, 20))
+        before = TestS4dForward.apply(x, p)
+        p["log_delta"] += 0.5
+        after = TestS4dForward.apply(x, p)
+        assert not np.array_equal(after, before)
+        kernel = ssm.compute_kernel(p, 33)
+        expected = ad.gelu(ad.Tensor(ssm.fft_causal_conv(x, kernel) + x * p["d"])).data
+        np.testing.assert_allclose(after, expected, rtol=0, atol=1e-12)
+
+    def test_scanner_misses_after_an_in_place_edit_and_keeps_its_own_arrays(self):
+        rng = np.random.default_rng(22)
+        p = helpers.random_ssm_params(rng, 4, 8)
+        original = {name: v.copy() for name, v in p.items()}
+        x = rng.standard_normal((CHUNK, 4))
+        state = ssm.StreamState.for_params(p)
+        ssm.chunk_scanner(p, CHUNK)
+        p["c_re"] *= -2.0
+        p["d"] += 1.0
+        for core in (p, original):  # `original` hits the scanner built from p's old values
+            _, y = ssm.chunk_scanner(core, CHUNK)(state, x)
+            np.testing.assert_allclose(y, stepwise(core, state, x)[1], rtol=0, atol=1e-12)
 
 
 class TestS4dForward:

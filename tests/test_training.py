@@ -120,6 +120,19 @@ class TestTrainLoop:
         assert sizes and max(sizes) <= model.TRAIN_SHARD
         assert sum(sizes) == data.split(ds, config.val_fraction, config.seed)[0].n_samples
 
+    def test_repeated_run_builds_the_same_kernels(self, monkeypatch):
+        """One run's validation kernels must not spare a later run with the same seed its work."""
+        ds = tiny_dataset()
+        mdl = tiny_model(ds)
+        config = training.TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=3)
+        built, inner = [], ssm.kernel_t
+        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: built.append(n) or inner(p, n))
+        counts = []
+        for _ in range(2):
+            training.train(mdl, ds, config)
+            counts.append(len(built))
+        assert counts[1] == 2 * counts[0]
+
     def test_patience_one_with_frozen_weights_stops_after_two_epochs(self):
         ds = tiny_dataset()
         config = training.TrainConfig(lr=0.0, patience=1, max_epochs=50, batch_size=8, seed=0)
