@@ -159,10 +159,8 @@ class Tensor:
         return _node(out, (self,), vjp)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
-        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
+        return _node(self.data.reshape(*shape), (self,), lambda g: (g.reshape(old),))
 
     def swapaxes(self, i, j):
         return _node(self.data.swapaxes(i, j), (self,), lambda g: (g.swapaxes(i, j),))

@@ -5,7 +5,7 @@ Every run echoes its resolved flags to stderr so runs are self-documenting;
 among them is the seed of gen, train and gradcheck, the verbs that draw
 random numbers. stdout carries only machine-readable output. Exit codes:
 0 success, 1 usage error (or sizes too large to allocate), 2 data/format
-error, 3 numeric failure.
+error or a file that cannot be read or written, 3 numeric failure.
 The tolerance gates of `stream --check` and `gradcheck` fail closed: a NaN
 or negative --tol is a usage error, and a NaN deviation or error is a
 numeric failure, as is a non-finite logit in `eval` or `stream`. `stream`
@@ -45,7 +45,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0, help="random seed (printed at startup)")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--task", choices=["freq"], default="freq")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--f-low", type=float, default=0.05)
@@ -336,7 +335,7 @@ def run(argv):
     except MemoryError as exc:  # a size that cannot be allocated, e.g. gen --n 10**12
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataFormatError, OSError) as exc:  # includes a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

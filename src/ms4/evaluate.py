@@ -100,12 +100,8 @@ def fold_std(errors_per_fold):
     return float(errors_per_fold.std(ddof=1))
 
 
-def summarize(table, params=None, mmacs=None):
-    """Per-model report rows: mean error, mean rank, mean STD, params, MMac.
-
-    `params` and `mmacs` are optional model -> value mappings; missing
-    entries stay None.
-    """
+def summarize(table):
+    """Per-model report rows: mean error, mean rank and mean STD (None without stds)."""
     ranks = average_rank(table)
     rows = []
     for i, name in enumerate(table.models):
@@ -115,8 +111,6 @@ def summarize(table, params=None, mmacs=None):
                 "mean_error": float(table.errors[i].mean()),
                 "mean_rank": float(ranks[i]),
                 "mean_std": None if table.stds is None else float(table.stds[i].mean()),
-                "params": None if params is None else params.get(name),
-                "mmac": None if mmacs is None else mmacs.get(name),
             }
         )
     return rows

@@ -353,8 +353,8 @@ def mac_breakdown(model, length):
     product; these are the only terms not proportional to L. The head and
     pooling costs are L-independent constants. Transcendental evaluations
     (GELU, sigmoid, exp) are not counted as MACs. The `ssm_kernel` count is
-    that of a cold forward: an eval-mode forward whose kernels are already
-    in `ssm.memo` computes none.
+    that of a cold forward: an eval-mode forward whose kernels `ssm.memo`
+    holds computes none.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")

@@ -21,16 +21,16 @@ A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The carry factors come from one
 two batched products, and memory stays independent of the sequence length.
 
 Outside a training graph, a core's kernel and scanner depend only on its
-arrays, so `memo` keeps the most recent of them, keyed on the arrays'
-content; and since the H channels are independent, the eval-mode stage runs
-in slices of CHANNEL_BLOCK channels whose FFT spectra stay in cache.
+arrays, so `memo` keeps the most recently used of them, keyed on the
+arrays' content (`core_key`); and since the H channels are independent, the
+eval-mode stage runs in slices of CHANNEL_BLOCK channels whose FFT spectra
+stay in cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +43,7 @@ from . import autodiff as ad
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
 
 CHANNEL_BLOCK = 16  # channels per pass of the eval-mode S4D stage; keeps its spectra in L2
-MEMO_SIZE = 8  # kernels and scanners the eval-mode memo keeps; the least recently used goes
-
-_memo = OrderedDict()
-_memo_lock = threading.Lock()
+MEMO_SIZE = 8  # kernels and scanners `memo` keeps; the least recently used goes
 
 
 @dataclass
@@ -154,7 +151,7 @@ def s4d_apply(x, p, keep=None):
     if x.requires_grad or any(ad.as_tensor(v).requires_grad for v in p.values()):
         y = _stage(x, kernel_t(p, length), p["d"])
     else:
-        kernel, d = _kernel(p, length), ad.as_tensor(p["d"]).data
+        kernel, d = memo("kernel", core_key(p), length), ad.as_tensor(p["d"]).data
         y = np.empty(x.shape, np.result_type(x.dtype, kernel, d))
         for lo in range(0, y.shape[-1], CHANNEL_BLOCK):
             part = slice(lo, lo + CHANNEL_BLOCK)
@@ -168,39 +165,26 @@ def _stage(x, kernel, d):
     return ad.gelu(causal_conv_t(x, kernel) + x * d)
 
 
-def _kernel(p, length):
-    """`kernel_t(p, length)`'s array, from `memo`."""
-    return memo(("kernel", length), p, lambda: kernel_t(p, length).data)
-
-
-def memo(kind, p, build):
-    """`build()`, kept for later calls with the same `kind` and the same core `p`.
-
-    The key holds the exact dtype, shape and bytes of each of the core's
-    leaves (arrays or Tensors), so a core edited in place misses. At most
-    MEMO_SIZE entries are kept, dropping the least recently used. The lock
-    only guards the table: `build` runs outside it, so it may itself use the
-    memo, and threads that miss together each build the same value.
-    """
+def core_key(p):
+    """The exact dtype, shape and bytes of each leaf (array or Tensor) of core `p`."""
     leaves = (ad.as_tensor(p[name]).data for name in SSM_LEAF_NAMES)
-    key = (kind,) + tuple((a.dtype, a.shape, a.tobytes()) for a in leaves)
-    with _memo_lock:
-        if key in _memo:
-            _memo.move_to_end(key)
-            return _memo[key]
-    value = build()
-    with _memo_lock:
-        _memo[key] = value
-        _memo.move_to_end(key)
-        while len(_memo) > MEMO_SIZE:
-            _memo.popitem(last=False)
-    return value
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in leaves)
 
 
-def clear_memo():
-    """Empty `memo`, so the next call of every kernel and scanner builds it."""
-    with _memo_lock:
-        _memo.clear()
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def memo(kind, key, n):
+    """`kernel_t(core, n)`'s array ("kernel") or `_scanner(core, n)` ("scanner").
+
+    The core is rebuilt, read-only, from `key` (its `core_key`), so a value
+    depends on nothing but the key's bytes: a core edited in place is another
+    key. Kernels and scanners share the MEMO_SIZE entries; `memo.cache_clear()`
+    empties them. Threads that miss together each build the same value.
+    """
+    core = {
+        name: np.frombuffer(data, dtype).reshape(shape)
+        for name, (dtype, shape, data) in zip(SSM_LEAF_NAMES, key)
+    }
+    return kernel_t(core, n).data if kind == "kernel" else _scanner(core, n)
 
 
 def _next_pow2(n):
@@ -258,12 +242,12 @@ def chunk_scanner(params, chunk):
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    return memo(("scanner", chunk), params, lambda: _scanner(params, chunk))
+    return memo("scanner", core_key(params), chunk)
 
 
 def _scanner(params, chunk):
     a_bar, b_bar = zoh_discretize(params)
-    c, d = params["c_re"] + 1j * params["c_im"], params["d"].copy()  # kept past edits of params
+    c, d = params["c_re"] + 1j * params["c_im"], params["d"]
     powers = np.empty(a_bar.shape + (chunk + 1,), dtype=a_bar.dtype)
     powers[..., 0] = 1.0
     powers[..., 1] = a_bar
@@ -272,7 +256,7 @@ def _scanner(params, chunk):
         k = min(n, chunk - n)
         powers[..., n + 1 : n + 1 + k] = powers[..., n : n + 1] * powers[..., 1 : 1 + k]
         n += k
-    kernel = _kernel(params, chunk)
+    kernel = kernel_t(params, chunk).data
 
     def scan(state, x):
         t = x.shape[0]

@@ -117,7 +117,7 @@ def train(mdl, dataset, config):
     config.validate()
     if dataset.n_classes < 2 or np.unique(dataset.y).size < 2:
         raise ValueError("training requires at least two classes present in the data")
-    ssm.clear_memo()
+    ssm.memo.cache_clear()
     train_set, val_set = data_mod.split(dataset, config.val_fraction, config.seed)
 
     leaves = {k: v.copy() for k, v in mdl.leaves().items()}

@@ -9,4 +9,4 @@ from ms4 import ssm
 def cold_memo():
     """Start each test with an empty kernel and scanner memo, so the order in
     which tests run cannot decide whether a test takes the cold or warm path."""
-    ssm.clear_memo()
+    ssm.memo.cache_clear()

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ms4 import autodiff as ad
 from ms4 import cli, data, evaluate, model
+
+FIXTURES = Path(evaluate.__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -24,7 +28,7 @@ def workdir(tmp_path_factory):
     ckpt = root / "model.ckpt"
     history = root / "history.csv"
     assert cli.main([
-        "gen", "--task", "freq", "--n", "60", "--len", "32", "--noise", "0.2",
+        "gen", "--n", "60", "--len", "32", "--noise", "0.2",
         "--seed", "0", "--out", str(dataset),
     ]) == 0
     assert cli.main([
@@ -57,13 +61,13 @@ class TestUsageErrors:
         assert "usage" in err
 
     def test_unknown_flag(self, capsys):
-        code, _, err = run(capsys, "gen", "--task", "freq", "--n", "10", "--len", "8",
+        code, _, err = run(capsys, "gen", "--n", "10", "--len", "8",
                            "--out", "x.csv", "--bogus", "1")
         assert code == 1
         assert "usage" in err
 
     def test_missing_required_flag(self, capsys):
-        code, _, _ = run(capsys, "gen", "--task", "freq", "--n", "10")
+        code, _, _ = run(capsys, "gen", "--n", "10")
         assert code == 1
 
     def test_bad_value_is_usage_error(self, capsys, tmp_path):
@@ -73,7 +77,43 @@ class TestUsageErrors:
         assert "error:" in err
 
 
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with an empty stdout."""
+
+    def test_eval_through_a_regular_file(self, capsys, tmp_path):
+        (tmp_path / "f").touch()
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path / "f" / "m.ckpt"),
+                             "--data", str(tmp_path / "f" / "d.csv"))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_gen_out_through_a_regular_file(self, capsys, tmp_path):
+        (tmp_path / "f").touch()
+        code, out, err = run(capsys, "gen", "--n", "2", "--len", "2",
+                             "--out", str(tmp_path / "f" / "d.csv"))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "2", "--len", "2"],
+        ["rank", "--table", str(FIXTURES / "uea_errors.csv")],
+    ], ids=["gen", "rank"])
+    def test_full_device(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert "No space left on device" in err
+
+
 class TestGen:
+    def test_task_flag_is_gone(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(capsys, "gen", "--task", "freq", "--n", "2", "--len", "2",
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "unrecognized arguments: --task freq" in err
+        assert not out.exists()
+
     def test_deterministic_and_loadable(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "gen", "--n", "20", "--len", "16", "--seed", "3", "--out", str(a))

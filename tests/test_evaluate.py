@@ -97,16 +97,13 @@ class TestSummarize:
     def test_report_fields(self):
         table = small_table()
         table.stds = np.full((3, 2), 0.01)
-        rows = evaluate.summarize(table, params={"A": 100}, mmacs={"A": 1.5})
+        rows = evaluate.summarize(table)
         assert rows[0] == {
             "model": "A",
             "mean_error": pytest.approx(0.2),
             "mean_rank": pytest.approx(1.75),
             "mean_std": pytest.approx(0.01),
-            "params": 100,
-            "mmac": 1.5,
         }
-        assert rows[1]["params"] is None
 
 
 class TestCsvInterchange:

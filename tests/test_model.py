@@ -267,8 +267,8 @@ class TestForward:
         rng = np.random.default_rng(43)
         for length in range(1, ssm.MEMO_SIZE + 4):
             model.forward(rng.standard_normal((length, 3)), mdl)
-            assert len(ssm._memo) <= ssm.MEMO_SIZE
-        assert len(ssm._memo) == ssm.MEMO_SIZE
+            assert ssm.memo.cache_info().currsize <= ssm.MEMO_SIZE
+        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
 
     def test_long_forward_peak_memory(self):
         """One cold L=4096, H=N=64 forward; the whole-width stage peaked at 21 MB."""
@@ -345,7 +345,7 @@ class TestBatchLogits:
         x = np.random.default_rng(36).standard_normal((4 * model.SCORE_CHUNK, 16, 3))
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         single = model.batch_logits(x, mdl)
-        ssm.clear_memo()
+        ssm.memo.cache_clear()
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -344,44 +344,71 @@ class TestDuality:
 class TestMemo:
     """`ssm.memo` is keyed on the content of a core's arrays and holds MEMO_SIZE entries."""
 
-    def test_key_is_content_shape_and_dtype(self):
+    def test_key_is_content_shape_and_dtype(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: builds.append(p) or ad.Tensor(np.zeros(n)))
         core = ssm.init_s4d_params(4, 8, seed=0)
-        assert ssm.memo("k", core, lambda: "first") == "first"
+        first = ssm.memo("kernel", ssm.core_key(core), 5)
         copied = {name: v.copy() for name, v in core.items()}
-        assert ssm.memo("k", copied, lambda: "rebuilt") == "first"
+        assert ssm.memo("kernel", ssm.core_key(copied), 5) is first
+        tensors = {name: ad.Tensor(v) for name, v in core.items()}
+        assert ssm.memo("kernel", ssm.core_key(tensors), 5) is first
+        assert ssm.memo.cache_info().hits == 2
+        # the build sees the core's values, rebuilt from the key as read-only arrays
+        (built,) = builds
+        for name, v in core.items():
+            np.testing.assert_array_equal(built[name], v)
+            assert built[name].dtype == v.dtype and not built[name].flags.writeable
         # the same bytes as another shape, and as another dtype, are other cores
         reshaped = {name: v.reshape(2, -1) if v.ndim == 2 else v for name, v in core.items()}
-        assert ssm.memo("k", reshaped, lambda: "reshaped") == "reshaped"
+        ssm.memo("kernel", ssm.core_key(reshaped), 5)
         viewed = {name: v.view(np.int64) for name, v in core.items()}
-        assert ssm.memo("k", viewed, lambda: "viewed") == "viewed"
-        assert ssm.memo("other kind", core, lambda: "other") == "other"
-        tensors = {name: ad.Tensor(v) for name, v in core.items()}
-        assert ssm.memo("k", tensors, lambda: "rebuilt") == "first"
+        ssm.memo("kernel", ssm.core_key(viewed), 5)
+        assert ssm.memo.cache_info().misses == 3
+        assert builds[1]["a_imag"].shape == (2, 8) and builds[2]["a_imag"].dtype == np.int64
+        ssm.memo("scanner", ssm.core_key(core), 5)  # another kind
+        assert ssm.memo.cache_info().misses == 4
 
     def test_bounded_and_drops_the_least_recently_used(self):
-        core = ssm.init_s4d_params(2, 4, seed=0)
-        for i in range(ssm.MEMO_SIZE):
-            ssm.memo(i, core, lambda i=i: i)
-        assert ssm.memo(0, core, lambda: "rebuilt") == 0  # 0 is now the most recent
-        for i in range(ssm.MEMO_SIZE, 3 * ssm.MEMO_SIZE):
-            ssm.memo(i, core, lambda i=i: i)
-            assert len(ssm._memo) == ssm.MEMO_SIZE
-        assert ssm.memo(3 * ssm.MEMO_SIZE - 1, core, lambda: "rebuilt") == 3 * ssm.MEMO_SIZE - 1
-        assert ssm.memo(0, core, lambda: "rebuilt") == "rebuilt"
+        key = ssm.core_key(ssm.init_s4d_params(2, 4, seed=0))
+        for n in range(1, ssm.MEMO_SIZE + 1):
+            ssm.memo("kernel", key, n)
+        ssm.memo("kernel", key, 1)  # 1 is now the most recent, 2 the least
+        ssm.memo("kernel", key, ssm.MEMO_SIZE + 1)
+        info = ssm.memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, ssm.MEMO_SIZE + 1, ssm.MEMO_SIZE)
+        ssm.memo("kernel", key, 1)
+        assert ssm.memo.cache_info().hits == 2
+        ssm.memo("kernel", key, 2)
+        assert ssm.memo.cache_info().misses == ssm.MEMO_SIZE + 2
+
+    def test_kernels_and_scanners_share_the_bound(self):
+        key = ssm.core_key(ssm.init_s4d_params(2, 4, seed=0))
+        for n in range(1, ssm.MEMO_SIZE + 1):
+            ssm.memo("kernel", key, n)
+        ssm.memo("scanner", key, 1)  # drops the kernel of length 1
+        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
+        ssm.memo("kernel", key, 2)
+        ssm.memo("kernel", key, 1)
+        info = ssm.memo.cache_info()
+        assert (info.hits, info.misses) == (1, ssm.MEMO_SIZE + 2)
 
     def test_threads_keep_the_bound_and_get_their_own_values(self):
         core = ssm.init_s4d_params(2, 4, seed=0)
-        kinds = 2 * ssm.MEMO_SIZE
+        key = ssm.core_key(core)
+        lengths = 2 * ssm.MEMO_SIZE
+        expected = [ssm.compute_kernel(core, n + 1) for n in range(lengths)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda i: ssm.memo(i % kinds, core, lambda: i % kinds),
-                                    range(50 * kinds)))
+                got = list(pool.map(lambda i: ssm.memo("kernel", key, i % lengths + 1),
+                                    range(50 * lengths)))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [i % kinds for i in range(50 * kinds)]
-        assert len(ssm._memo) == ssm.MEMO_SIZE
+        for i, kernel in enumerate(got):
+            np.testing.assert_array_equal(kernel, expected[i % lengths])
+        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
 
     def test_eval_stage_misses_after_an_in_place_edit(self):
         rng = np.random.default_rng(21)
@@ -391,6 +418,7 @@ class TestMemo:
         p["log_delta"] += 0.5
         after = TestS4dForward.apply(x, p)
         assert not np.array_equal(after, before)
+        assert ssm.memo.cache_info().misses == 2
         kernel = ssm.compute_kernel(p, 33)
         expected = ad.gelu(ad.Tensor(ssm.fft_causal_conv(x, kernel) + x * p["d"])).data
         np.testing.assert_allclose(after, expected, rtol=0, atol=1e-12)
@@ -407,6 +435,8 @@ class TestMemo:
         for core in (p, original):  # `original` hits the scanner built from p's old values
             _, y = ssm.chunk_scanner(core, CHUNK)(state, x)
             np.testing.assert_allclose(y, stepwise(core, state, x)[1], rtol=0, atol=1e-12)
+        info = ssm.memo.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
 
 
 class TestS4dForward:
