@@ -4,8 +4,10 @@ The tape is the implicit graph of ``Tensor`` nodes: each non-leaf node keeps
 references to its parents and a closure computing the parent adjoints from its
 own adjoint (the saved forward values live in the closure). ``gradients``
 replays that record in reverse topological order, so every leaf reachable from
-a scalar loss receives a gradient. A graph is single-use: build, differentiate,
-discard.
+a scalar loss receives a gradient. A graph is single-use: each closure, and
+the arrays it saved, is dropped once it has run. Other modules build fused
+primitives with `node`, a node whose hand-written VJP saves fewer arrays than
+the generic ops it stands for would.
 
 Complex arrays use the real-pair convention: the adjoint stored for a complex
 node z is dL/dRe(z) + i*dL/dIm(z). For a holomorphic primitive w = f(z) the
@@ -28,6 +30,8 @@ from scipy.special import erf, expit
 __all__ = [
     "Tensor",
     "as_tensor",
+    "node",
+    "partials",
     "gradients",
     "exp",
     "log",
@@ -53,6 +57,11 @@ def _unbroadcast(grad, shape):
     if squeeze:
         grad = grad.sum(axis=squeeze, keepdims=True)
     return grad
+
+
+def _conj(v):
+    """np.conj, without the copy it makes of a real array."""
+    return v if isinstance(v, np.ndarray) and not np.iscomplexobj(v) else np.conj(v)
 
 
 def _match(grad, data):
@@ -101,7 +110,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        return _node(-self.data, (self,), lambda g: (-g,))
+        return node(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-other)
@@ -111,7 +120,7 @@ class Tensor:
 
     def __mul__(self, other):
         a, b = self.data, _value(other)
-        return _binary(self, other, a * b, lambda g: g * np.conj(b), lambda g: g * np.conj(a))
+        return _binary(self, other, a * b, lambda g: g * _conj(b), lambda g: g * _conj(a))
 
     __rmul__ = __mul__
 
@@ -119,7 +128,7 @@ class Tensor:
         b = _value(other)
         out = self.data / b
         return _binary(
-            self, other, out, lambda g: g / np.conj(b), lambda g: -g * np.conj(out) / np.conj(b)
+            self, other, out, lambda g: g / _conj(b), lambda g: -g * _conj(out) / _conj(b)
         )
 
     def __rtruediv__(self, other):
@@ -143,7 +152,7 @@ class Tensor:
                 gb = _unbroadcast(a.conj().swapaxes(-1, -2) @ g, b.shape)
             return _match(ga, a), _match(gb, b)
 
-        return _node(out, (self, other), vjp)
+        return node(out, (self, other), vjp)
 
     # -- shape manipulation -------------------------------------------------
 
@@ -156,14 +165,14 @@ class Tensor:
             buf[idx] += g
             return (buf,)
 
-        return _node(out, (self,), vjp)
+        return node(out, (self,), vjp)
 
     def reshape(self, *shape):
         old = self.data.shape
-        return _node(self.data.reshape(*shape), (self,), lambda g: (g.reshape(old),))
+        return node(self.data.reshape(*shape), (self,), lambda g: (g.reshape(old),))
 
     def swapaxes(self, i, j):
-        return _node(self.data.swapaxes(i, j), (self,), lambda g: (g.swapaxes(i, j),))
+        return node(self.data.swapaxes(i, j), (self,), lambda g: (g.swapaxes(i, j),))
 
     # -- reductions ----------------------------------------------------------
 
@@ -176,7 +185,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape),)
 
-        return _node(out, (self,), vjp)
+        return node(out, (self,), vjp)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else np.prod(
@@ -189,10 +198,19 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, vjp):
+def node(data, parents, vjp):
+    """Tensor for `data`; on the tape when a parent requires grad, `vjp` mapping its
+    adjoint to one adjoint per parent. Fused primitives outside this module build
+    their nodes here too."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(data)
+
+
+def partials(t):
+    """Partial derivatives of an elementwise node with respect to its parents: its VJP at
+    a unit adjoint. A fused primitive reads saved values off a short tape this way."""
+    return t._vjp(1.0)
 
 
 def _value(x):
@@ -204,10 +222,10 @@ def _binary(a, b, out, da, db):
     operand's before broadcasting is summed out. Only Tensor operands become
     parents: a python scalar stays unwrapped, so it cannot promote float32."""
     if not isinstance(b, Tensor):
-        return _node(out, (a,), lambda g: (_match(_unbroadcast(da(g), a.shape), a.data),))
+        return node(out, (a,), lambda g: (_match(_unbroadcast(da(g), a.shape), a.data),))
     if not isinstance(a, Tensor):
-        return _node(out, (b,), lambda g: (_match(_unbroadcast(db(g), b.shape), b.data),))
-    return _node(out, (a, b), lambda g: (
+        return node(out, (b,), lambda g: (_match(_unbroadcast(db(g), b.shape), b.data),))
+    return node(out, (a, b), lambda g: (
         _match(_unbroadcast(da(g), a.shape), a.data),
         _match(_unbroadcast(db(g), b.shape), b.data),
     ))
@@ -219,24 +237,24 @@ def _binary(a, b, out, da, db):
 def exp(x):
     x = as_tensor(x)
     out = np.exp(x.data)
-    return _node(out, (x,), lambda g: (_match(g * np.conj(out), x.data),))
+    return node(out, (x,), lambda g: (_match(g * np.conj(out), x.data),))
 
 
 def log(x):
     x = as_tensor(x)
-    return _node(np.log(x.data), (x,), lambda g: (g / x.data,))
+    return node(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 def sqrt(x):
     x = as_tensor(x)
     out = np.sqrt(x.data)
-    return _node(out, (x,), lambda g: (g / (2.0 * out),))
+    return node(out, (x,), lambda g: (g / (2.0 * out),))
 
 
 def sigmoid(x):
     x = as_tensor(x)
     out = expit(x.data)
-    return _node(out, (x,), lambda g: (g * out * (1.0 - out),))
+    return node(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def gelu(x):
@@ -250,7 +268,7 @@ def gelu(x):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
         return (g * (cdf + d * pdf),)
 
-    return _node(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def real(x):
@@ -260,39 +278,46 @@ def real(x):
     def vjp(g):
         return (g.astype(np.result_type(g.dtype, np.complex128)),)
 
-    return _node(x.data.real, (x,), vjp)
+    return node(x.data.real, (x,), vjp)
 
 
 def make_complex(re, im):
     """Combine real tensors into re + i*im."""
     re, im = as_tensor(re), as_tensor(im)
     out = re.data + 1j * im.data
-    return _node(out, (re, im), lambda g: (g.real, g.imag))
+    return node(out, (re, im), lambda g: (g.real, g.imag))
 
 
 def causal_conv(x, kernel, n):
     """Causal convolution y[k] = sum_{j<=k} K[j] x[k-j] along axis -2.
 
-    x is (..., L, H) and the kernel (L, H); both are zero-padded to n >= 2L-1
-    points of a real FFT, so the circular product has no wraparound. The
-    adjoints are the matching correlations, computed from the saved spectra;
-    the kernel's is summed over the broadcast leading axes of x.
+    x is (..., L, H) and zero-padded to n >= 2L-1 points of a real FFT, so the
+    circular product has no wraparound. The kernel is the real (L, H) K, or its
+    complex (n/2 + 1, H) spectrum rfft(K, n), which saves one transform and
+    takes no gradient. The adjoints are the matching correlations, computed
+    from the saved spectra; the kernel's is summed over the broadcast leading
+    axes of x.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    length = kernel.shape[-2]
+    length = x.shape[-2]
     if n < 2 * length - 1:
         raise ValueError(f"FFT length {n} is below 2L-1 = {2 * length - 1}")
     xf = np.fft.rfft(x.data, n=n, axis=-2)
-    kf = np.fft.rfft(kernel.data, n=n, axis=-2)
+    if np.iscomplexobj(kernel.data):
+        kf, parents = kernel.data, (x,)
+    else:
+        kf, parents = np.fft.rfft(kernel.data, n=n, axis=-2), (x, kernel)
     out = np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
 
     def vjp(g):
         gf = np.fft.rfft(g, n=n, axis=-2)
         gx = np.fft.irfft(gf * np.conj(kf), n=n, axis=-2)[..., :length, :]
+        if len(parents) == 1:
+            return (gx,)
         gk = np.fft.irfft(_unbroadcast(gf * np.conj(xf), kf.shape), n=n, axis=-2)[:length]
         return gx, gk
 
-    return _node(out, (x, kernel), vjp)
+    return node(out, parents, vjp)
 
 
 # -- backward pass ------------------------------------------------------------
@@ -304,7 +329,9 @@ def gradients(loss, leaves):
     `leaves` maps names to Tensors. The graph rooted at `loss` is the tape:
     it is walked once in reverse topological order, which leaves each leaf's
     adjoint in the walk's dict. Leaves the loss never reached get zeros, so
-    optimizer bookkeeping stays aligned.
+    optimizer bookkeeping stays aligned. Each node's VJP is dropped once it
+    has run, and with it the arrays it saved, so a graph is differentiated
+    once: a second call raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError(f"gradient root must be scalar, got shape {loss.shape}")
@@ -314,35 +341,38 @@ def gradients(loss, leaves):
         seen = set()
         stack = [(loss, False)]
         while stack:
-            node, expanded = stack.pop()
+            t, expanded = stack.pop()
             if expanded:
-                order.append(node)
+                order.append(t)
                 continue
-            if id(node) in seen:
+            if id(t) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
+            if t._parents and t._vjp is None:
+                raise ValueError("graph was already differentiated; its saved arrays are gone")
+            seen.add(id(t))
+            stack.append((t, True))
+            for p in t._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
         adjoints[id(loss)] = np.ones(loss.shape, np.result_type(loss.dtype, float))
-        for node in reversed(order):
-            if node._vjp is None:
+        for t in reversed(order):
+            if t._vjp is None:  # a leaf: its adjoint is the result
                 continue
-            g = adjoints.pop(id(node), None)
-            if g is None:
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if not parent.requires_grad:
-                    continue
-                pg = np.asarray(pg)
-                acc = adjoints.get(id(parent))
-                adjoints[id(parent)] = pg if acc is None else acc + pg
+            vjp, t._vjp = t._vjp, None
+            _accumulate(adjoints, t._parents, vjp(adjoints.pop(id(t))))
     return {
         name: adjoints[id(t)] if id(t) in adjoints else np.zeros_like(t.data)
         for name, t in leaves.items()
     }
+
+
+def _accumulate(adjoints, parents, parent_adjoints):
+    """Add each parent's adjoint into `adjoints`; the arrays summed are released on return."""
+    for parent, pg in zip(parents, parent_adjoints):
+        if parent.requires_grad:
+            acc = adjoints.get(id(parent))
+            adjoints[id(parent)] = np.asarray(pg) if acc is None else acc + pg
 
 
 # -- independent numerical verification ---------------------------------------

@@ -151,6 +151,9 @@ def init_model(
 # -- differentiable pipeline ---------------------------------------------------
 
 
+LN_EPS = 1e-5  # LayerNorm's variance floor
+
+
 def glu_t(y, w2, b2):
     """Gated channel mixing: expand H -> 2H, split, a * sigmoid(b)."""
     y2 = y @ w2 + b2
@@ -158,12 +161,12 @@ def glu_t(y, w2, b2):
     return y2[..., :half] * ad.sigmoid(y2[..., half:])
 
 
-def layer_norm_t(g, gamma, beta, eps=1e-5):
+def layer_norm_t(g, gamma, beta):
     """Per-time-step standardization over features (population variance)."""
     mu = g.mean(axis=-1, keepdims=True)
     centered = g - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + eps) * gamma + beta
+    return centered / ad.sqrt(var + LN_EPS) * gamma + beta
 
 
 def classify_t(g, w3, b3, w4, b4):
@@ -172,11 +175,61 @@ def classify_t(g, w3, b3, w4, b4):
 
 
 def channel_mix_t(h, leaves, i):
-    """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N)."""
-    h = glu_t(h, leaves[f"block{i}.w2"], leaves[f"block{i}.b2"])
-    if f"block{i}.gamma" in leaves:
-        h = layer_norm_t(h, leaves[f"block{i}.gamma"], leaves[f"block{i}.beta"])
-    return h
+    """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N).
+
+    When an operand requires a gradient the mix is one tape node; see `_mix_node`.
+    """
+    names = [f"block{i}.{name}" for name in ("w2", "b2", "gamma", "beta")]
+    params = [ad.as_tensor(leaves[name]) for name in names if name in leaves]
+    if h.requires_grad or any(t.requires_grad for t in params):
+        return _mix_node(h, params)
+    h = glu_t(h, *params[:2])
+    return h if len(params) == 2 else layer_norm_t(h, *params[2:])
+
+
+def _mix_node(h, params):
+    """The taped channel mix as one node with parents h, w2, b2 and, with LayerNorm, gamma, beta.
+
+    Its output is that of `glu_t` and `layer_norm_t`, run on a short tape. It
+    saves the GLU's linear half a and its sigmoid gate (two arrays shaped like
+    h) and LayerNorm's per-step mean and deviation; its VJP recomputes the
+    GLU output a * gate and its standardized form from those. The VJP takes
+    the generic ops' steps in their order, so its gradients are theirs.
+    """
+    w2, b2, *norm = (t.data for t in params)
+    # glu_t is a * sigmoid(b): its partial derivatives are the gate and a
+    glu = glu_t(ad.Tensor(h.data, requires_grad=True), ad.Tensor(w2), ad.Tensor(b2))
+    g, (gate, a) = glu.data, ad.partials(glu)
+    del glu  # the short tape, y2 included, goes before LayerNorm's temporaries come
+    out = g
+    if norm:
+        out = layer_norm_t(ad.Tensor(g), *map(ad.Tensor, norm)).data
+        # the statistics as layer_norm_t forms them, in g's precision
+        width = g.shape[-1]
+        mu = g.sum(axis=-1, keepdims=True) * (1.0 / width)
+        centered = g - mu
+        std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width) + LN_EPS)
+        del centered
+    lead = tuple(range(h.ndim - 1))
+
+    def vjp(grad):
+        norm_grads = []
+        if norm:  # back through layer_norm_t step by step, in the generic ops' order
+            centered = a * gate - mu
+            xhat = centered / std
+            norm_grads = [(grad * xhat).sum(axis=lead), np.sum(grad, axis=lead)]
+            gxhat = grad * norm[0]
+            # var's adjoint, through xhat = centered / std and std = sqrt(var + eps)
+            gvar = (-gxhat * xhat / std).sum(axis=-1, keepdims=True) / (2.0 * std) * (1.0 / width)
+            # centered feeds xhat and, twice, centered * centered; g feeds centered and mu
+            grad = gxhat / std + gvar * centered + gvar * centered
+            grad = grad + -grad.sum(axis=-1, keepdims=True) * (1.0 / width)
+            del centered, xhat, gxhat
+        gy2 = np.concatenate([grad * gate, grad * a * gate * (1.0 - gate)], axis=-1)
+        gw2 = h.data.reshape(-1, h.shape[-1]).T @ gy2.reshape(-1, gy2.shape[-1])
+        return (gy2 @ w2.T, gw2, gy2.sum(axis=lead), *norm_grads)
+
+    return ad.node(out, (h, *params), vjp)
 
 
 def forward_t(x, leaves, keeps=None):
@@ -187,8 +240,8 @@ def forward_t(x, leaves, keeps=None):
     """
     h = x @ leaves["w1"] + leaves["b1"]
     for i in range(block_count(leaves)):
-        keep = None if keeps is None else keeps[i]
-        h = channel_mix_t(ssm.s4d_apply(h, block_core(leaves, i), keep), leaves, i)
+        h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i])
+        h = channel_mix_t(h, leaves, i)  # an eval forward frees the stage's input first
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
 
 
@@ -349,12 +402,13 @@ def mac_breakdown(model, length):
     """Analytic multiply-accumulate counts per stage for one forward pass.
 
     FFT stages are charged 5*P*log2(P) real MACs per transform at padded
-    length P (three transforms per channel) plus four per pointwise complex
-    product; these are the only terms not proportional to L. The head and
-    pooling costs are L-independent constants. Transcendental evaluations
-    (GELU, sigmoid, exp) are not counted as MACs. The `ssm_kernel` count is
-    that of a cold forward: an eval-mode forward whose kernels `ssm.memo`
-    holds computes none.
+    length P plus four per pointwise complex product; these are the only
+    terms not proportional to L. The head and pooling costs are L-independent
+    constants. Transcendental evaluations (GELU, sigmoid, exp) are not
+    counted as MACs. The `ssm_kernel` and `ssm_fft` counts are those of a
+    cold forward, which computes each kernel and makes three transforms per
+    channel: an eval-mode forward whose kernel spectra `ssm.memo` holds
+    computes no kernel and makes two.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")

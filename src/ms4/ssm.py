@@ -20,11 +20,12 @@ A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The carry factors come from one
 (H, N/2, T+1) table of A_bar powers, so each chunk is one convolution and
 two batched products, and memory stays independent of the sequence length.
 
-Outside a training graph, a core's kernel and scanner depend only on its
-arrays, so `memo` keeps the most recently used of them, keyed on the
-arrays' content (`core_key`); and since the H channels are independent, the
-eval-mode stage runs in slices of CHANNEL_BLOCK channels whose FFT spectra
-stay in cache.
+Outside a training graph, a core's kernel spectrum and scanner depend only
+on its arrays, so `memo` keeps the most recently used of them, keyed on the
+arrays' content (`core_key`). Since the H channels are independent, the
+stage runs in slices of CHANNEL_BLOCK channels whose FFT spectra stay in
+cache. In a training graph the stage is one tape node that saves GELU's
+slope and recomputes the spectra in its VJP.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from . import autodiff as ad
 # the per-channel feedthrough gain d and log step size log_delta, both (H,).
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
 
-CHANNEL_BLOCK = 16  # channels per pass of the eval-mode S4D stage; keeps its spectra in L2
+CHANNEL_BLOCK = 16  # channels per pass of the S4D stage and its VJP; keeps their spectra in L2
 MEMO_SIZE = 8  # kernels and scanners `memo` keeps; the least recently used goes
 
 
@@ -131,11 +132,12 @@ def kernel_t(p, length):
 def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
-    x is (..., L, H) and the kernel (L, H); padding to the next power of two
-    at or above 2L-1 rules out circular wraparound, so the first L outputs
-    equal the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
+    x is (..., L, H) and the kernel (L, H), or its spectrum on the padded
+    length (see `ad.causal_conv`); padding to the next power of two at or
+    above 2L-1 rules out circular wraparound, so the first L outputs equal
+    the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
     """
-    return ad.causal_conv(x, kernel, _next_pow2(2 * kernel.shape[-2] - 1))
+    return ad.causal_conv(x, kernel, _next_pow2(2 * x.shape[-2] - 1))
 
 
 def s4d_apply(x, p, keep=None):
@@ -143,25 +145,66 @@ def s4d_apply(x, p, keep=None):
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
-    dropout runs. When no operand requires a gradient, the kernel comes from
-    `memo` and the stage runs on CHANNEL_BLOCK channels at a time; each
-    channel's arithmetic is the same, so the output is bit-identical.
+    dropout runs. The stage runs on CHANNEL_BLOCK channels at a time, and
+    each channel's arithmetic is that of `_stage` on the whole width, so the
+    output is bit-identical to it. When no operand requires a gradient, the
+    kernel's spectrum comes from `memo`; otherwise see `_stage_node`.
     """
-    length = x.shape[-2]
+    d = ad.as_tensor(p["d"])
     if x.requires_grad or any(ad.as_tensor(v).requires_grad for v in p.values()):
-        y = _stage(x, kernel_t(p, length), p["d"])
-    else:
-        kernel, d = memo("kernel", core_key(p), length), ad.as_tensor(p["d"]).data
-        y = np.empty(x.shape, np.result_type(x.dtype, kernel, d))
-        for lo in range(0, y.shape[-1], CHANNEL_BLOCK):
-            part = slice(lo, lo + CHANNEL_BLOCK)
-            y[..., part] = _stage(ad.Tensor(x.data[..., part]), kernel[:, part], d[part]).data
-        y = ad.Tensor(y)
+        return _stage_node(x, kernel_t(p, x.shape[-2]), d, keep)
+    y = ad.Tensor(_blocks(x.data, memo("kernel", core_key(p), x.shape[-2]), d.data))
     return y if keep is None else y * keep
 
 
+def _stage_node(x, kernel, d, keep):
+    """The taped stage as one node with parents x, the kernel and d.
+
+    It saves GELU's slope (one array shaped like x) and `keep`. Its VJP
+    recomputes the spectra of x and the kernel, one channel block at a time.
+    """
+    n = _next_pow2(2 * x.shape[-2] - 1)
+    slope = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
+    out = _blocks(x.data, np.fft.rfft(kernel.data, n=n, axis=0), d.data, slope)
+    if keep is not None:
+        out = out * keep
+
+    def vjp(g):
+        u = (g if keep is None else g * keep) * slope  # the adjoint of conv + d*x
+        length, lead = x.shape[-2], tuple(range(x.ndim - 2))
+        gx, gk, gd = (np.empty(shape, u.dtype) for shape in (x.shape, kernel.shape, d.shape))
+        for part in _channel_blocks(x.shape[-1]):
+            uf = np.fft.rfft(u[..., part], n=n, axis=-2)
+            kf = np.fft.rfft(kernel.data[:, part], n=n, axis=0)
+            xf = np.fft.rfft(x.data[..., part], n=n, axis=-2)
+            gx[..., part] = (np.fft.irfft(uf * np.conj(kf), n=n, axis=-2)[..., :length, :]
+                             + u[..., part] * d.data[part])
+            gk[:, part] = np.fft.irfft((uf * np.conj(xf)).sum(axis=lead), n=n, axis=0)[:length]
+            gd[part] = (u[..., part] * x.data[..., part]).sum(axis=lead + (x.ndim - 2,))
+        return gx, gk, gd
+
+    return ad.node(out, (x, kernel, d), vjp)
+
+
+def _channel_blocks(width):
+    return [slice(lo, lo + CHANNEL_BLOCK) for lo in range(0, width, CHANNEL_BLOCK)]
+
+
+def _blocks(x, spectrum, d, slope=None):
+    """`_stage` on CHANNEL_BLOCK channels of plain arrays at a time; with `slope`, each
+    block's input is a short tape's leaf, and GELU's derivative is written to `slope`."""
+    y = np.empty(x.shape, np.result_type(x.dtype, spectrum.real.dtype, d.dtype))
+    for part in _channel_blocks(x.shape[-1]):
+        part_x = ad.Tensor(x[..., part], requires_grad=slope is not None)
+        act = _stage(part_x, spectrum[:, part], d[part])
+        y[..., part] = act.data
+        if slope is not None:
+            (slope[..., part],) = ad.partials(act)
+    return y
+
+
 def _stage(x, kernel, d):
-    """Convolution plus feedthrough, then GELU: the stage's maths, for either path."""
+    """Convolution plus feedthrough, then GELU: the stage's maths, for every path."""
     return ad.gelu(causal_conv_t(x, kernel) + x * d)
 
 
@@ -173,7 +216,11 @@ def core_key(p):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def memo(kind, key, n):
-    """`kernel_t(core, n)`'s array ("kernel") or `_scanner(core, n)` ("scanner").
+    """The spectrum of `kernel_t(core, n)` ("kernel") or `_scanner(core, n)` ("scanner").
+
+    The spectrum is the kernel's rfft on the stage's padded length, which is
+    all the eval-mode convolution reads, so a warm stage makes two transforms
+    per channel, not three.
 
     The core is rebuilt, read-only, from `key` (its `core_key`), so a value
     depends on nothing but the key's bytes: a core edited in place is another
@@ -184,7 +231,9 @@ def memo(kind, key, n):
         name: np.frombuffer(data, dtype).reshape(shape)
         for name, (dtype, shape, data) in zip(SSM_LEAF_NAMES, key)
     }
-    return kernel_t(core, n).data if kind == "kernel" else _scanner(core, n)
+    if kind == "kernel":
+        return np.fft.rfft(kernel_t(core, n).data, n=_next_pow2(2 * n - 1), axis=0)
+    return _scanner(core, n)
 
 
 def _next_pow2(n):

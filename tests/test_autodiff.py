@@ -114,7 +114,38 @@ class TestPrimitiveAdjoints:
             ad.causal_conv(params["x"], params["k"], 10)
 
 
+class TestSpectrumKernel:
+    def test_spectrum_equals_kernel_and_takes_no_gradient(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
+        k = rng.standard_normal((6, 3))
+        out = ad.causal_conv(x, k, 16)
+        spectral = ad.causal_conv(x, np.fft.rfft(k, n=16, axis=0), 16)
+        np.testing.assert_array_equal(spectral.data, out.data)
+        assert spectral._parents == (x,)
+        probe = rng.standard_normal(out.shape)
+        grads = [ad.gradients((y * probe).sum(), {"x": x})["x"] for y in (out, spectral)]
+        np.testing.assert_array_equal(grads[1], grads[0])
+
+
 class TestBackwardContract:
+    def test_second_call_on_a_graph_raises(self):
+        x = ad.Tensor(np.arange(3.0), requires_grad=True)
+        loss = (x * x).sum()
+        np.testing.assert_array_equal(ad.gradients(loss, {"x": x})["x"], 2.0 * x.data)
+        with pytest.raises(ValueError, match="already differentiated"):
+            ad.gradients(loss, {"x": x})
+
+    def test_each_vjp_is_dropped_once_it_has_run(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        inner = ad.exp(x)
+        loss = (inner * 2.0).sum()
+        assert inner._vjp is not None and loss._vjp is not None
+        ad.gradients(loss, {"x": x})
+        assert inner._vjp is None and loss._vjp is None
+        assert inner._parents == (x,)  # the graph's shape and values stay
+        np.testing.assert_array_equal(inner.data, np.exp(1.0))
+
     def test_sum_gradient_is_ones(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         grad = ad.gradients(x.sum(), {"x": x})["x"]

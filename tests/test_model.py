@@ -241,7 +241,8 @@ class TestForward:
         convs, inner = [], ssm.causal_conv_t
         monkeypatch.setattr(ssm, "causal_conv_t", lambda u, k: convs.append(k.shape) or inner(u, k))
         blocked = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
-        assert convs == [(length, ssm.CHANNEL_BLOCK), (length, 20 - ssm.CHANNEL_BLOCK)] * 2
+        bins = ssm._next_pow2(2 * length - 1) // 2 + 1  # the kernel's spectrum, from the memo
+        assert convs == [(bins, ssm.CHANNEL_BLOCK), (bins, 20 - ssm.CHANNEL_BLOCK)] * 2
         assert taped.requires_grad and blocked.dtype == dtype
         np.testing.assert_array_equal(blocked, taped.data)
         if dtype == np.float64:
@@ -294,6 +295,86 @@ class TestForward:
 
         errors = ad.finite_diff_errors(loss_fn, mdl.leaves(), epsilon=1e-4)
         assert max(errors.values()) <= 1e-4
+
+
+class TestFusedPrimitives:
+    """The taped S4D stage and channel mix are one node each; they must give the
+    generic-op composition's loss and logits exactly and its gradients closely."""
+
+    @staticmethod
+    def unfused(x, t, keeps=None):
+        """`forward_t` written with the generic ops: `_stage`, `glu_t` and `layer_norm_t`."""
+        h = x @ t["w1"] + t["b1"]
+        for i in range(model.block_count(t)):
+            core = model.block_core(t, i)
+            h = ssm._stage(h, ssm.kernel_t(core, h.shape[-2]), core["d"])
+            if keeps is not None:
+                h = h * keeps[i]
+            h = model.glu_t(h, t[f"block{i}.w2"], t[f"block{i}.b2"])
+            if f"block{i}.gamma" in t:
+                h = model.layer_norm_t(h, t[f"block{i}.gamma"], t[f"block{i}.beta"])
+        return model.classify_t(h, t["w3"], t["b3"], t["w4"], t["b4"])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_fused_equals_unfused(self, n_layers, normalized, rate, dtype):
+        """H=20 is one full CHANNEL_BLOCK and a partial one."""
+        mdl = model.init_model(3, 20, 8, 3, n_layers=n_layers, normalized=normalized,
+                               dropout_rate=rate, seed=51)
+        arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((4, 37, 3)).astype(dtype)
+        labels = rng.integers(0, 3, 4)
+        keeps = None
+        if rate:
+            keeps = [(rng.random((4, 37, 20)) >= rate) / (1.0 - rate) for _ in range(n_layers)]
+        runs = []
+        for forward in (model.forward_t, self.unfused):
+            t = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+            loss = training.cross_entropy_t(forward(ad.Tensor(x), t, keeps), labels)
+            logits = forward(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
+            runs.append((loss.data, logits, ad.gradients(loss, t)))
+        (loss, logits, grads), (loss_ref, logits_ref, grads_ref) = runs
+        np.testing.assert_array_equal(loss, loss_ref)
+        np.testing.assert_array_equal(logits, logits_ref)
+        for name in arrays:
+            np.testing.assert_allclose(grads[name], grads_ref[name], rtol=1e-10, atol=0,
+                                       err_msg=name)
+
+    def test_each_taped_block_is_two_nodes(self):
+        mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=52)
+        t = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+        h = ad.Tensor(np.random.default_rng(52).standard_normal((2, 9, 20)))
+        stage = ssm.s4d_apply(h, model.block_core(t, 0))
+        assert stage._parents[0] is h and stage._parents[2] is t["block0.ssm.d"]
+        mix = model.channel_mix_t(stage, t, 0)
+        names = ("w2", "b2", "gamma", "beta")
+        assert mix._parents == (stage, *(t[f"block0.{name}"] for name in names))
+
+    def test_long_training_step_peak_memory(self):
+        """One B=8, L=4096, H=N=64 MS4N step, dropout 0.1, as one shard: the mask draw,
+        forward_t, the loss and gradients, within 16 (B, L, H) float64 activations
+        (269 MB). The generic-op tape kept every intermediate and peaked at 514 MB.
+        Still open: 12 activations (201 MB), which needs the channel mix to hold less,
+        both while its forward's short tape is alive and in its VJP."""
+        batch, length, hidden = 8, 4096, 64
+        mdl = model.init_model(1, hidden, hidden, 2, dropout_rate=0.1, seed=53)
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((batch, length, 1))
+        labels = np.arange(batch) % 2
+        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+        tracemalloc.start()
+        try:
+            keeps = [(rng.random((batch, length, hidden)) >= 0.1) / 0.9]
+            loss = training.cross_entropy_t(model.forward_t(ad.Tensor(x), leaves, keeps), labels)
+            grads = ad.gradients(loss, leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert peak <= 16 * batch * length * hidden * 8
 
 
 class TestBatchLogits:

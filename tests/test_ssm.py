@@ -397,7 +397,8 @@ class TestMemo:
         core = ssm.init_s4d_params(2, 4, seed=0)
         key = ssm.core_key(core)
         lengths = 2 * ssm.MEMO_SIZE
-        expected = [ssm.compute_kernel(core, n + 1) for n in range(lengths)]
+        expected = [np.fft.rfft(ssm.compute_kernel(core, n), n=ssm._next_pow2(2 * n - 1), axis=0)
+                    for n in range(1, lengths + 1)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
