@@ -41,6 +41,7 @@ __all__ = [
     "real",
     "make_complex",
     "causal_conv",
+    "affine",
     "finite_diff_errors",
 ]
 
@@ -140,19 +141,7 @@ class Tensor:
         """Matrix product (..., m, k) @ (k, n), or batched with equal ranks."""
         other = as_tensor(other)
         a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim not in (2, a.ndim):
-            raise ValueError(f"unsupported matmul shapes {a.shape} @ {b.shape}")
-        out = a @ b
-
-        def vjp(g):
-            ga = _unbroadcast(g @ b.conj().swapaxes(-1, -2), a.shape)
-            if b.ndim == 2:  # one BLAS call over all leading axes
-                gb = a.conj().reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(a.conj().swapaxes(-1, -2) @ g, b.shape)
-            return _match(ga, a), _match(gb, b)
-
-        return node(out, (self, other), vjp)
+        return node(_matmul(a, b), (self, other), lambda g: _matmul_vjp(g, a, b))
 
     # -- shape manipulation -------------------------------------------------
 
@@ -215,6 +204,46 @@ def partials(t):
 
 def _value(x):
     return x.data if isinstance(x, Tensor) else x
+
+
+def _matmul(a, b):
+    if a.ndim < 2 or b.ndim not in (2, a.ndim):
+        raise ValueError(f"unsupported matmul shapes {a.shape} @ {b.shape}")
+    return a @ b
+
+
+def _matmul_vjp(g, a, b):
+    ga = _unbroadcast(g @ b.conj().swapaxes(-1, -2), a.shape)
+    if b.ndim == 2:  # one BLAS call over all leading axes
+        gb = a.conj().reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = _unbroadcast(a.conj().swapaxes(-1, -2) @ g, b.shape)
+    return _match(ga, a), _match(gb, b)
+
+
+def affine(x, w, b):
+    """`x @ w + b` as one node, which keeps x and w but not the product.
+
+    The bias is added into the product in place when that keeps the product's
+    dtype; otherwise it promotes as `+` does. The VJP takes the matmul and `+`
+    nodes' steps in their order, so its adjoints are theirs.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd, bd = x.data, w.data, b.data
+    out = _matmul(xd, wd)
+    shape, real = out.shape, not np.iscomplexobj(out)
+    same_dtype = np.result_type(out.dtype, bd.dtype) == out.dtype
+    if same_dtype and np.broadcast_shapes(shape, bd.shape) == shape:
+        out += bd
+    else:
+        out = out + bd
+
+    def vjp(g):
+        gb = _match(_unbroadcast(g, bd.shape), bd)
+        gp = _unbroadcast(g, shape)  # the product's adjoint, real if the product is
+        return (*_matmul_vjp(gp.real if real and np.iscomplexobj(gp) else gp, xd, wd), gb)
+
+    return node(out, (x, w, b), vjp)
 
 
 def _binary(a, b, out, da, db):

@@ -152,11 +152,12 @@ def init_model(
 
 
 LN_EPS = 1e-5  # LayerNorm's variance floor
+MIX_ROWS = 1024  # rows per pass of the eval channel mix; a pass's (rows, 2H) product stays in L2
 
 
 def glu_t(y, w2, b2):
     """Gated channel mixing: expand H -> 2H, split, a * sigmoid(b)."""
-    y2 = y @ w2 + b2
+    y2 = ad.affine(y, w2, b2)
     half = y2.shape[-1] // 2
     return y2[..., :half] * ad.sigmoid(y2[..., half:])
 
@@ -171,20 +172,45 @@ def layer_norm_t(g, gamma, beta):
 
 def classify_t(g, w3, b3, w4, b4):
     pooled = g.mean(axis=-2)
-    return ad.gelu(pooled @ w3 + b3) @ w4 + b4
+    return ad.affine(ad.gelu(ad.affine(pooled, w3, b3)), w4, b4)
 
 
 def channel_mix_t(h, leaves, i):
     """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N).
 
     When an operand requires a gradient the mix is one tape node; see `_mix_node`.
+    Otherwise every time step is mixed on its own, so an input of more than
+    MIX_ROWS + 1 steps runs in slices of its (B*L, H) rows, each written into
+    one output; a shorter input, or one of single-step sequences, is one call.
     """
     names = [f"block{i}.{name}" for name in ("w2", "b2", "gamma", "beta")]
     params = [ad.as_tensor(leaves[name]) for name in names if name in leaves]
     if h.requires_grad or any(t.requires_grad for t in params):
         return _mix_node(h, params)
+    n_rows = h.data.size // h.shape[-1]
+    if h.shape[-2] == 1 or n_rows <= MIX_ROWS + 1:
+        return _mix(h, params)
+    rows = h.data.reshape(n_rows, -1)
+    out = np.empty(rows.shape, np.result_type(rows.dtype, *(t.dtype for t in params)))
+    for part in _row_slices(n_rows):
+        out[part] = _mix(ad.Tensor(rows[part]), params).data
+    return ad.Tensor(out.reshape(h.shape))
+
+
+def _mix(h, params):
     h = glu_t(h, *params[:2])
     return h if len(params) == 2 else layer_norm_t(h, *params[2:])
+
+
+def _row_slices(n_rows):
+    """MIX_ROWS-row slices of n_rows, a one-row remainder joined to the slice before it.
+
+    numpy sends a one-row matmul down another BLAS path, which rounds
+    differently. Without one-row slices, the sliced mix is bit-identical to
+    one call over an input whose sequences have two steps or more.
+    """
+    bounds = [*range(0, n_rows - 1, MIX_ROWS), n_rows]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _mix_node(h, params):
@@ -238,7 +264,7 @@ def forward_t(x, leaves, keeps=None):
     The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
     multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
     """
-    h = x @ leaves["w1"] + leaves["b1"]
+    h = ad.affine(x, leaves["w1"], leaves["b1"])
     for i in range(block_count(leaves)):
         h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i])
         h = channel_mix_t(h, leaves, i)  # an eval forward frees the stage's input first
@@ -246,7 +272,12 @@ def forward_t(x, leaves, keeps=None):
 
 
 def forward(x, model):
-    """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences."""
+    """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences.
+
+    The batch is scored as `forward_t` calls on SCORE_CHUNK sequences at a
+    time, one after another, so working memory does not grow with B;
+    `batch_logits` runs such forwards on the CPUs.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
     if single:
@@ -256,7 +287,9 @@ def forward(x, model):
     if x.shape[-2] < 1:
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    logits = forward_t(ad.Tensor(x), leaves).data
+    chunks = [forward_t(ad.Tensor(x[start : start + SCORE_CHUNK]), leaves).data
+              for start in range(0, x.shape[0], SCORE_CHUNK)]
+    logits = np.concatenate(chunks) if chunks else np.empty((0, model.n_classes))
     return logits[0] if single else logits
 
 

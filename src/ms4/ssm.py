@@ -23,9 +23,10 @@ two batched products, and memory stays independent of the sequence length.
 Outside a training graph, a core's kernel spectrum and scanner depend only
 on its arrays, so `memo` keeps the most recently used of them, keyed on the
 arrays' content (`core_key`). Since the H channels are independent, the
-stage runs in slices of CHANNEL_BLOCK channels whose FFT spectra stay in
-cache. In a training graph the stage is one tape node that saves GELU's
-slope and recomputes the spectra in its VJP.
+stage runs in slices of at most CHANNEL_BLOCK channels, and of fewer when
+the sequence is long (BLOCK_BINS), so their FFT spectra stay in cache. In
+a training graph the stage is one tape node that saves GELU's slope and
+recomputes the spectra in its VJP.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from . import autodiff as ad
 # the per-channel feedthrough gain d and log step size log_delta, both (H,).
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
 
-CHANNEL_BLOCK = 16  # channels per pass of the S4D stage and its VJP; keeps their spectra in L2
+CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
+BLOCK_BINS = 16 * 4097  # most spectrum bins per sequence and pass (1 MB): 16 channels up to L=4096
 MEMO_SIZE = 8  # kernels and scanners `memo` keeps; the least recently used goes
 
 
@@ -145,8 +147,8 @@ def s4d_apply(x, p, keep=None):
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
-    dropout runs. The stage runs on CHANNEL_BLOCK channels at a time, and
-    each channel's arithmetic is that of `_stage` on the whole width, so the
+    dropout runs. The stage runs on at most CHANNEL_BLOCK channels at a time,
+    and each channel's arithmetic is that of `_stage` on the whole width, so the
     output is bit-identical to it. When no operand requires a gradient, the
     kernel's spectrum comes from `memo`; otherwise see `_stage_node`.
     """
@@ -173,7 +175,7 @@ def _stage_node(x, kernel, d, keep):
         u = (g if keep is None else g * keep) * slope  # the adjoint of conv + d*x
         length, lead = x.shape[-2], tuple(range(x.ndim - 2))
         gx, gk, gd = (np.empty(shape, u.dtype) for shape in (x.shape, kernel.shape, d.shape))
-        for part in _channel_blocks(x.shape[-1]):
+        for part in _channel_blocks(x.shape[-1], n // 2 + 1):
             uf = np.fft.rfft(u[..., part], n=n, axis=-2)
             kf = np.fft.rfft(kernel.data[:, part], n=n, axis=0)
             xf = np.fft.rfft(x.data[..., part], n=n, axis=-2)
@@ -186,15 +188,18 @@ def _stage_node(x, kernel, d, keep):
     return ad.node(out, (x, kernel, d), vjp)
 
 
-def _channel_blocks(width):
-    return [slice(lo, lo + CHANNEL_BLOCK) for lo in range(0, width, CHANNEL_BLOCK)]
+def _channel_blocks(width, bins):
+    """Slices of CHANNEL_BLOCK channels, or of fewer, so that a block holds at most
+    BLOCK_BINS of each sequence's spectrum bins; past L=4096 16 channels overflow L2."""
+    step = max(1, min(CHANNEL_BLOCK, BLOCK_BINS // bins))
+    return [slice(lo, lo + step) for lo in range(0, width, step)]
 
 
 def _blocks(x, spectrum, d, slope=None):
-    """`_stage` on CHANNEL_BLOCK channels of plain arrays at a time; with `slope`, each
+    """`_stage` on `_channel_blocks` of plain arrays, one at a time; with `slope`, each
     block's input is a short tape's leaf, and GELU's derivative is written to `slope`."""
     y = np.empty(x.shape, np.result_type(x.dtype, spectrum.real.dtype, d.dtype))
-    for part in _channel_blocks(x.shape[-1]):
+    for part in _channel_blocks(x.shape[-1], spectrum.shape[0]):
         part_x = ad.Tensor(x[..., part], requires_grad=slope is not None)
         act = _stage(part_x, spectrum[:, part], d[part])
         y[..., part] = act.data

@@ -114,6 +114,64 @@ class TestPrimitiveAdjoints:
             ad.causal_conv(params["x"], params["k"], 10)
 
 
+class TestAffine:
+    """`ad.affine(x, w, b)` is `x @ w + b` in one node, with the same bits."""
+
+    @pytest.mark.parametrize(
+        "x_shape, b_shape, dtypes",
+        [
+            ((2, 5, 3), (4,), (np.float64, np.float64, np.float64)),
+            ((2, 5, 3), (4,), (np.float32, np.float32, np.float32)),
+            ((2, 5, 3), (4,), (np.float32, np.float32, np.float64)),  # the bias promotes
+            ((5, 3), (5, 4), (np.float64, np.float64, np.float64)),
+            ((2, 5, 3), (2, 1, 1, 4), (np.float64, np.float64, np.float64)),  # b widens the output
+            ((2, 5, 3), (4,), (np.float64, np.float64, np.complex128)),
+        ],
+        ids=["f64", "f32", "f32-f64-bias", "matrix-bias", "broadcast-bias", "complex-bias"],
+    )
+    def test_equals_matmul_plus_bias(self, x_shape, b_shape, dtypes):
+        rng = np.random.default_rng(60)
+        shapes = (x_shape, (3, 4), b_shape)
+        arrays = [rng.standard_normal(s).astype(dt) for s, dt in zip(shapes, dtypes)]
+        if np.iscomplexobj(arrays[2]):
+            arrays[2] = arrays[2] + 1j * rng.standard_normal(b_shape)
+        before = [a.copy() for a in arrays]
+        runs = []
+        for fn in (ad.affine, lambda x, w, b: x @ w + b):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            loss = ad.real(out * out).sum()
+            grads = ad.gradients(loss, dict(enumerate(leaves)))
+            runs.append((out.data, grads))
+        (out, grads), (out_ref, grads_ref) = runs
+        assert out.dtype == out_ref.dtype
+        np.testing.assert_array_equal(out, out_ref)
+        for i in range(3):
+            assert grads[i].dtype == grads_ref[i].dtype
+            np.testing.assert_array_equal(grads[i], grads_ref[i])
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(61)
+        params = {"x": rng.standard_normal((2, 5, 3)), "w": rng.standard_normal((3, 4)),
+                  "b": rng.standard_normal(4)}
+
+        def loss(p):
+            out = ad.affine(p["x"], p["w"], p["b"])
+            return (out * out).sum()
+
+        assert fd_check(loss, params) < 1e-6
+
+    def test_one_node_and_shape_check(self):
+        x = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+        out = ad.affine(x, np.ones((3, 2)), np.ones(2))
+        assert out._parents[0] is x and len(out._parents) == 3
+        np.testing.assert_array_equal(out.data, np.full((4, 2), 4.0))
+        with pytest.raises(ValueError, match="unsupported matmul"):
+            ad.affine(np.ones(3), np.ones((3, 2)), np.ones(2))
+
+
 class TestSpectrumKernel:
     def test_spectrum_equals_kernel_and_takes_no_gradient(self):
         rng = np.random.default_rng(12)

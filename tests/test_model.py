@@ -19,6 +19,16 @@ from ms4.errors import DataFormatError
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def forward_peak(x, mdl):
+    """tracemalloc peak of one `model.forward` call, in bytes."""
+    tracemalloc.start()
+    try:
+        model.forward(x, mdl)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def tiny_model(normalized=True, n_layers=1, seed=0, **kw):
     return model.init_model(3, 8, 8, 3, n_layers=n_layers, normalized=normalized,
                             dropout_rate=0.0, seed=seed, **kw)
@@ -227,11 +237,13 @@ class TestForward:
 
         assert non_projection_params(1) == non_projection_params(23)
 
-    @pytest.mark.parametrize("length", [1, 37])
+    @pytest.mark.parametrize("length", [1, 37, 4097])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocked_eval_stage_equals_taped(self, monkeypatch, dtype, length):
-        """H=20 is one full CHANNEL_BLOCK and a partial one, in each of two blocks."""
-        assert ssm.CHANNEL_BLOCK < 20 < 2 * ssm.CHANNEL_BLOCK
+        """H=20 is one full CHANNEL_BLOCK and a partial one, in each of two blocks; past
+        L=4096 a block holds fewer channels, so that it holds at most BLOCK_BINS bins."""
+        assert (ssm.CHANNEL_BLOCK, ssm.BLOCK_BINS) == (16, 16 * 4097)
+        widths = [8, 8, 4] if length > 4096 else [16, 4]
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=41)
         x = np.random.default_rng(41).standard_normal((2, length, 3)).astype(dtype)
         arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
@@ -242,9 +254,12 @@ class TestForward:
         monkeypatch.setattr(ssm, "causal_conv_t", lambda u, k: convs.append(k.shape) or inner(u, k))
         blocked = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
         bins = ssm._next_pow2(2 * length - 1) // 2 + 1  # the kernel's spectrum, from the memo
-        assert convs == [(bins, ssm.CHANNEL_BLOCK), (bins, 20 - ssm.CHANNEL_BLOCK)] * 2
+        assert convs == [(bins, width) for width in widths] * 2
         assert taped.requires_grad and blocked.dtype == dtype
         np.testing.assert_array_equal(blocked, taped.data)
+        constants = {k: ad.Tensor(v) for k, v in arrays.items()}
+        whole = TestFusedPrimitives.unfused(ad.Tensor(x), constants)  # one block of all channels
+        np.testing.assert_array_equal(blocked, whole.data)
         if dtype == np.float64:
             np.testing.assert_array_equal(model.forward(x, mdl), taped.data)
 
@@ -272,16 +287,101 @@ class TestForward:
         assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
 
     def test_long_forward_peak_memory(self):
-        """One cold L=4096, H=N=64 forward; the whole-width stage peaked at 21 MB."""
+        """One L=4096, H=N=64 forward, cold and then warm. The whole-width stage peaked
+        at 21 MB cold; an unsliced mix peaked at 10.6 MB warm (5 activations)."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=44)
         x = np.random.default_rng(44).standard_normal((4096, 4))
-        tracemalloc.start()
-        try:
-            model.forward(x, mdl)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16e6
+        ssm.memo.cache_clear()
+        assert forward_peak(x, mdl) <= 16e6
+        assert forward_peak(x, mdl) <= 9e6
+
+    def test_batch_forward_peak_memory(self):
+        """A warm forward of 256 sequences runs as four of SCORE_CHUNK; one forward_t
+        over all of them peaked at 169 MB."""
+        mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=45)
+        x = np.random.default_rng(45).standard_normal((256, 256, 4))
+        model.forward(x[:1], mdl)
+        assert forward_peak(x, mdl) <= 40e6
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "batch, length, calls",
+        [
+            (model.MIX_ROWS + 2, 1, [model.MIX_ROWS + 2]),
+            (1, model.MIX_ROWS + 1, [model.MIX_ROWS + 1]),
+            (5, (model.MIX_ROWS + 1) // 5, [5 * ((model.MIX_ROWS + 1) // 5)]),
+            (2, model.MIX_ROWS + 1, [model.MIX_ROWS, model.MIX_ROWS, 2]),
+            (1, 2 * model.MIX_ROWS + 1, [model.MIX_ROWS, model.MIX_ROWS + 1]),
+            (3, model.MIX_ROWS // 2 + 1, [model.MIX_ROWS, model.MIX_ROWS // 2 + 3]),
+        ],
+        ids=["L=1", "L=rows+1", "BL=rows+1", "two-seqs", "one-row-left", "across-seqs"],
+    )
+    def test_sliced_eval_mix_equals_taped(self, monkeypatch, batch, length, calls, dtype,
+                                          n_layers):
+        """No slice of the eval mix has one row, so its BLAS calls round as the taped
+        mix's do; H=20 also leaves a partial CHANNEL_BLOCK."""
+        mdl = model.init_model(3, 20, 8, 3, n_layers=n_layers, dropout_rate=0.0, seed=46)
+        x = np.random.default_rng(46).standard_normal((batch, length, 3)).astype(dtype)
+        arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
+        taped = model.forward_t(
+            ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        )
+        rows, inner = [], model.glu_t
+        monkeypatch.setattr(model, "glu_t", lambda y, w2, b2: rows.append(
+            y.data.size // y.shape[-1]) or inner(y, w2, b2))
+        sliced = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
+        assert rows == calls * n_layers
+        assert taped.requires_grad and sliced.dtype == dtype
+        np.testing.assert_array_equal(sliced, taped.data)
+
+    def test_short_mix_input_is_one_call_without_copy(self, monkeypatch):
+        mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=47)
+        leaves = {k: ad.Tensor(v) for k, v in mdl.params.items()}
+        h = ad.Tensor(np.random.default_rng(47).standard_normal((1, model.MIX_ROWS + 1, 20)))
+        seen, inner = [], model.glu_t
+        monkeypatch.setattr(model, "glu_t", lambda y, w2, b2: seen.append(y) or inner(y, w2, b2))
+        model.channel_mix_t(h, leaves, 0)
+        assert len(seen) == 1 and seen[0] is h
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_forward_scores_score_chunks_in_turn(self, monkeypatch, cpus):
+        mdl = tiny_model(seed=48)
+        x = np.random.default_rng(48).standard_normal((2 * model.SCORE_CHUNK + 1, 8, 3))
+        native = model.forward(x, mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        sizes, inner = [], model.forward_t
+        monkeypatch.setattr(model, "forward_t", lambda xb, leaves, keeps=None: sizes.append(
+            len(xb.data)) or inner(xb, leaves, keeps))
+        logits = model.forward(x, mdl)
+        assert sizes == [model.SCORE_CHUNK, model.SCORE_CHUNK, 1]
+        parts = [model.forward(x[lo : lo + model.SCORE_CHUNK], mdl)
+                 for lo in range(0, len(x), model.SCORE_CHUNK)]
+        np.testing.assert_array_equal(logits, np.concatenate(parts))
+        np.testing.assert_array_equal(logits, native)
+
+    def test_empty_batch(self):
+        mdl = tiny_model(seed=49)
+        logits = model.forward(np.zeros((0, 8, 3)), mdl)
+        assert logits.shape == (0, mdl.n_classes) and logits.dtype == np.float64
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_inputs_left_unchanged(self, taped):
+        """Neither eval path nor the taped one writes over an array its caller passed."""
+        mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=50)
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((2, model.MIX_ROWS, 3))
+        h = rng.standard_normal((2, model.MIX_ROWS, 20))
+        originals = {k: v.copy() for k, v in mdl.params.items()}
+        copies = x.copy(), h.copy()
+        leaves = {k: ad.Tensor(v, requires_grad=taped) for k, v in mdl.params.items()}
+        model.forward(x, mdl)
+        ssm.s4d_apply(ad.Tensor(h), model.block_core(leaves, 0))
+        model.channel_mix_t(ad.Tensor(h), leaves, 1)
+        np.testing.assert_array_equal(x, copies[0])
+        np.testing.assert_array_equal(h, copies[1])
+        for name, value in originals.items():
+            np.testing.assert_array_equal(mdl.params[name], value, err_msg=name)
 
     def test_gradient_vs_finite_differences_tiny(self):
         mdl = tiny_model(seed=6)
@@ -355,8 +455,9 @@ class TestFusedPrimitives:
 
     def test_long_training_step_peak_memory(self):
         """One B=8, L=4096, H=N=64 MS4N step, dropout 0.1, as one shard: the mask draw,
-        forward_t, the loss and gradients, within 16 (B, L, H) float64 activations
-        (269 MB). The generic-op tape kept every intermediate and peaked at 514 MB.
+        forward_t, the loss and gradients, within 14 (B, L, H) float64 activations
+        (235 MB). The generic-op tape kept every intermediate and peaked at 514 MB; a
+        projection that kept both x @ w1 and its sum with b1 peaked at 14.09.
         Still open: 12 activations (201 MB), which needs the channel mix to hold less,
         both while its forward's short tape is alive and in its VJP."""
         batch, length, hidden = 8, 4096, 64
@@ -374,7 +475,7 @@ class TestFusedPrimitives:
         finally:
             tracemalloc.stop()
         assert all(np.isfinite(g).all() for g in grads.values())
-        assert peak <= 16 * batch * length * hidden * 8
+        assert peak <= 14 * batch * length * hidden * 8
 
 
 class TestBatchLogits:
