@@ -61,8 +61,9 @@ def _unbroadcast(grad, shape):
 
 
 def _conj(v):
-    """np.conj, without the copy it makes of a real array."""
-    return v if isinstance(v, np.ndarray) and not np.iscomplexobj(v) else np.conj(v)
+    """The complex conjugate; a real operand comes back as it is, so a real array
+    is not copied and a python float is not made a float64 that promotes float32."""
+    return v.conjugate() if np.iscomplexobj(v) else v
 
 
 def _match(grad, data):
@@ -305,7 +306,7 @@ def real(x):
     x = as_tensor(x)
 
     def vjp(g):
-        return (g.astype(np.result_type(g.dtype, np.complex128)),)
+        return (g.astype(np.result_type(g.dtype, np.complex64)),)  # float32 -> complex64
 
     return node(x.data.real, (x,), vjp)
 
@@ -384,7 +385,8 @@ def gradients(loss, leaves):
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        adjoints[id(loss)] = np.ones(loss.shape, np.result_type(loss.dtype, float))
+        seed = loss.dtype if np.issubdtype(loss.dtype, np.inexact) else float
+        adjoints[id(loss)] = np.ones(loss.shape, seed)  # a float32 loss keeps a float32 backward
         for t in reversed(order):
             if t._vjp is None:  # a leaf: its adjoint is the result
                 continue

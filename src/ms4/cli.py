@@ -168,31 +168,53 @@ def _cmd_train(args):
     return 0
 
 
-def _load_model_and_data(args):
-    """The checkpoint and dataset of `eval`/`stream`, checked to agree on F."""
+def _block_rows(batch):
+    """Rows per parsed block when scoring with `batch_logits(x, model, batch)`.
+
+    A multiple of its forward size min(batch, SCORE_CHUNK), so every block
+    boundary is a forward boundary and each forward scores the sequences it
+    would score on the whole file.
+    """
+    if batch < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch}")
+    return batch - batch % min(batch, model_mod.SCORE_CHUNK)
+
+
+def _error_rate(args, rows, logits_of):
+    """Misclassification error of `logits_of(model, x)` over args.data, scored in blocks of `rows`.
+
+    Only the running count of errors is kept, so memory does not grow with
+    the file. The checkpoint's F is checked before the first block is scored.
+    The first sample with a non-finite logit is raised as NumericError,
+    naming its line, only once the last block has parsed, so a later format
+    fault still wins; no block after it is scored.
+    """
     mdl = model_mod.load_checkpoint(args.model)
-    dataset = data_mod.load_dataset(args.data)
-    if dataset.n_features != mdl.n_features:
-        raise DataFormatError(
-            f"{args.data}: F={dataset.n_features} but {args.model} "
-            f"expects n_features={mdl.n_features}"
-        )
-    return mdl, dataset
-
-
-def _finite_logits(logits, path):
-    """(n, n_c) logits of the samples in `path`; NumericError names a non-finite one."""
-    bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
-    if bad.size:
-        i = int(bad[0])
-        raise NumericError(f"{path}:{i + 2}: sample {i} has non-finite logits {logits[i]}")
-    return logits
+    fault = None
+    wrong = n = 0
+    for block in data_mod.iter_dataset(args.data, rows):
+        if block.n_features != mdl.n_features:
+            raise DataFormatError(
+                f"{args.data}: F={block.n_features} but {args.model} "
+                f"expects n_features={mdl.n_features}"
+            )
+        if fault is None:
+            logits = logits_of(mdl, block.x)
+            bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
+            if bad.size:
+                i = n + int(bad[0])
+                fault = f"{args.data}:{i + 2}: sample {i} has non-finite logits {logits[bad[0]]}"
+            wrong += int((np.argmax(logits, axis=-1) != block.y).sum())
+        n += block.n_samples
+        del block  # not held while the next one is parsed
+    if fault is not None:
+        raise NumericError(fault)
+    return wrong / n  # the float misclassification_error gives on the whole file
 
 
 def _cmd_eval(args):
-    mdl, dataset = _load_model_and_data(args)
-    logits = _finite_logits(model_mod.batch_logits(dataset.x, mdl, args.batch), args.data)
-    print(repr(eval_mod.misclassification_error(np.argmax(logits, axis=-1), dataset.y)))
+    rows = _block_rows(args.batch)
+    print(repr(_error_rate(args, rows, lambda mdl, x: model_mod.batch_logits(x, mdl, args.batch))))
     return 0
 
 
@@ -203,21 +225,25 @@ def _check_tol(tol):
 
 def _cmd_stream(args):
     _check_tol(args.tol)
-    mdl, dataset = _load_model_and_data(args)
-    streamed = _finite_logits(
-        np.stack([model_mod.stream_logits(mdl, xi) for xi in dataset.x]), args.data
-    )
+    deviations = []
+
+    def streamed(mdl, x):
+        logits = np.stack([model_mod.stream_logits(mdl, xi) for xi in x])
+        if args.check and np.isfinite(logits).all():
+            deviations.append(np.abs(logits - model_mod.batch_logits(x, mdl)).max())
+        return logits
+
+    # the --check reference scores SCORE_CHUNK sequences per forward; blocks of that size keep them
+    error = _error_rate(args, model_mod.SCORE_CHUNK, streamed)
     if args.check:
-        batch = model_mod.batch_logits(dataset.x, mdl)
-        deviation = float(np.abs(streamed - batch).max())
+        deviation = float(np.max(deviations))
         print(repr(deviation))
         if not (deviation <= args.tol):
             raise NumericError(
                 f"streaming and batch paths deviate by {deviation} > tol {args.tol}"
             )
         return 0
-    predictions = np.argmax(streamed, axis=-1)
-    print(repr(eval_mod.misclassification_error(predictions, dataset.y)))
+    print(repr(error))
     return 0
 
 

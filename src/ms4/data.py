@@ -13,6 +13,7 @@ Labels are zero-based on disk and in memory.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, replace
 
@@ -74,65 +75,159 @@ def save_dataset(dataset, path):
             fh.write(f"{label},{','.join(map(repr, values.tolist()))}\n")
 
 
+def _decode_error(exc, offset):
+    """str(exc) for bytes that start `offset` bytes into the file: the text a
+    decode of the whole file gives."""
+    start, end = exc.start + offset, exc.end + offset
+    if exc.end == exc.start + 1:
+        what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        what = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
+
+
+def _lines(fh, path):
+    """The text lines of binary file `fh`, split as a text-mode read splits them:
+    LF, CRLF and a lone CR each end a line. DataFormatError for bytes that are
+    not UTF-8, raised when the line that holds them is read."""
+    offset = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {_decode_error(exc, offset)}") from exc
+        offset += len(raw)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if lines[-1] == "":  # the text ended its last line
+            lines.pop()
+        yield from lines
+
+
+def _header(line, path):
+    """(n, L, F, classes) of a header line; DataFormatError if it is garbled or too small."""
+    if line is None:
+        raise DataFormatError(f"{path}:1: empty file, expected '#tsc v1' header")
+    m = _HEADER_RE.match(line)
+    if m is None:
+        raise DataFormatError(f"{path}:1: malformed header {line!r}")
+    sizes = tuple(int(g) for g in m.groups())
+    for name, value, least in zip(("n", "L", "F", "classes"), sizes, (1, 1, 1, 2)):
+        if value < least:
+            raise DataFormatError(f"{path}:1: header {name}={value} is below {least}")
+    return sizes
+
+
+def _parse_line(line, i, path, width, n_classes):
+    """(label, values) of data line number i, values its 1-D float row.
+
+    The width is checked first, so the row allocated is backed by the line's text.
+    """
+    if line.count(",") != width - 1:
+        raise DataFormatError(
+            f"{path}:{i}: expected {width} comma-separated fields, got {line.count(',') + 1}"
+        )
+    fields = line.split(",")
+    try:
+        label = int(fields[0])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{i}: label {fields[0]!r} is not an integer") from exc
+    if not 0 <= label < n_classes:
+        raise DataFormatError(f"{path}:{i}: label {label} outside declared range [0, {n_classes})")
+    try:
+        row = np.array(fields[1:], dtype=float)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{i}: unparsable value: {exc}") from exc
+    if not np.isfinite(row).all():
+        bad = fields[1 + np.flatnonzero(~np.isfinite(row))[0]]
+        raise DataFormatError(f"{path}:{i}: non-finite value {bad!r}")
+    return label, row
+
+
+def _rows(path):
+    """Generator behind iter_dataset and load_dataset.
+
+    Yields the header (n, L, F, classes) and the file's size in bytes, then
+    (label, values) for each of the first n data lines, each line checked as
+    it is read, so the fault raised is the one on the first faulty line. A
+    body whose line count disagrees with the header raises after its last
+    line; lines past n are counted but not parsed.
+    """
+    with open(path, "rb") as fh:
+        lines = _lines(fh, path)
+        n, length, n_feat, n_classes = _header(next(lines, None), path)
+        yield (n, length, n_feat, n_classes), os.fstat(fh.fileno()).st_size
+        count = 0
+        for line in lines:
+            count += 1
+            if count <= n:
+                yield _parse_line(line, count + 1, path, 1 + length * n_feat, n_classes)
+    if count != n:
+        raise DataFormatError(f"{path}: header declares n={n} but body has {count} data lines")
+
+
+def _take(labels, values, length, n_feat, n_classes):
+    """The Dataset of the rows collected in `labels` and `values`, which are emptied."""
+    block = Dataset(x=np.array(values).reshape(-1, length, n_feat),
+                    y=np.array(labels, dtype=np.int64), n_classes=n_classes)
+    labels.clear()
+    values.clear()
+    return block
+
+
+def iter_dataset(path, rows):
+    """Read TSC-CSV v1 as validated Dataset blocks of at most `rows` samples, in file order.
+
+    Every check of load_dataset is made, with the same messages and line
+    numbers, as each line is read, so the fault raised is the one on the
+    first faulty line whatever `rows` is. A block is yielded once its last
+    line has parsed. A body whose line count disagrees with the header
+    raises once its last line is read, after the blocks completed before.
+    """
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    reader = _rows(path)
+    (_, length, n_feat, n_classes), _ = next(reader)
+    labels, values = [], []
+    for label, row in reader:
+        labels.append(label)
+        values.append(row)
+        if len(labels) == rows:
+            yield _take(labels, values, length, n_feat, n_classes)
+    if labels:
+        yield _take(labels, values, length, n_feat, n_classes)
+
+
 def load_dataset(path):
     """Parse TSC-CSV v1, validating the header against the body.
 
     Raises DataFormatError naming the offending line for a garbled header,
     a header size below its minimum (n, L, F >= 1; classes >= 2), a row of
-    the wrong width, an unparsable or out-of-range label, an unparsable or
-    non-finite value, or a body whose sample count disagrees with the header,
-    and naming the file for bytes that are not UTF-8.
+    the wrong width, an unparsable or out-of-range label, or an unparsable or
+    non-finite value, and naming the file for bytes that are not UTF-8 or,
+    after the last line, for a body whose sample count disagrees with the
+    header. The first faulty line is the one named (see iter_dataset).
+
+    Each line is written into x as it is parsed, so x and one line are all
+    that is held. x is sized from the header only when the file holds enough
+    bytes for n rows: each of a row's 1 + L*F fields takes a character and a
+    separator. A header that claims more than its file can back allocates
+    nothing for it: its rows are collected until the count check fails.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataFormatError(f"{path}:1: empty file, expected '#tsc v1' header")
-    m = _HEADER_RE.match(lines[0])
-    if m is None:
-        raise DataFormatError(f"{path}:1: malformed header {lines[0]!r}")
-    n, length, n_feat, n_classes = (int(g) for g in m.groups())
-    for name, value, least in (("n", n, 1), ("L", length, 1), ("F", n_feat, 1),
-                               ("classes", n_classes, 2)):
-        if value < least:
-            raise DataFormatError(f"{path}:1: header {name}={value} is below {least}")
-    if len(lines) - 1 != n:
-        raise DataFormatError(
-            f"{path}: header declares n={n} but body has {len(lines) - 1} data lines"
-        )
-    # Every row's width is checked before anything sized by the header is allocated.
-    width = 1 + length * n_feat
-    for i, line in enumerate(lines[1:], start=2):
-        if line.count(",") != width - 1:
-            raise DataFormatError(
-                f"{path}:{i}: expected {width} comma-separated fields, got {line.count(',') + 1}"
-            )
-    x = np.empty((n, length, n_feat))
-    y = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            label = int(fields[0])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{i}: label {fields[0]!r} is not an integer") from exc
-        if not 0 <= label < n_classes:
-            raise DataFormatError(
-                f"{path}:{i}: label {label} outside declared range [0, {n_classes})"
-            )
-        try:
-            row = np.array(fields[1:], dtype=float)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{i}: unparsable value: {exc}") from exc
-        if not np.isfinite(row).all():
-            bad = fields[1 + np.flatnonzero(~np.isfinite(row))[0]]
-            raise DataFormatError(f"{path}:{i}: non-finite value {bad!r}")
-        x[i - 2] = row.reshape(length, n_feat)
-        y[i - 2] = label
-    return Dataset(x=x, y=y, n_classes=n_classes)
+    reader = _rows(path)
+    (n, length, n_feat, n_classes), size = next(reader)
+    if size >= 2 * (1 + length * n_feat) * n:
+        x = np.empty((n, length * n_feat))
+        y = np.empty(n, dtype=np.int64)
+        for j, (label, row) in enumerate(reader):
+            x[j] = row
+            y[j] = label
+    else:
+        pairs = list(reader)
+        x = np.array([row for _, row in pairs])
+        y = np.array([label for label, _ in pairs], dtype=np.int64)
+    return Dataset(x=x.reshape(n, length, n_feat), y=y, n_classes=n_classes)
 
 
 def synth_freq_task(n, length, f_low=0.05, f_high=0.125, noise_std=0.1, seed=0, n_features=1):

@@ -258,15 +258,32 @@ class TestOperandRules:
     """What every arithmetic operator keeps: scalars do not promote, and only
     Tensor operands enter the graph."""
 
-    @pytest.mark.parametrize(
+    scalar_ops = pytest.mark.parametrize(
         "op",
         [lambda t: t + 2.5, lambda t: 2.5 + t, lambda t: t - 2.5, lambda t: 2.5 - t,
          lambda t: t * 2.5, lambda t: 2.5 * t, lambda t: t / 2.5, lambda t: 2.5 / t],
         ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
     )
+
+    @scalar_ops
     def test_python_float_keeps_float32(self, op):
         x = ad.Tensor(np.linspace(1.0, 2.0, 6, dtype=np.float32), requires_grad=True)
         assert op(x).dtype == np.float32
+
+    @scalar_ops
+    def test_python_float_keeps_float32_gradients(self, op):
+        """A float32 loss seeds a float32 backward, and neither a python scalar
+        operand nor `mean`'s 1/n promotes it."""
+        x = ad.Tensor(np.linspace(1.0, 2.0, 6, dtype=np.float32), requires_grad=True)
+        loss = op(x).mean()
+        assert loss.dtype == np.float32
+        assert ad.gradients(loss, {"x": x})["x"].dtype == np.float32
+
+    def test_complex64_real_part_keeps_complex64_gradients(self):
+        z = ad.Tensor(np.array([1.5 + 0.5j], dtype=np.complex64), requires_grad=True)
+        grad = ad.gradients(ad.real(z * (2.0 + 1.0j)).sum(), {"z": z})["z"]
+        assert grad.dtype == np.complex64
+        np.testing.assert_array_equal(grad, np.array([2.0 - 1.0j], dtype=np.complex64))
 
     @pytest.mark.parametrize(
         "op",

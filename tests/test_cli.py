@@ -3,13 +3,14 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ms4 import autodiff as ad
-from ms4 import cli, data, evaluate, model
+from ms4 import cli, data, evaluate, model, ssm
 
 FIXTURES = Path(evaluate.__file__).parent / "fixtures"
 
@@ -393,6 +394,129 @@ class TestMalformedInputs:
 
         err = self._eval_with(capsys, workdir, tmp_path, "b4", poison)
         assert "non-finite" in err
+
+
+def with_line(path, out, line, edit):
+    """Write `path` to `out` with `edit` applied to the bytes of line number `line` (1-based)."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = edit(lines[line - 1])
+    out.write_bytes(b"\n".join(lines))
+    return out
+
+
+def overflowing(line):
+    """A data line whose values are all 1e308: finite, but its logits are not."""
+    label, *values = line.split(b",")
+    return b",".join([label] + [b"1e308"] * len(values))
+
+
+class TestScoringInBlocks:
+    """eval and stream score each parsed block in turn: with the outputs of scoring
+    the whole file, format faults in any block still winning over numeric ones."""
+
+    N = 2 * model.SCORE_CHUNK + 46  # three stream blocks, the last a partial one
+    # blocks of SCORE_CHUNK samples for both verbs
+    BLOCK_ARGS = {"eval": ["--batch", str(model.SCORE_CHUNK)], "stream": []}
+
+    @pytest.fixture(scope="class")
+    def long_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blocks") / "long.csv"
+        data.save_dataset(data.synth_freq_task(self.N, 8, noise_std=0.5, seed=11), path)
+        return path
+
+    @pytest.mark.parametrize("batch", [1, 10, 100, 256])
+    def test_eval_logits_equal_the_whole_file(self, capsys, workdir, long_csv, monkeypatch,
+                                              batch):
+        recorded, inner = [], model.batch_logits
+
+        def recording(x, mdl, batch_size=256):
+            recorded.append(inner(x, mdl, batch_size))
+            return recorded[-1]
+
+        monkeypatch.setattr(model, "batch_logits", recording)
+        code, out, _ = run(capsys, "eval", "--model", str(workdir / "model.ckpt"),
+                           "--data", str(long_csv), "--batch", str(batch))
+        assert code == 0
+        ds, mdl = data.load_dataset(long_csv), model.load_checkpoint(workdir / "model.ckpt")
+        whole = inner(ds.x, mdl, batch)
+        rows = batch - batch % min(batch, model.SCORE_CHUNK)
+        assert [len(logits) for logits in recorded[:-1]] == [rows] * (len(recorded) - 1)
+        assert np.concatenate(recorded).tobytes() == whole.tobytes()
+        expected = evaluate.misclassification_error(np.argmax(whole, axis=-1), ds.y)
+        assert out == f"{expected!r}\n"
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_stream_output_equals_the_whole_file(self, capsys, workdir, long_csv, check):
+        code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                           "--data", str(long_csv), *(["--check"] if check else []))
+        assert code == 0
+        ds, mdl = data.load_dataset(long_csv), model.load_checkpoint(workdir / "model.ckpt")
+        streamed = np.stack([model.stream_logits(mdl, xi) for xi in ds.x])
+        if check:
+            expected = float(np.abs(streamed - model.batch_logits(ds.x, mdl)).max())
+        else:
+            expected = evaluate.misclassification_error(np.argmax(streamed, axis=-1), ds.y)
+        assert out == f"{expected!r}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_non_finite_logit_in_the_second_block(self, capsys, workdir, long_csv, tmp_path,
+                                                  verb):
+        i = model.SCORE_CHUNK + 1
+        huge = with_line(long_csv, tmp_path / "huge.csv", i + 2, overflowing)
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(huge), *self.BLOCK_ARGS[verb])
+        assert (code, out) == (3, "")
+        assert f"huge.csv:{i + 2}: sample {i} has non-finite logits" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    @pytest.mark.parametrize("fault, message", [
+        (lambda line: line[:5] + b"\xff" + line[6:], "not UTF-8 text"),
+        (lambda line: line.rsplit(b",", 1)[0], f"huge.csv:{model.SCORE_CHUNK + 3}: expected"),
+    ], ids=["non-utf8", "short-row"])
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_later_format_fault_wins_over_a_non_finite_logit(self, capsys, workdir, long_csv,
+                                                             tmp_path, verb, fault, message):
+        huge = with_line(long_csv, tmp_path / "huge.csv", 2, overflowing)  # sample 0
+        with_line(huge, huge, model.SCORE_CHUNK + 3, fault)  # the second block's second line
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(huge), *self.BLOCK_ARGS[verb])
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_feature_count_is_checked_before_scoring(self, capsys, workdir, tmp_path,
+                                                     monkeypatch, verb):
+        wide = tmp_path / "wide.csv"
+        data.save_dataset(data.synth_freq_task(2 * model.SCORE_CHUNK, 8, n_features=2), wide)
+        scored = []
+        monkeypatch.setattr(model, "batch_logits", lambda *a, **k: scored.append(a))
+        monkeypatch.setattr(model, "stream_logits", lambda *a, **k: scored.append(a))
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(wide), *self.BLOCK_ARGS[verb])
+        assert (code, out, scored) == (2, "", [])
+        assert "F=2" in err
+
+    def test_eval_peak_memory_does_not_grow_with_n(self, capsys, tmp_path, monkeypatch):
+        """On one CPU, so that no two forwards overlap by chance. Reading the whole
+        file first peaked at 7.5x the n=256 run at n=4096."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ckpt = tmp_path / "small.ckpt"
+        model.save_checkpoint(model.init_model(1, 4, 4, 2, dropout_rate=0.0, seed=0), ckpt)
+        peaks = {}
+        for n in (256, 256, 4096):  # the first run warms up
+            path = tmp_path / f"{n}.csv"
+            data.save_dataset(data.synth_freq_task(n, 16, seed=n), path)
+            ssm.memo.cache_clear()
+            tracemalloc.start()
+            try:
+                code = cli.main(["eval", "--model", str(ckpt), "--data", str(path)])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        capsys.readouterr()
+        assert peaks[4096] <= 1.5 * peaks[256]
 
 
 class TestGradcheckVerb:

@@ -1,5 +1,7 @@
 """Dataset format, synthetic task, split, and normalization tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,193 @@ class TestTscCsv:
         except DataFormatError:
             return
         assert ds.x.shape == (n, length, n_feat)
+
+
+def outcome(read):
+    """What `read()` gives, or the text of the DataFormatError it raises."""
+    try:
+        return read()
+    except DataFormatError as exc:
+        return str(exc)
+
+
+# Each edits the fields of a data line of a file with L=2, F=2.
+EDGE_FAULTS = {
+    "short row": (lambda f: f[:-1], "expected 5 comma-separated fields, got 4"),
+    "bad label": (lambda f: ["x"] + f[1:], "label 'x' is not an integer"),
+    "unparsable value": (lambda f: f[:2] + ["oops"] + f[3:],
+                         "unparsable value: could not convert string to float: 'oops'"),
+    "non-finite value": (lambda f: f[:2] + ["inf"] + f[3:], "non-finite value 'inf'"),
+}
+
+
+class TestBlocks:
+    """iter_dataset yields validated blocks; load_dataset writes each line into x."""
+
+    @staticmethod
+    def edit(path, line, edit):
+        """Apply `edit` to the fields of line number `line` (1-based) of `path`."""
+        lines = path.read_text().split("\n")
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines))
+
+    def test_blocks_in_file_order(self, tmp_path):
+        ds = make_dataset(n=7, seed=20)
+        path = tmp_path / "d.csv"
+        data.save_dataset(ds, path)
+        blocks = list(data.iter_dataset(path, 3))
+        assert [b.n_samples for b in blocks] == [3, 3, 1]
+        assert all(b.n_classes == ds.n_classes for b in blocks)
+        assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
+        np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), ds.y)
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_rows_must_be_positive(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=2), path)
+        with pytest.raises(ValueError, match="rows must be >= 1"):
+            next(data.iter_dataset(path, rows))
+
+    @pytest.mark.parametrize("fault", list(EDGE_FAULTS))
+    @pytest.mark.parametrize("line", [4, 5], ids=["last-of-a-block", "first-of-the-next"])
+    def test_fault_at_a_block_edge_names_its_line(self, tmp_path, fault, line):
+        """With rows=3, lines 2-4 are the first block and 5-7 the second. Both
+        readers name the faulty line, and the blocks before it are yielded."""
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=7, length=2, n_feat=2, seed=21), path)
+        edit, message = EDGE_FAULTS[fault]
+        self.edit(path, line, edit)
+        expected = f"{path}:{line}: {message}"
+        with pytest.raises(DataFormatError) as whole:
+            data.load_dataset(path)
+        assert str(whole.value) == expected
+        yielded = []
+        with pytest.raises(DataFormatError) as blocked:
+            for block in data.iter_dataset(path, 3):
+                yielded.append(block.n_samples)
+        assert str(blocked.value) == expected
+        assert yielded == [3] * (line - 4)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, None])
+    def test_first_faulty_line_wins(self, tmp_path, rows):
+        """A bad label on line 2 is named before a short row on line 4 and the
+        header's wrong count, whatever the block size."""
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=5, length=2, n_feat=2, seed=22), path)
+        self.edit(path, 4, EDGE_FAULTS["short row"][0])
+        self.edit(path, 2, EDGE_FAULTS["bad label"][0])
+        text = path.read_text()
+        path.write_text(text.replace("n=5", "n=6", 1))
+        read = (lambda: data.load_dataset(path)) if rows is None else (
+            lambda: list(data.iter_dataset(path, rows)))
+        assert outcome(read) == f"{path}:2: label 'x' is not an integer"
+
+    def test_count_mismatch_is_named_after_the_last_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=5, seed=23), path)
+        path.write_text(path.read_text().replace("n=5", "n=3", 1))
+        yielded = []
+        with pytest.raises(DataFormatError, match="n=3 but body has 5 data lines"):
+            for block in data.iter_dataset(path, 2):
+                yielded.append(block.n_samples)
+        assert yielded == [2]  # the last block is never yielded
+
+    def test_lines_past_n_are_counted_not_parsed(self, tmp_path):
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=2, seed=24), path)
+        with open(path, "a") as fh:
+            fh.write("garbage\nmore garbage\n")
+        with pytest.raises(DataFormatError, match="n=2 but body has 4 data lines"):
+            data.load_dataset(path)
+
+    def test_non_utf8_in_a_later_line(self, tmp_path):
+        """The message is the one a decode of the whole file gives, and an earlier
+        faulty line is still named first."""
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=6, seed=25), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3][:5] + b"\xe2\x82" + lines[3][7:]  # line 4
+        bad = b"\n".join(lines)
+        path.write_bytes(bad)
+        with pytest.raises(UnicodeDecodeError) as decode:
+            bad.decode("utf-8")
+        expected = f"{path}: not UTF-8 text: {decode.value}"
+        for rows in (1, 2, 4):
+            assert outcome(lambda: list(data.iter_dataset(path, rows))) == expected
+        assert outcome(lambda: data.load_dataset(path)) == expected
+        fields = lines[2].split(b",")  # line 3
+        lines[2] = b",".join([fields[0], b"inf", *fields[2:]])
+        path.write_bytes(b"\n".join(lines))
+        assert outcome(lambda: data.load_dataset(path)) == f"{path}:3: non-finite value 'inf'"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_lines(self, tmp_path, newline):
+        """Lines split as a text-mode read splits them."""
+        ds = make_dataset(n=4, seed=26)
+        path = tmp_path / "d.csv"
+        data.save_dataset(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        back = data.load_dataset(path)
+        assert back.x.tobytes() == ds.x.tobytes()
+        np.testing.assert_array_equal(back.y, ds.y)
+        blocks = list(data.iter_dataset(path, 3))
+        assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
+
+    def test_header_larger_than_its_file_allocates_nothing_for_it(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("#tsc v1 n=1000000000000 L=1000 F=1000 classes=2\n")
+        tracemalloc.start()
+        try:
+            message = outcome(lambda: data.load_dataset(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message == f"{path}: header declares n=1000000000000 but body has 0 data lines"
+        assert peak < 1_000_000
+
+    def test_peak_memory_is_the_array_and_a_line(self, tmp_path):
+        """On a 512-line file (8 blocks of 64), load_dataset peaks at 1.06x its array:
+        each line is written into x as it is parsed. Reading the whole text first
+        peaked at 4.97x."""
+        path = tmp_path / "d.csv"
+        data.save_dataset(data.synth_freq_task(512, 64, seed=27, n_features=2), path)
+        tracemalloc.start()
+        try:
+            ds = data.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ds.x.nbytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzz=st.data())
+    def test_fuzzed_blocks_concatenate_to_load_dataset(self, tmp_path_factory, fuzz):
+        """Blocks of 1, 2 or 3 rows, joined, are load_dataset's arrays, or raise its message."""
+        n, length, n_feat, n_classes = fuzz.draw(st.tuples(
+            st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3)))
+        value = st.one_of(st.floats(width=32).map(repr), st.sampled_from(["oops", "", " 1"]))
+        lines = [f"#tsc v1 n={n} L={length} F={n_feat} classes={n_classes}"]
+        for _ in range(max(0, n + fuzz.draw(st.sampled_from([0, 0, 0, -1, 1])))):
+            width = max(0, length * n_feat + fuzz.draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+            label = fuzz.draw(st.sampled_from(["0", "1", "2", "-1", "x"]))
+            lines.append(",".join([label] + fuzz.draw(st.lists(value, min_size=width,
+                                                               max_size=width))))
+        newline = fuzz.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        raw = (newline.join(lines) + newline).encode()
+        if fuzz.draw(st.booleans()):
+            at = fuzz.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + fuzz.draw(st.sampled_from([b"\xff", b"\xe2\x82"])) + raw[at:]
+        path = tmp_path_factory.mktemp("blocks") / "d.csv"
+        path.write_bytes(raw)
+        whole = outcome(lambda: data.load_dataset(path))
+        for rows in (1, 2, 3):
+            blocks = outcome(lambda: list(data.iter_dataset(path, rows)))
+            if isinstance(whole, str):
+                assert blocks == whole
+            else:
+                assert all(b.n_samples <= rows for b in blocks)
+                assert np.concatenate([b.x for b in blocks]).tobytes() == whole.x.tobytes()
+                assert np.concatenate([b.y for b in blocks]).tobytes() == whole.y.tobytes()
 
 
 class TestSynthFreqTask:

@@ -443,6 +443,19 @@ class TestFusedPrimitives:
             np.testing.assert_allclose(grads[name], grads_ref[name], rtol=1e-10, atol=0,
                                        err_msg=name)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_float32_leaves_get_float32_gradients(self, normalized):
+        """The backward runs in the loss's dtype, so no adjoint is widened to float64."""
+        mdl = model.init_model(3, 20, 8, 3, n_layers=2, normalized=normalized,
+                               dropout_rate=0.0, seed=54)
+        t = {k: ad.Tensor(v.astype(np.float32), requires_grad=True)
+             for k, v in mdl.params.items()}
+        x = np.random.default_rng(54).standard_normal((4, 37, 3)).astype(np.float32)
+        loss = training.cross_entropy_t(model.forward_t(ad.Tensor(x), t), [0, 1, 2, 0])
+        grads = ad.gradients(loss, t)
+        assert loss.dtype == np.float32
+        assert {k: g.dtype.name for k, g in grads.items()} == {k: "float32" for k in t}
+
     def test_each_taped_block_is_two_nodes(self):
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=52)
         t = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
