@@ -121,6 +121,7 @@ def train(mdl, dataset, config):
     train_set, val_set = data_mod.split(dataset, config.val_fraction, config.seed)
 
     leaves = {k: v.copy() for k, v in mdl.leaves().items()}
+    dtype = leaves["w1"].dtype
     moment1 = {k: np.zeros_like(v) for k, v in leaves.items()}
     moment2 = {k: np.zeros_like(v) for k, v in leaves.items()}
     rng = np.random.default_rng(config.seed)
@@ -136,13 +137,15 @@ def train(mdl, dataset, config):
         correct = 0
         for start in range(0, train_set.n_samples, config.batch_size):
             batch = order[start : start + config.batch_size]
-            xb, yb = train_set.x[batch], train_set.y[batch]
+            xb, yb = train_set.x[batch].astype(dtype, copy=False), train_set.y[batch]
             # One mask per block for the whole batch, drawn in block order
-            # before sharding, so no draw depends on the shards.
+            # before sharding, so no draw depends on the shards. Batch and
+            # masks take the parameters' dtype, so a float32 model stays float32.
             keeps = None
             if mdl.dropout_rate > 0.0:
                 shape = (len(batch), xb.shape[1], mdl.n_hidden)
-                keeps = [(rng.random(shape) >= mdl.dropout_rate) / (1.0 - mdl.dropout_rate)
+                scale = dtype.type(1.0 - mdl.dropout_rate)
+                keeps = [(rng.random(shape) >= mdl.dropout_rate).astype(dtype) / scale
                          for _ in range(mdl.n_layers)]
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in leaves.items()}
 

@@ -1,6 +1,9 @@
 """Gradient engine tests: every primitive against central differences, the
 classic closed-form cases, and the detector sanity checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,10 +349,8 @@ class TestFiniteDifferenceVerifier:
 
 class TestGelu:
     def test_matches_error_function_form(self):
-        from scipy.special import erf
-
         x = np.linspace(-4, 4, 101)
-        expected = x * 0.5 * (1 + erf(x / np.sqrt(2)))
+        expected = [v * 0.5 * (1 + math.erf(v / math.sqrt(2))) for v in x]
         np.testing.assert_allclose(ad.gelu(ad.Tensor(x)).data, expected, atol=1e-15)
 
     def test_tanh_approximation_is_detectably_different(self):
@@ -358,6 +359,84 @@ class TestGelu:
         tanh_form = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
         gap = np.abs(ad.gelu(ad.Tensor(x)).data - tanh_form).max()
         assert gap > 1e-6
+
+
+def ulps(a, b):
+    """Distance in units in the last place between same-dtype float arrays, by
+    their bit patterns mapped to a monotone integer line (-0.0 and 0.0 are 0 apart)."""
+    bits = {np.float64: np.int64, np.float32: np.int32}[a.dtype.type]
+    ia, ib = (np.asarray(v).view(bits).astype(np.int64) for v in (a, b))
+    lowest = np.int64(np.iinfo(bits).min)
+    ia, ib = (np.where(i < 0, lowest - i, i) for i in (ia, ib))
+    return np.abs(ia - ib)
+
+
+def math_erf(x):
+    """The C library's erf of each value of x, as float64."""
+    return np.array([math.erf(v) for v in np.asarray(x, dtype=np.float64).ravel().tolist()])
+
+
+class TestErf:
+    """The numpy erf behind GELU against the C library's erf."""
+
+    def test_float64_within_2_ulp_on_a_dense_grid(self):
+        x = np.linspace(-10.0, 10.0, 2_000_001)
+        assert ulps(ad._erf(x), math_erf(x)).max() <= 2
+
+    def test_float64_at_the_branch_and_clamp_edges(self):
+        edges = np.array([1.0, 8.0, -1.0, -8.0])
+        x = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
+        assert ulps(ad._erf(x), math_erf(x)).max() <= 2
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad._erf(x)
+        np.testing.assert_array_equal(out[:4], [0.0, -0.0, 1.0, -1.0])
+        assert list(np.signbit(out[:2])) == [False, True]
+        assert np.isnan(out[4])
+        assert ulps(out[5:], math_erf(x[5:])).max() == 0
+
+    def test_float32_stays_float32_within_4_ulp(self):
+        x = np.linspace(-6.0, 6.0, 200_001, dtype=np.float32)
+        out = ad._erf(x)
+        assert out.dtype == np.float32
+        assert ulps(out, math_erf(x).astype(np.float32)).max() <= 4
+
+    def test_independent_of_the_slicing(self):
+        x = np.random.default_rng(3).standard_normal((3, 20_005)) * 3.0
+        whole = ad._erf(x).ravel()
+        flat = x.ravel()
+        pieces = np.concatenate([ad._erf(flat[lo : lo + 777]) for lo in range(0, flat.size, 777)])
+        np.testing.assert_array_equal(whole, pieces)
+        assert ad._erf(x[:, 0]).tolist() == whole[:: x.shape[1]].tolist()
+
+    def test_keeps_the_shape(self):
+        assert ad._erf(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+        assert ad._erf(np.float64(0.5)).shape == ()
+        assert ad.gelu(0.5).data == pytest.approx(0.5 * 0.5 * (1 + math.erf(0.5 / math.sqrt(2))))
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype, far", [(np.float64, 1000.0), (np.float32, 100.0)])
+    def test_saturates_exactly_without_warnings(self, dtype, far):
+        x = np.array([-far, far], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid(ad.Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_symmetric(self):
+        x = np.linspace(-40.0, 40.0, 100_001)
+        gap = ad.sigmoid(ad.Tensor(-x)).data + ad.sigmoid(ad.Tensor(x)).data - 1.0
+        assert np.abs(gap).max() <= 4.5e-16
+
+    def test_values(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        expected = [1.0 / (1.0 + math.exp(-v)) for v in x]
+        np.testing.assert_allclose(ad.sigmoid(ad.Tensor(x)).data, expected, rtol=1e-15, atol=0)
 
 
 class TestConvolutionGradientAgreement:

@@ -1,5 +1,7 @@
 """Training loop tests: loss, optimizer, early stopping, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,15 @@ class TestTrainLoop:
             training.train(mdl, ds, config)
             counts.append(len(built))
         assert counts[1] == 2 * counts[0]
+
+    def test_float32_model_trains_in_float32(self):
+        """Dropout masks and batches take the parameters' dtype, so no leaf is promoted."""
+        ds = tiny_dataset()
+        mdl = tiny_model(ds, dropout=0.1, seed=1)
+        mdl = replace(mdl, params={k: v.astype(np.float32) for k, v in mdl.params.items()})
+        best, _ = training.train(mdl, ds, training.TrainConfig(max_epochs=1, batch_size=8))
+        assert {k: v.dtype.name for k, v in best.params.items()} == {
+            k: "float32" for k in mdl.params}
 
     def test_patience_one_with_frozen_weights_stops_after_two_epochs(self):
         ds = tiny_dataset()
