@@ -295,7 +295,7 @@ def forward(x, model):
 
 SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
-STREAM_CHUNK = 64  # steps per pass through the pointwise stages; bounds working memory
+STREAM_CHUNK = 512  # steps per streaming pass; working memory is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
 
 
 @functools.cache
@@ -391,11 +391,12 @@ def stream_logits(model, x):
     """Classify one (L, F) sequence with O(H*N) recurrent state per block.
 
     The sequence is read in chunks of STREAM_CHUNK steps, so working memory
-    is O(STREAM_CHUNK*H*N) whatever L is. Each block runs a chunk through
-    `ssm.chunk_scanner` (the chunk's convolution plus the state carried from
-    the previous chunk), then applies GELU and `channel_mix_t` exactly as
-    `forward_t` does. A running sum over time replaces pooling and feeds
-    the shared head `classify_t`.
+    is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK)) whatever L is. Each block
+    runs a chunk through its core's `ssm.chunk_scanner`, built once for
+    STREAM_CHUNK and taking any shorter last chunk (the chunk's convolution
+    plus the state carried from the previous chunk), then applies GELU and
+    `channel_mix_t` exactly as `forward_t` does. A running sum over time
+    replaces pooling and feeds the shared head `classify_t`.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
@@ -405,13 +406,12 @@ def stream_logits(model, x):
     if x.shape[0] < 1:
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    chunk = min(STREAM_CHUNK, x.shape[0])
     cores = [block_core(model.params, i) for i in range(model.n_layers)]
-    scanners = [ssm.chunk_scanner(core, chunk) for core in cores]
+    scanners = [ssm.chunk_scanner(core, STREAM_CHUNK) for core in cores]
     states = [ssm.StreamState.for_params(core) for core in cores]
     total = np.zeros(model.n_hidden)
-    for start in range(0, x.shape[0], chunk):
-        h = x[start : start + chunk] @ model.params["w1"] + model.params["b1"]
+    for start in range(0, x.shape[0], STREAM_CHUNK):
+        h = x[start : start + STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
         for i in range(model.n_layers):
             states[i], y = scanners[i](states[i], h)
             h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i).data

@@ -16,9 +16,11 @@ The layer has two equivalent execution forms:
 Streaming mixes the two (`chunk_scanner`): a chunk of t <= T steps entered
 with carried state h0 is the convolution with K[:t] plus the feedthrough
 plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves the state
-A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The carry factors come from one
-(H, N/2, T+1) table of A_bar powers, so each chunk is one convolution and
-two batched products, and memory stays independent of the sequence length.
+A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The powers A_bar^k are never
+tabled: like the kernel, the carry and the input sum split k = q*c + r with
+c = isqrt(T) and take exp(rate*r) and exp(rate*q*c) from two O(H N sqrt(T))
+arrays, so a chunk costs one convolution and a few small batched products,
+and memory is O(T*H + H*N*sqrt(T)) whatever the sequence length.
 
 Outside a training graph, a core's kernel spectrum and scanner depend only
 on its arrays, so `memo` keeps the most recently used of them, keyed on the
@@ -97,15 +99,19 @@ def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
 # -- differentiable core -------------------------------------------------------
 
 
+def _rates(p):
+    """The eigenvalues lambda = -exp(log_a_real) + i*a_imag and the rates delta*lambda."""
+    lam = ad.make_complex(-ad.exp(p["log_a_real"]), p["a_imag"])
+    return lam, lam * ad.exp(p["log_delta"]).reshape(-1, 1)
+
+
 def discretize_t(p):
     """Zero-order-hold map to (A_bar, B_bar); also returns the rate delta*lambda.
 
     A_bar = exp(delta * lambda) and B_bar = lambda^-1 (A_bar - 1) B, applied
     elementwise; lambda != 0 is guaranteed by Re(lambda) < 0.
     """
-    lam = ad.make_complex(-ad.exp(p["log_a_real"]), p["a_imag"])
-    delta = ad.exp(p["log_delta"]).reshape(-1, 1)
-    rate = lam * delta
+    lam, rate = _rates(p)
     a_bar = ad.exp(rate)
     b_bar = (a_bar - 1.0) / lam * ad.make_complex(p["b_re"], p["b_im"])
     return a_bar, b_bar, rate
@@ -114,31 +120,54 @@ def discretize_t(p):
 def kernel_t(p, length):
     """Materialized convolution kernel K[k, h] = 2*Re(sum_n C A_bar^k B_bar).
 
-    With k = q*c + r and c = isqrt(length), A_bar^k = A_bar^(q*c) A_bar^r, so
-    each of the H channels' kernels is one (nq, N/2) @ (N/2, c) product of
-    giant steps and C*B_bar-weighted baby steps; no (L, H, N/2) power table
-    is formed.
+    The `_power_sum` of `_powers(rate, length, C*B_bar)`; no (L, H, N/2)
+    power table is formed.
     """
     _, b_bar, rate = discretize_t(p)
     weight = ad.make_complex(p["c_re"], p["c_im"]) * b_bar
+    baby, giant = _powers(rate, length, weight)
+    return 2.0 * ad.real(_power_sum(giant, baby, length)).swapaxes(0, 1)
+
+
+def _powers(rate, length, weight):
+    """Weighted baby steps weight*exp(rate*r), (H, N/2, c), and giant steps
+    exp(rate*q*c), (H, nq, N/2), with c = isqrt(length) and nq*c >= length.
+
+    weight * A_bar^k = giant[q] * baby[r] for every k = q*c + r < length.
+    The weight is applied here, so no unweighted copy of the baby steps is
+    alive during `_power_sum` (with one alive, a later L=4096 `forward`
+    refaulted 8 MB under glibc).
+    """
     h, m = rate.shape
     c = math.isqrt(length)
     nq = -(-length // c)
-    rdtype = rate.data.real.dtype
+    rdtype = ad.as_tensor(rate).data.real.dtype
     baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype)) * weight.reshape(h, m, 1)
     giant = ad.exp(rate.reshape(h, 1, m) * np.arange(0, nq * c, c, dtype=rdtype).reshape(-1, 1))
-    k = (giant @ baby).reshape(h, nq * c)[:, :length]
-    return 2.0 * ad.real(k).swapaxes(0, 1)
+    return baby, giant
+
+
+def _power_sum(giant, baby, length):
+    """sum_n weight[h, n] A_bar[h, n]^k for k < length, as (H, length), from
+    `_powers`: one (rows, N/2) @ (N/2, c) product per channel. `giant` needs
+    only its first ceil(length / c) rows.
+    """
+    h, _, c = baby.shape
+    return (giant @ baby).reshape(h, giant.shape[1] * c)[:, :length]
 
 
 def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
-    x is (..., L, H) and the kernel (L, H), or its spectrum on the padded
-    length (see `ad.causal_conv`); padding to the next power of two at or
-    above 2L-1 rules out circular wraparound, so the first L outputs equal
-    the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
+    x is (..., L, H) and the kernel (L, H), padded to the next power of two
+    at or above 2L-1, or its spectrum on a power-of-two length n >= 2L-1
+    (n/2 + 1 bins), which sets n (see `ad.causal_conv`). No circular
+    wraparound reaches the first L outputs, so they equal the direct sum
+    y[k] = sum_{j<=k} K[j] x[k-j].
     """
+    kernel = ad.as_tensor(kernel)
+    if np.iscomplexobj(kernel.data):
+        return ad.causal_conv(x, kernel, max(1, 2 * (kernel.shape[0] - 1)))
     return ad.causal_conv(x, kernel, _next_pow2(2 * x.shape[-2] - 1))
 
 
@@ -287,12 +316,15 @@ def chunk_scanner(params, chunk):
 
     Returns `scan(state, x) -> (state, y)` for a (t, H) input with
     1 <= t <= chunk; it equals t calls of `recurrent_step` up to roundoff.
-    The kernel K[:chunk] is `kernel_t`'s. The rest derives from one
-    (H, N/2, chunk+1) table of the powers A_bar^0..A_bar^chunk, made by
-    doubling (A_bar^(n+k) = A_bar^n A_bar^k): per chunk the carry term
-    2*Re((C h0) @ A_bar^(k+1)) and the input sum B_bar (A_bar^i @ x[t-1-i]),
-    two batched products over H. Scanners come from `memo`, so a core's is
-    built once for any number of sequences.
+    The scanner keeps the spectrum of `kernel_t`'s K[:chunk] on its padded
+    length, so any chunk is two transforms, and the baby and giant steps of
+    `_powers`: the carry 2*Re(sum_n (C h0 A_bar)_n A_bar^k) is the
+    `_power_sum` of the baby steps weighted by C h0 A_bar, the input sum
+    sum_i A_bar^i x[t-1-i] is the baby steps times the reversed chunk folded
+    to (H, c, nq), weighted by the giant steps, and the state decays by
+    exp(rate*t). No power table is kept: the scanner is O(chunk*H +
+    H*N*sqrt(chunk)). Scanners come from `memo`, so a core's is built once
+    for any number of sequences.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -300,29 +332,38 @@ def chunk_scanner(params, chunk):
 
 
 def _scanner(params, chunk):
+    spectrum = np.fft.rfft(kernel_t(params, chunk).data, n=_next_pow2(2 * chunk - 1), axis=0)
     a_bar, b_bar = zoh_discretize(params)
+    rate = _rates(params)[1].data
     c, d = params["c_re"] + 1j * params["c_im"], params["d"]
-    powers = np.empty(a_bar.shape + (chunk + 1,), dtype=a_bar.dtype)
-    powers[..., 0] = 1.0
-    powers[..., 1] = a_bar
-    n = 1
-    while n < chunk:
-        k = min(n, chunk - n)
-        powers[..., n + 1 : n + 1 + k] = powers[..., n : n + 1] * powers[..., 1 : 1 + k]
-        n += k
-    kernel = kernel_t(params, chunk).data
+    baby, giant = (v.data for v in _powers(rate, chunk, np.ones(rate.shape)))
+    n_channels, n_baby = baby.shape[0], baby.shape[-1]
+    # The kept arrays share one buffer: as three blocks spread over the malloc
+    # heap they made glibc trim and refault about 8 MB on every later L=4096
+    # `forward` in the same process.
+    kept = (baby, giant, spectrum)
+    flat = np.split(np.empty(sum(a.size for a in kept), np.result_type(*kept)),
+                    np.cumsum([a.size for a in kept[:-1]]))
+    baby, giant, spectrum = (f.reshape(a.shape) for f, a in zip(flat, kept))
+    for into, a in zip((baby, giant, spectrum), kept):
+        into[...] = a
+    spectrum = ad.Tensor(spectrum)
 
     def scan(state, x):
         t = x.shape[0]
-        if state.h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= chunk:
+        if state.h.shape != a_bar.shape or x.shape[1:] != (n_channels,) or not 1 <= t <= chunk:
             raise ValueError(
                 f"state {state.h.shape} / input {x.shape} inconsistent with "
                 f"A_bar {a_bar.shape} and chunk {chunk}"
             )
-        y = causal_conv_t(ad.Tensor(x), ad.Tensor(kernel[:t])).data + d * x
-        y += 2.0 * ((c * state.h)[:, None, :] @ powers[..., 1 : t + 1]).real[:, 0, :].T
-        inputs = (powers[..., :t] @ x[::-1].T[:, :, None])[..., 0]
-        return StreamState(powers[..., t] * state.h + b_bar * inputs), y
+        nq = -(-t // n_baby)
+        y = causal_conv_t(ad.Tensor(x), spectrum).data + d * x
+        y += 2.0 * _power_sum(giant[:, :nq], baby * (c * state.h * a_bar)[:, :, None], t).real.T
+        folded = np.zeros((n_channels, nq * n_baby), x.dtype)
+        folded[:, :t] = x[::-1].T
+        inputs = ((baby @ folded.reshape(n_channels, nq, n_baby).swapaxes(1, 2))
+                  * giant[:, :nq].swapaxes(1, 2)).sum(axis=-1)
+        return StreamState(np.exp(rate * t) * state.h + b_bar * inputs), y
 
     return scan
 

@@ -897,7 +897,7 @@ class TestCheckpoint:
         assert loaded.n_layers == 1 and loaded.n_classes == 3
 
 
-STREAM_LENGTHS = [1, model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
+STREAM_LENGTHS = [1, 63, 64, 133, model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
 
 
 class TestStreaming:
@@ -935,6 +935,23 @@ class TestStreaming:
             model.stream_logits(mdl, x)
         assert kernels == [model.STREAM_CHUNK] * 2
         assert len(tables) == 2
+
+    def test_one_scanner_serves_every_length(self, monkeypatch):
+        """Short sequences of varied lengths share each core's STREAM_CHUNK scanner."""
+        mdl = tiny_model(normalized=False, n_layers=2, seed=15)
+        builds, build = [], ssm._scanner
+        monkeypatch.setattr(ssm, "_scanner", lambda p, n: builds.append(n) or build(p, n))
+        for length in (5, 17, 300):
+            self.assert_stream_matches_forward(mdl, length)
+        assert builds == [model.STREAM_CHUNK] * 2
+
+    def test_cold_and_warm_calls_give_identical_bits(self):
+        mdl = tiny_model(normalized=False, n_layers=2, seed=16)
+        x = np.random.default_rng(16).standard_normal((model.STREAM_CHUNK + 77, 3))
+        cold = model.stream_logits(mdl, x)
+        warm = model.stream_logits(mdl, x)
+        ssm.memo.cache_clear()
+        assert cold.tobytes() == warm.tobytes() == model.stream_logits(mdl, x).tobytes()
 
     def test_working_memory_independent_of_length(self):
         mdl = tiny_model(seed=12)

@@ -278,15 +278,16 @@ def stepwise(params, state, x):
 class TestChunkScanner:
     """Chunked carried-state streaming against the per-step recurrence."""
 
-    def assert_matches_stepwise(self, params, x, rng):
+    def assert_matches_stepwise(self, params, x, rng, chunk=CHUNK):
         shape = params["c_re"].shape
         state = ssm.StreamState(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         expected_state, expected = stepwise(params, state, x)
-        scan = ssm.chunk_scanner(params, CHUNK)
+        scan = ssm.chunk_scanner(params, chunk)
         outputs = []
-        for start in range(0, x.shape[0], CHUNK):
-            state, y = scan(state, x[start : start + CHUNK])
-            outputs.append(y)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for start in range(0, x.shape[0], chunk):
+                state, y = scan(state, x[start : start + chunk])
+                outputs.append(y)
         np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.h, expected_state.h, rtol=0, atol=1e-12)
 
@@ -296,6 +297,14 @@ class TestChunkScanner:
         params = helpers.random_ssm_params(rng, 4, 8)
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
+    @pytest.mark.parametrize("length", [1, 5, 22, 23, 3 * 23 + 5])
+    def test_matches_recurrent_steps_at_a_chunk_that_is_not_a_square(self, length):
+        """isqrt(23) = 4, so the giant steps overrun the chunk and partial
+        chunks end inside a baby-step block."""
+        rng = np.random.default_rng(200 + length)
+        params = helpers.random_ssm_params(rng, 4, 8)
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng, chunk=23)
+
     @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
     def test_fast_decay_underflows_cleanly(self, length):
         rng = np.random.default_rng(100 + length)
@@ -303,6 +312,27 @@ class TestChunkScanner:
         params["log_delta"][:] = np.log(1e3)  # delta = 1000, so A_bar^CHUNK underflows to 0
         assert np.abs(ssm.zoh_discretize(params)[0] ** CHUNK).max() == 0.0
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
+
+    @pytest.mark.parametrize("length", [1, 511, 512, 2 * 512 + 5])
+    def test_fast_decay_underflows_cleanly_at_a_long_chunk(self, length):
+        """exp(rate*k) underflows to 0 for most k, and to 0 already at k = 1
+        for the modes whose A_bar is 0, with no NaN or floating-point error."""
+        rng = np.random.default_rng(300 + length)
+        params = helpers.random_ssm_params(rng, 4, 8)
+        params["log_delta"][:] = np.log(1e3)
+        assert (ssm.zoh_discretize(params)[0] == 0.0).any()
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng, chunk=512)
+
+    def test_building_a_scanner_keeps_no_power_table(self):
+        """At H = N = 64 a table of A_bar^0..A_bar^4096 alone would be 134 MB."""
+        core = ssm.init_s4d_params(64, 64, seed=0)
+        tracemalloc.start()
+        try:
+            ssm.chunk_scanner(core, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_rejects_bad_chunks(self):
         params = ssm.init_s4d_params(3, 4, seed=0)
