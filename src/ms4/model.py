@@ -295,7 +295,7 @@ def forward(x, model):
 
 SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
-STREAM_CHUNK = 512  # steps per streaming pass; working memory is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
+STREAM_CHUNK = 512  # steps per streaming pass; memory O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
 
 
 @functools.cache

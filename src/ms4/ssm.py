@@ -99,19 +99,15 @@ def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
 # -- differentiable core -------------------------------------------------------
 
 
-def _rates(p):
-    """The eigenvalues lambda = -exp(log_a_real) + i*a_imag and the rates delta*lambda."""
-    lam = ad.make_complex(-ad.exp(p["log_a_real"]), p["a_imag"])
-    return lam, lam * ad.exp(p["log_delta"]).reshape(-1, 1)
-
-
 def discretize_t(p):
     """Zero-order-hold map to (A_bar, B_bar); also returns the rate delta*lambda.
 
     A_bar = exp(delta * lambda) and B_bar = lambda^-1 (A_bar - 1) B, applied
     elementwise; lambda != 0 is guaranteed by Re(lambda) < 0.
     """
-    lam, rate = _rates(p)
+    lam = ad.make_complex(-ad.exp(p["log_a_real"]), p["a_imag"])
+    delta = ad.exp(p["log_delta"]).reshape(-1, 1)
+    rate = lam * delta
     a_bar = ad.exp(rate)
     b_bar = (a_bar - 1.0) / lam * ad.make_complex(p["b_re"], p["b_im"])
     return a_bar, b_bar, rate
@@ -129,20 +125,19 @@ def kernel_t(p, length):
     return 2.0 * ad.real(_power_sum(giant, baby, length)).swapaxes(0, 1)
 
 
-def _powers(rate, length, weight):
-    """Weighted baby steps weight*exp(rate*r), (H, N/2, c), and giant steps
-    exp(rate*q*c), (H, nq, N/2), with c = isqrt(length) and nq*c >= length.
-
-    weight * A_bar^k = giant[q] * baby[r] for every k = q*c + r < length.
-    The weight is applied here, so no unweighted copy of the baby steps is
-    alive during `_power_sum` (with one alive, a later L=4096 `forward`
-    refaulted 8 MB under glibc).
+def _powers(rate, length, weight=None):
+    """Baby steps exp(rate*r), (H, N/2, c), times `weight` if one is given,
+    and giant steps exp(rate*q*c), (H, nq, N/2), with c = isqrt(length) and
+    nq*c >= length, so that weight * A_bar^k = giant[q] * baby[r] for every
+    k = q*c + r < length.
     """
     h, m = rate.shape
     c = math.isqrt(length)
     nq = -(-length // c)
     rdtype = ad.as_tensor(rate).data.real.dtype
-    baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype)) * weight.reshape(h, m, 1)
+    baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype))
+    if weight is not None:
+        baby = baby * weight.reshape(h, m, 1)
     giant = ad.exp(rate.reshape(h, 1, m) * np.arange(0, nq * c, c, dtype=rdtype).reshape(-1, 1))
     return baby, giant
 
@@ -159,15 +154,11 @@ def _power_sum(giant, baby, length):
 def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
-    x is (..., L, H) and the kernel (L, H), padded to the next power of two
-    at or above 2L-1, or its spectrum on a power-of-two length n >= 2L-1
-    (n/2 + 1 bins), which sets n (see `ad.causal_conv`). No circular
-    wraparound reaches the first L outputs, so they equal the direct sum
-    y[k] = sum_{j<=k} K[j] x[k-j].
+    x is (..., L, H) and the kernel (L, H), or its spectrum on the padded
+    length (see `ad.causal_conv`); padding to the next power of two at or
+    above 2L-1 rules out circular wraparound, so the first L outputs equal
+    the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
     """
-    kernel = ad.as_tensor(kernel)
-    if np.iscomplexobj(kernel.data):
-        return ad.causal_conv(x, kernel, max(1, 2 * (kernel.shape[0] - 1)))
     return ad.causal_conv(x, kernel, _next_pow2(2 * x.shape[-2] - 1))
 
 
@@ -316,15 +307,19 @@ def chunk_scanner(params, chunk):
 
     Returns `scan(state, x) -> (state, y)` for a (t, H) input with
     1 <= t <= chunk; it equals t calls of `recurrent_step` up to roundoff.
-    The scanner keeps the spectrum of `kernel_t`'s K[:chunk] on its padded
-    length, so any chunk is two transforms, and the baby and giant steps of
-    `_powers`: the carry 2*Re(sum_n (C h0 A_bar)_n A_bar^k) is the
-    `_power_sum` of the baby steps weighted by C h0 A_bar, the input sum
-    sum_i A_bar^i x[t-1-i] is the baby steps times the reversed chunk folded
-    to (H, c, nq), weighted by the giant steps, and the state decays by
-    exp(rate*t). No power table is kept: the scanner is O(chunk*H +
-    H*N*sqrt(chunk)). Scanners come from `memo`, so a core's is built once
-    for any number of sequences.
+    The scanner discretizes the core once and keeps the baby and giant steps
+    of `_powers`, unweighted. K[:chunk] is their `_power_sum` weighted by
+    C*B_bar, the same bits as `kernel_t`'s. A chunk whose padded length is
+    the full chunk's convolves with the kept spectrum of K[:chunk] (two
+    transforms); a shorter one transforms K[:t] on its own, shorter length.
+    The carry 2*Re(sum_n (C h0 A_bar)_n A_bar^k) is the `_power_sum` of the
+    giant steps weighted by C h0 A_bar and the baby steps, the input sum sum_i A_bar^i x[t-1-i]
+    is the baby steps times the reversed chunk folded to (H, c, nq),
+    weighted by the giant steps, and the state decays by A_bar^t, the
+    product of a giant step, a baby step and A_bar. A chunk of t < c steps
+    uses only the first t baby steps. No power table is kept: the scanner
+    is O(chunk*H + H*N*sqrt(chunk)). Scanners come from `memo`, so a core's
+    is built once for any number of sequences and chunk lengths up to `chunk`.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -332,21 +327,17 @@ def chunk_scanner(params, chunk):
 
 
 def _scanner(params, chunk):
-    spectrum = np.fft.rfft(kernel_t(params, chunk).data, n=_next_pow2(2 * chunk - 1), axis=0)
-    a_bar, b_bar = zoh_discretize(params)
-    rate = _rates(params)[1].data
+    a_bar, b_bar, rate = (v.data for v in discretize_t(params))
     c, d = params["c_re"] + 1j * params["c_im"], params["d"]
-    baby, giant = (v.data for v in _powers(rate, chunk, np.ones(rate.shape)))
+    baby, giant = (v.data for v in _powers(rate, chunk))
+    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], chunk).real.T
+    n = _next_pow2(2 * chunk - 1)
+    spectrum = np.fft.rfft(kernel, n=n, axis=0)
     n_channels, n_baby = baby.shape[0], baby.shape[-1]
-    # The kept arrays share one buffer: as three blocks spread over the malloc
-    # heap they made glibc trim and refault about 8 MB on every later L=4096
-    # `forward` in the same process.
-    kept = (baby, giant, spectrum)
-    flat = np.split(np.empty(sum(a.size for a in kept), np.result_type(*kept)),
-                    np.cumsum([a.size for a in kept[:-1]]))
-    baby, giant, spectrum = (f.reshape(a.shape) for f, a in zip(flat, kept))
-    for into, a in zip((baby, giant, spectrum), kept):
-        into[...] = a
+    # Kept as copies made last, so they sit above the build's freed temporaries
+    # in the malloc heap; kept below them, they left the heap top free, and
+    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
+    baby, giant, kernel, spectrum = (a.copy() for a in (baby, giant, kernel, spectrum))
     spectrum = ad.Tensor(spectrum)
 
     def scan(state, x):
@@ -356,14 +347,19 @@ def _scanner(params, chunk):
                 f"state {state.h.shape} / input {x.shape} inconsistent with "
                 f"A_bar {a_bar.shape} and chunk {chunk}"
             )
-        nq = -(-t // n_baby)
-        y = causal_conv_t(ad.Tensor(x), spectrum).data + d * x
-        y += 2.0 * _power_sum(giant[:, :nq], baby * (c * state.h * a_bar)[:, :, None], t).real.T
-        folded = np.zeros((n_channels, nq * n_baby), x.dtype)
+        r = min(t, n_baby)  # a chunk shorter than c steps needs only its first t baby steps
+        nq = -(-t // r)
+        steps = baby[:, :, :r]
+        k = spectrum if _next_pow2(2 * t - 1) == n else ad.Tensor(kernel[:t])
+        y = causal_conv_t(ad.Tensor(x), k).data + d * x
+        y += 2.0 * _power_sum(giant[:, :nq] * (c * state.h * a_bar)[:, None, :], steps, t).real.T
+        # Complex, since numpy's complex @ real product runs no BLAS.
+        folded = np.zeros((n_channels, nq * r), np.result_type(x.dtype, baby.dtype))
         folded[:, :t] = x[::-1].T
-        inputs = ((baby @ folded.reshape(n_channels, nq, n_baby).swapaxes(1, 2))
+        inputs = ((steps @ folded.reshape(n_channels, nq, r).swapaxes(1, 2))
                   * giant[:, :nq].swapaxes(1, 2)).sum(axis=-1)
-        return StreamState(np.exp(rate * t) * state.h + b_bar * inputs), y
+        decay = giant[:, (t - 1) // n_baby] * baby[:, :, (t - 1) % n_baby] * a_bar  # A_bar^t
+        return StreamState(decay * state.h + b_bar * inputs), y
 
     return scan
 

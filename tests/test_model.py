@@ -897,7 +897,8 @@ class TestCheckpoint:
         assert loaded.n_layers == 1 and loaded.n_classes == 3
 
 
-STREAM_LENGTHS = [1, 63, 64, 133, model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
+STREAM_LENGTHS = [1, 63, 64, 133,
+                  model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
 
 
 class TestStreaming:
@@ -925,16 +926,17 @@ class TestStreaming:
         self.assert_stream_matches_forward(tiny_model(seed=11), 3 * model.STREAM_CHUNK + 7)
 
     def test_scanner_built_once_per_core(self, monkeypatch):
-        """Later sequences take each block's scanner and kernel from the memo."""
+        """Later sequences take each block's scanner, with its kernel, from the memo:
+        one discretization and one build of STREAM_CHUNK steps' powers per core."""
         mdl = tiny_model(normalized=False, n_layers=2, seed=13)
-        kernels, tables = [], []
-        kernel_t, discretize = ssm.kernel_t, ssm.zoh_discretize
-        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: kernels.append(n) or kernel_t(p, n))
-        monkeypatch.setattr(ssm, "zoh_discretize", lambda p: tables.append(1) or discretize(p))
+        powers, maps = [], []
+        build, discretize = ssm._powers, ssm.discretize_t
+        monkeypatch.setattr(ssm, "_powers", lambda r, n, *w: powers.append(n) or build(r, n, *w))
+        monkeypatch.setattr(ssm, "discretize_t", lambda p: maps.append(1) or discretize(p))
         for x in np.random.default_rng(13).standard_normal((3, 2 * model.STREAM_CHUNK + 5, 3)):
             model.stream_logits(mdl, x)
-        assert kernels == [model.STREAM_CHUNK] * 2
-        assert len(tables) == 2
+        assert powers == [model.STREAM_CHUNK] * 2
+        assert len(maps) == 2
 
     def test_one_scanner_serves_every_length(self, monkeypatch):
         """Short sequences of varied lengths share each core's STREAM_CHUNK scanner."""

@@ -323,6 +323,31 @@ class TestChunkScanner:
         assert (ssm.zoh_discretize(params)[0] == 0.0).any()
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng, chunk=512)
 
+    def test_float32_core_streams_in_float32(self):
+        """The carried state stays complex64 and the output float32 across chunks."""
+        rng = np.random.default_rng(23)
+        params64 = helpers.random_ssm_params(rng, 4, 8)
+        params = {name: v.astype(np.float32) for name, v in params64.items()}
+        x = rng.standard_normal((2 * CHUNK + 5, 4)).astype(np.float32)
+        scan = ssm.chunk_scanner(params, CHUNK)
+        state, outputs = ssm.StreamState.for_params(params), []
+        for start in range(0, x.shape[0], CHUNK):
+            state, y = scan(state, x[start : start + CHUNK])
+            assert state.h.dtype == np.complex64 and y.dtype == np.float32
+            outputs.append(y)
+        _, expected = stepwise(params64, ssm.StreamState.for_params(params64), x.astype(float))
+        np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-4)
+
+    def test_a_short_chunk_is_transformed_at_its_own_length(self, monkeypatch):
+        """Only chunks that need the full chunk's FFT length use the kept spectrum."""
+        lengths, conv = [], ad.causal_conv
+        monkeypatch.setattr(ad, "causal_conv", lambda x, k, n: lengths.append(n) or conv(x, k, n))
+        params = ssm.init_s4d_params(3, 4, seed=0)
+        scan = ssm.chunk_scanner(params, 512)
+        for t in (5, 256, 257, 512):
+            scan(ssm.StreamState.for_params(params), np.zeros((t, 3)))
+        assert lengths == [16, 512, 1024, 1024]
+
     def test_building_a_scanner_keeps_no_power_table(self):
         """At H = N = 64 a table of A_bar^0..A_bar^4096 alone would be 134 MB."""
         core = ssm.init_s4d_params(64, 64, seed=0)
