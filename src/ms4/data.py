@@ -6,22 +6,25 @@ TSC-CSV v1 layout (LF line endings, no trailing commas):
     label,v(0,0),v(0,1),...,v(0,F-1),v(1,0),...,v(L-1,F-1)
     ...
 
-one data line per sample, values time-major, decimal text at full precision
-(floats are written with repr, so save -> load round-trips exactly).
-Labels are zero-based on disk and in memory.
+one data line per sample, values time-major, ASCII decimal text at full
+precision (floats are written with repr, so save -> load round-trips
+exactly). Labels are zero-based on disk and in memory. The reader also
+splits CRLF and CR lines, and reads a file one line at a time into
+preallocated blocks (iter_dataset; load_dataset is its single block).
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataFormatError
 
-_HEADER_RE = re.compile(r"^#tsc v1 n=(\d+) L=(\d+) F=(\d+) classes=(\d+)$")
+_HEADER_RE = re.compile(r"^#tsc v1 n=(\d+) L=(\d+) F=(\d+) classes=(\d+)$", re.ASCII)
 
 # Features whose spread is this small relative to their mean are treated as
 # dead channels and normalized to zero instead of amplifying rounding noise.
@@ -75,34 +78,24 @@ def save_dataset(dataset, path):
             fh.write(f"{label},{','.join(map(repr, values.tolist()))}\n")
 
 
-def _decode_error(exc, offset):
-    """str(exc) for bytes that start `offset` bytes into the file: the text a
-    decode of the whole file gives."""
-    start, end = exc.start + offset, exc.end + offset
-    if exc.end == exc.start + 1:
-        what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        what = f"bytes in position {start}-{end - 1}"
-    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
-
-
 def _lines(fh, path):
-    """The text lines of binary file `fh`, split as a text-mode read splits them:
-    LF, CRLF and a lone CR each end a line. DataFormatError for bytes that are
-    not UTF-8, raised when the line that holds them is read."""
-    offset = 0
-    for raw in fh:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text: {_decode_error(exc, offset)}") from exc
-        offset += len(raw)
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if lines[-1] == "":  # the text ended its last line
-            lines.pop()
-        yield from lines
+    """The lines of text-mode file `fh` without their newlines, first the header.
+
+    `fh` is opened with errors="surrogateescape", so a byte that is not UTF-8
+    reads as a lone surrogate, which strict encoding rejects: DataFormatError
+    naming its line and the byte column, raised when that line is read.
+    """
+    for i, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                column = len(line[:exc.start].encode("utf-8", "surrogateescape")) + 1
+                raise DataFormatError(
+                    f"{path}:{i}: not UTF-8 text: byte 0x{byte:02x} in column {column}"
+                ) from None
+        yield line.rstrip("\n")
 
 
 def _header(line, path):
@@ -112,7 +105,10 @@ def _header(line, path):
     m = _HEADER_RE.match(line)
     if m is None:
         raise DataFormatError(f"{path}:1: malformed header {line!r}")
-    sizes = tuple(int(g) for g in m.groups())
+    try:
+        sizes = tuple(int(g) for g in m.groups())
+    except ValueError as exc:  # more digits than int converts
+        raise DataFormatError(f"{path}:1: malformed header: {exc}") from None
     for name, value, least in zip(("n", "L", "F", "classes"), sizes, (1, 1, 1, 2)):
         if value < least:
             raise DataFormatError(f"{path}:1: header {name}={value} is below {least}")
@@ -122,7 +118,9 @@ def _header(line, path):
 def _parse_line(line, i, path, width, n_classes):
     """(label, values) of data line number i, values its 1-D float row.
 
-    The width is checked first, so the row allocated is backed by the line's text.
+    The width is checked first, so the row allocated is backed by the line's
+    text. A field that int or float reads but that is not plain ASCII decimal
+    text is checked last, so every other fault on the line is named first.
     """
     if line.count(",") != width - 1:
         raise DataFormatError(
@@ -142,92 +140,72 @@ def _parse_line(line, i, path, width, n_classes):
     if not np.isfinite(row).all():
         bad = fields[1 + np.flatnonzero(~np.isfinite(row))[0]]
         raise DataFormatError(f"{path}:{i}: non-finite value {bad!r}")
+    if "_" in line or not line.isascii():  # int and float read "1_0" and "١" as numbers
+        bad = next(f for f in fields if "_" in f or not f.isascii())
+        raise DataFormatError(f"{path}:{i}: field {bad!r} holds '_' or a non-ASCII character")
     return label, row
 
 
-def _rows(path):
-    """Generator behind iter_dataset and load_dataset.
-
-    Yields the header (n, L, F, classes) and the file's size in bytes, then
-    (label, values) for each of the first n data lines, each line checked as
-    it is read, so the fault raised is the one on the first faulty line. A
-    body whose line count disagrees with the header raises after its last
-    line; lines past n are counted but not parsed.
-    """
-    with open(path, "rb") as fh:
-        lines = _lines(fh, path)
-        n, length, n_feat, n_classes = _header(next(lines, None), path)
-        yield (n, length, n_feat, n_classes), os.fstat(fh.fileno()).st_size
-        count = 0
-        for line in lines:
-            count += 1
-            if count <= n:
-                yield _parse_line(line, count + 1, path, 1 + length * n_feat, n_classes)
-    if count != n:
-        raise DataFormatError(f"{path}: header declares n={n} but body has {count} data lines")
-
-
-def _take(labels, values, length, n_feat, n_classes):
-    """The Dataset of the rows collected in `labels` and `values`, which are emptied."""
-    block = Dataset(x=np.array(values).reshape(-1, length, n_feat),
-                    y=np.array(labels, dtype=np.int64), n_classes=n_classes)
-    labels.clear()
-    values.clear()
-    return block
+def _grown(x, y, filled, size, features):
+    """(size, features) values and (size,) labels that start with x[:filled], y[:filled]."""
+    values, labels = np.empty((size, features)), np.empty(size, dtype=np.int64)
+    if filled:
+        values[:filled], labels[:filled] = x[:filled], y[:filled]
+    return values, labels
 
 
 def iter_dataset(path, rows):
     """Read TSC-CSV v1 as validated Dataset blocks of at most `rows` samples, in file order.
 
-    Every check of load_dataset is made, with the same messages and line
-    numbers, as each line is read, so the fault raised is the one on the
-    first faulty line whatever `rows` is. A block is yielded once its last
-    line has parsed. A body whose line count disagrees with the header
-    raises once its last line is read, after the blocks completed before.
+    Each line is checked as it is read and written into its block, so the
+    fault raised is the one on the first faulty line whatever `rows` is. A
+    block is yielded when full, the file's last one after the count check;
+    lines past n are counted but not parsed. A valid row takes at least
+    2*(1 + L*F) bytes with its newline, so a block the file's size backs is
+    allocated whole, and any other (a pipe has size 0) starts at one row and
+    doubles. The last block is dropped before the next is allocated.
     """
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    reader = _rows(path)
-    (_, length, n_feat, n_classes), _ = next(reader)
-    labels, values = [], []
-    for label, row in reader:
-        labels.append(label)
-        values.append(row)
-        if len(labels) == rows:
-            yield _take(labels, values, length, n_feat, n_classes)
-    if labels:
-        yield _take(labels, values, length, n_feat, n_classes)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _lines(fh, path)
+        n, length, n_feat, n_classes = _header(next(lines, None), path)
+        width = 1 + length * n_feat
+        backed = os.fstat(fh.fileno()).st_size >= 2 * width * n
+        count = 0
+        for count, line in enumerate(lines, 1):
+            if count > n:
+                continue
+            label, row = _parse_line(line, count + 1, path, width, n_classes)
+            j = (count - 1) % rows
+            if j == 0:
+                x = y = None  # not held while the next block is allocated
+                size = min(rows, n + 1 - count)
+            if j == 0 or j == len(x):
+                x, y = _grown(x, y, j, size if backed else min(size, 2 * j or 1), width - 1)
+            x[j], y[j] = row, label
+            if j + 1 == size and count < n:
+                yield Dataset(x.reshape(-1, length, n_feat), y, n_classes)
+    if count != n:
+        raise DataFormatError(f"{path}: header declares n={n} but body has {count} data lines")
+    yield Dataset(x.reshape(-1, length, n_feat), y, n_classes)
 
 
 def load_dataset(path):
-    """Parse TSC-CSV v1, validating the header against the body.
+    """Parse TSC-CSV v1, validating the header against the body: the one block
+    of iter_dataset with rows >= n, so x and one line are all that is held
+    when the file's size backs x.
 
-    Raises DataFormatError naming the offending line for a garbled header,
-    a header size below its minimum (n, L, F >= 1; classes >= 2), a row of
-    the wrong width, an unparsable or out-of-range label, or an unparsable or
-    non-finite value, and naming the file for bytes that are not UTF-8 or,
-    after the last line, for a body whose sample count disagrees with the
-    header. The first faulty line is the one named (see iter_dataset).
-
-    Each line is written into x as it is parsed, so x and one line are all
-    that is held. x is sized from the header only when the file holds enough
-    bytes for n rows: each of a row's 1 + L*F fields takes a character and a
-    separator. A header that claims more than its file can back allocates
-    nothing for it: its rows are collected until the count check fails.
+    Raises DataFormatError naming the offending line for bytes that are not
+    UTF-8 (with their byte column), a garbled header, a header size below its
+    minimum (n, L, F >= 1; classes >= 2), a row of the wrong width, an
+    unparsable or out-of-range label, an unparsable or non-finite value, or a
+    field holding '_' or a non-ASCII character, and naming the file, after
+    the last line, for a body whose sample count disagrees with the header.
+    The first faulty line is the one named.
     """
-    reader = _rows(path)
-    (n, length, n_feat, n_classes), size = next(reader)
-    if size >= 2 * (1 + length * n_feat) * n:
-        x = np.empty((n, length * n_feat))
-        y = np.empty(n, dtype=np.int64)
-        for j, (label, row) in enumerate(reader):
-            x[j] = row
-            y[j] = label
-    else:
-        pairs = list(reader)
-        x = np.array([row for _, row in pairs])
-        y = np.array([label for label, _ in pairs], dtype=np.int64)
-    return Dataset(x=x.reshape(n, length, n_feat), y=y, n_classes=n_classes)
+    (dataset,) = iter_dataset(path, sys.maxsize)
+    return dataset
 
 
 def synth_freq_task(n, length, f_low=0.05, f_high=0.125, noise_std=0.1, seed=0, n_features=1):

@@ -502,6 +502,16 @@ def save_checkpoint(model, path):
         fh.write("\n")
 
 
+def _numbers(data):
+    """Whether `data`, a JSON number or nested lists of them, holds numbers only."""
+    if type(data) is not list:
+        return type(data) in (int, float)
+    kinds = set(map(type, data))
+    if list in kinds:
+        return kinds == {list} and all(map(_numbers, data))
+    return kinds <= {int, float}
+
+
 def load_checkpoint(path):
     """Read a checkpoint, checking `hyper` and every stored shape against `param_shapes`.
 
@@ -554,6 +564,8 @@ def load_checkpoint(path):
                 f"{path}: parameter {name!r} has shape {arr.shape}, "
                 f"the hyper block implies {expected[name]}"
             )
+        if not _numbers(doc["params"][name]["data"]):  # np.array reads "0_5" and true too
+            raise DataFormatError(f"{path}: parameter {name!r} holds a value that is not a number")
         if not np.isfinite(arr).all():
             raise DataFormatError(f"{path}: parameter {name!r} holds a non-finite value")
     return ModelParams({name: stored[name] for name in expected}, rate)

@@ -2,8 +2,12 @@
 
 These deliberately avoid the library's FFT/vectorized code paths: the brute
 force convolution is a double loop, its gradient is the hand-derived loop
-sum, and the kernel oracle drives the recurrence with a unit impulse.
+sum, and the kernel oracle drives the recurrence with a unit impulse. `piped`
+serves a file through a named pipe, which has no size to read.
 """
+
+import os
+import threading
 
 import numpy as np
 
@@ -102,3 +106,20 @@ def spectral_peak_labels(dataset, f_low, f_high):
         ]
         labels[i] = int(power[1] > power[0])
     return labels
+
+
+def piped(path, tmp_path):
+    """A named pipe that a thread fills with the bytes of `path` once a reader opens it."""
+    raw = path.read_bytes()
+    fifo = tmp_path / f"pipe{len(list(tmp_path.glob('pipe*')))}"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:  # the reader stopped at a fault
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return fifo

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from ms4 import autodiff as ad
 from ms4 import cli, data, evaluate, model, ssm
+
+import helpers
 
 FIXTURES = Path(evaluate.__file__).parent / "fixtures"
 
@@ -358,6 +361,17 @@ class TestMalformedInputs:
         assert (code, out) == (2, "")
         assert "bad.csv" in err
 
+    @pytest.mark.parametrize("text", [b"0_5", "\u0661".encode()], ids=["underscore", "arabic"])
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_underscore_or_non_ascii_value(self, capsys, workdir, tmp_path, verb, text):
+        """float reads both as a number; the loader names the line instead."""
+        bad = with_line(workdir / "d.csv", tmp_path / "bad.csv", 3,
+                        lambda line: re.sub(rb",[^,]*", b"," + text, line, count=1))
+        code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
+                             "--data", str(bad))
+        assert (code, out) == (2, "")
+        assert f"bad.csv:3: field {text.decode()!r} holds '_' or a non-ASCII character" in err
+
     @pytest.mark.parametrize("verb", ["eval", "stream"])
     def test_huge_hyper_size(self, capsys, workdir, tmp_path, verb):
         doc = json.loads((workdir / "model.ckpt").read_text())
@@ -394,6 +408,14 @@ class TestMalformedInputs:
 
         err = self._eval_with(capsys, workdir, tmp_path, "b4", poison)
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("value", ["0_5", True], ids=["string", "boolean"])
+    def test_parameter_that_is_not_a_number(self, capsys, workdir, tmp_path, value):
+        def poison(entry):
+            entry["data"][0] = value
+
+        err = self._eval_with(capsys, workdir, tmp_path, "b1", poison)
+        assert "parameter 'b1' holds a value that is not a number" in err
 
 
 def with_line(path, out, line, edit):
@@ -457,6 +479,16 @@ class TestScoringInBlocks:
         else:
             expected = evaluate.misclassification_error(np.argmax(streamed, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("verb", ["eval", "stream"])
+    def test_data_from_a_pipe(self, capsys, workdir, long_csv, tmp_path, verb):
+        """A pipe, as `--data <(zcat d.csv.gz)` gives, scores as its file does."""
+        args = ["--model", str(workdir / "model.ckpt"), *self.BLOCK_ARGS[verb]]
+        code, out, _ = run(capsys, verb, *args, "--data", str(long_csv))
+        assert code == 0
+        fifo = helpers.piped(long_csv, tmp_path)
+        assert run(capsys, verb, *args, "--data", str(fifo))[:2] == (0, out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     @pytest.mark.parametrize("verb", ["eval", "stream"])

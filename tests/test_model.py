@@ -888,6 +888,19 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=f"m.ckpt.*{field}"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["0_5", "1.5", True, False],
+                             ids=["underscore", "string", "true", "false"])
+    def test_rejects_parameter_value_that_is_not_a_number(self, tmp_path, value):
+        """np.array(..., dtype=float) reads "0_5" as 5.0 and true as 1.0."""
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(tiny_model(seed=16), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["b1"]["data"][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="m.ckpt: parameter 'b1' holds a value that "
+                                                  "is not a number"):
+            model.load_checkpoint(path)
+
     def test_flags_preserved(self, tmp_path):
         mdl = tiny_model(normalized=False, seed=8)
         path = tmp_path / "m.ckpt"
