@@ -70,8 +70,14 @@ class Dataset:
 
 
 def save_dataset(dataset, path):
-    """Write TSC-CSV v1; inverse of load_dataset."""
+    """Write TSC-CSV v1; inverse of load_dataset. A non-finite value, which no
+    reader accepts, raises ValueError naming it before the file is opened."""
     n, length, n_feat = dataset.x.shape
+    bad = np.argwhere(~np.isfinite(dataset.x))
+    if len(bad):
+        i, k, f = bad[0]
+        raise ValueError(f"sample {i}, step {k}, feature {f}: non-finite value "
+                         f"{dataset.x[i, k, f]}; TSC-CSV holds finite values only")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#tsc v1 n={n} L={length} F={n_feat} classes={dataset.n_classes}\n")
         for label, values in zip(dataset.y.tolist(), dataset.x.reshape(n, -1)):

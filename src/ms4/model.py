@@ -295,7 +295,6 @@ def forward(x, model):
 
 SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
-STREAM_CHUNK = 512  # steps per streaming pass; memory O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
 
 
 @functools.cache
@@ -367,11 +366,13 @@ def batch_logits(x, model, batch_size=256):
     Each forward takes min(batch_size, SCORE_CHUNK) sequences, a size that does
     not depend on the machine, so the logits are the same on any CPU count.
     Forwards run on `cpu_map`, with at most `batch_size` sequences in flight
-    at once.
+    at once. An x that is not 3-D raises ValueError before they start.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 3:
+        raise ValueError(f"expected (n, L, {model.n_features}) input, got {x.shape}")
     step = min(batch_size, SCORE_CHUNK)
     starts = range(0, x.shape[0], step)
     chunks = cpu_map(lambda start: forward(x[start : start + step], model), starts,
@@ -390,13 +391,12 @@ def predict(x, model, batch_size=256):
 def stream_logits(model, x):
     """Classify one (L, F) sequence with O(H*N) recurrent state per block.
 
-    The sequence is read in chunks of STREAM_CHUNK steps, so working memory
-    is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK)) whatever L is. Each block
-    runs a chunk through its core's `ssm.chunk_scanner`, built once for
-    STREAM_CHUNK and taking any shorter last chunk (the chunk's convolution
-    plus the state carried from the previous chunk), then applies GELU and
-    `channel_mix_t` exactly as `forward_t` does. A running sum over time
-    replaces pooling and feeds the shared head `classify_t`.
+    The sequence is read in chunks of `ssm.STREAM_CHUNK` steps, so working
+    memory is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK)) whatever L is. Each
+    block runs a chunk through `ssm.chunk_scan` with its core and the state
+    carried from the previous chunk, then applies GELU and `channel_mix_t`
+    exactly as `forward_t` does. A running sum over time replaces pooling
+    and feeds the shared head `classify_t`.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
@@ -407,13 +407,12 @@ def stream_logits(model, x):
         raise ValueError("sequence length must be >= 1")
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
     cores = [block_core(model.params, i) for i in range(model.n_layers)]
-    scanners = [ssm.chunk_scanner(core, STREAM_CHUNK) for core in cores]
-    states = [ssm.StreamState.for_params(core) for core in cores]
+    states = [np.zeros_like(c["a_imag"], np.result_type(c["a_imag"], np.complex64)) for c in cores]
     total = np.zeros(model.n_hidden)
-    for start in range(0, x.shape[0], STREAM_CHUNK):
-        h = x[start : start + STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
-        for i in range(model.n_layers):
-            states[i], y = scanners[i](states[i], h)
+    for start in range(0, x.shape[0], ssm.STREAM_CHUNK):
+        h = x[start : start + ssm.STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
+        for i, core in enumerate(cores):
+            states[i], y = ssm.chunk_scan(core, states[i], h)
             h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i).data
         total += h.sum(axis=0)
     mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step

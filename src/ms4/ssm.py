@@ -13,18 +13,19 @@ The layer has two equivalent execution forms:
 * recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
   time with state of size H x N/2 regardless of sequence length.
 
-Streaming mixes the two (`chunk_scanner`): a chunk of t <= T steps entered
-with carried state h0 is the convolution with K[:t] plus the feedthrough
-plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves the state
-A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The powers A_bar^k are never
-tabled: like the kernel, the carry and the input sum split k = q*c + r with
-c = isqrt(T) and take exp(rate*r) and exp(rate*q*c) from two O(H N sqrt(T))
-arrays, so a chunk costs one convolution and a few small batched products,
-and memory is O(T*H + H*N*sqrt(T)) whatever the sequence length.
+Streaming mixes the two (`chunk_scan`): a chunk of t <= T = STREAM_CHUNK
+steps entered with carried state h0 is the convolution with K[:t] plus the
+feedthrough plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves
+the state A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The powers A_bar^k are
+never tabled: like the kernel, the carry and the input sum split k = q*c + r
+with c = isqrt(T) and take exp(rate*r) and exp(rate*q*c) from two
+O(H N sqrt(T)) arrays, so a chunk costs one convolution and a few small
+batched products, and memory is O(T*H + H*N*sqrt(T)) whatever the sequence
+length. The state is a plain (H, N/2) complex array.
 
-Outside a training graph, a core's kernel spectrum and scanner depend only
-on its arrays, so `memo` keeps the most recently used of them, keyed on the
-arrays' content (`core_key`). Since the H channels are independent, the
+Outside a training graph, a core's kernel spectrum and scan arrays depend
+only on its arrays, so `memo` keeps the most recently used of them, keyed on
+the arrays' content (`core_key`). Since the H channels are independent, the
 stage runs in slices of at most CHANNEL_BLOCK channels, and of fewer when
 the sequence is long (BLOCK_BINS), so their FFT spectra stay in cache. In
 a training graph the stage is one tape node that saves GELU's slope and
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +48,7 @@ SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "
 
 CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
 BLOCK_BINS = 16 * 4097  # most spectrum bins per sequence and pass (1 MB): 16 channels up to L=4096
-MEMO_SIZE = 8  # kernels and scanners `memo` keeps; the least recently used goes
-
-
-@dataclass
-class StreamState:
-    """Per-channel complex hidden state; size depends only on (H, N)."""
-
-    h: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_channels, n_modes, dtype=np.complex128):
-        return cls(np.zeros((n_channels, n_modes), dtype=dtype))
-
-    @classmethod
-    def for_params(cls, params):
-        log_a_real = params["log_a_real"]
-        return cls.zeros(*log_a_real.shape, dtype=np.result_type(log_a_real.dtype, np.complex64))
+MEMO_SIZE = 8  # kernels and scan arrays `memo` keeps; the least recently used goes
 
 
 def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
@@ -241,16 +225,19 @@ def core_key(p):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def memo(kind, key, n):
-    """The spectrum of `kernel_t(core, n)` ("kernel") or `_scanner(core, n)` ("scanner").
+    """The spectrum of `kernel_t(core, n)` ("kernel"), or the arrays `chunk_scan`
+    reads for chunks of up to n steps ("scanner").
 
     The spectrum is the kernel's rfft on the stage's padded length, which is
     all the eval-mode convolution reads, so a warm stage makes two transforms
-    per channel, not three.
+    per channel, not three. The scan arrays are A_bar, B_bar, C, D, the
+    unweighted baby and giant steps of `_powers`, K[:n] (their `_power_sum`
+    weighted by C*B_bar, the same bits as `kernel_t`'s) and its spectrum.
 
     The core is rebuilt, read-only, from `key` (its `core_key`), so a value
     depends on nothing but the key's bytes: a core edited in place is another
-    key. Kernels and scanners share the MEMO_SIZE entries; `memo.cache_clear()`
-    empties them. Threads that miss together each build the same value.
+    key. Both kinds share the MEMO_SIZE entries; `memo.cache_clear()` empties
+    them. Threads that miss together each build the same value.
     """
     core = {
         name: np.frombuffer(data, dtype).reshape(shape)
@@ -258,7 +245,15 @@ def memo(kind, key, n):
     }
     if kind == "kernel":
         return np.fft.rfft(kernel_t(core, n).data, n=_next_pow2(2 * n - 1), axis=0)
-    return _scanner(core, n)
+    a_bar, b_bar, rate = (v.data for v in discretize_t(core))
+    c = core["c_re"] + 1j * core["c_im"]
+    baby, giant = (v.data for v in _powers(rate, n))
+    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], n).real.T
+    spectrum = np.fft.rfft(kernel, n=_next_pow2(2 * n - 1), axis=0)
+    # Copied last, so the kept arrays sit above the build's freed temporaries
+    # in the malloc heap; kept below them, they left the heap top free, and
+    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
+    return (a_bar, b_bar, c, core["d"]) + tuple(a.copy() for a in (baby, giant, kernel, spectrum))
 
 
 def _next_pow2(n):
@@ -290,78 +285,56 @@ def fft_causal_conv(x, kernel):
     return causal_conv_t(ad.Tensor(x), ad.Tensor(kernel)).data
 
 
-def recurrent_step(state, x_k, a_bar, b_bar, c, d):
-    """One streaming update; cost independent of how many steps came before."""
+def recurrent_step(h, x_k, a_bar, b_bar, c, d):
+    """One streaming step from (H, N/2) complex state h: (h', y), in O(H*N) whatever L."""
     x_k = np.asarray(x_k)
-    if state.h.shape != a_bar.shape or x_k.shape != (a_bar.shape[0],):
+    if h.shape != a_bar.shape or x_k.shape != (a_bar.shape[0],):
         raise ValueError(
-            f"state {state.h.shape} / input {x_k.shape} inconsistent with A_bar {a_bar.shape}"
+            f"state {h.shape} / input {x_k.shape} inconsistent with A_bar {a_bar.shape}"
         )
-    h = a_bar * state.h + b_bar * x_k[:, None]
+    h = a_bar * h + b_bar * x_k[:, None]
     y = 2.0 * (c * h).sum(axis=-1).real + d * x_k
-    return StreamState(h), y
+    return h, y
 
 
-def chunk_scanner(params, chunk):
-    """Streaming over chunks of at most `chunk` steps with carried state.
+STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
 
-    Returns `scan(state, x) -> (state, y)` for a (t, H) input with
-    1 <= t <= chunk; it equals t calls of `recurrent_step` up to roundoff.
-    The scanner discretizes the core once and keeps the baby and giant steps
-    of `_powers`, unweighted. K[:chunk] is their `_power_sum` weighted by
-    C*B_bar, the same bits as `kernel_t`'s. A chunk whose padded length is
-    the full chunk's convolves with the kept spectrum of K[:chunk] (two
-    transforms); a shorter one transforms K[:t] on its own, shorter length.
-    The carry 2*Re(sum_n (C h0 A_bar)_n A_bar^k) is the `_power_sum` of the
-    giant steps weighted by C h0 A_bar and the baby steps, the input sum sum_i A_bar^i x[t-1-i]
-    is the baby steps times the reversed chunk folded to (H, c, nq),
-    weighted by the giant steps, and the state decays by A_bar^t, the
-    product of a giant step, a baby step and A_bar. A chunk of t < c steps
-    uses only the first t baby steps. No power table is kept: the scanner
-    is O(chunk*H + H*N*sqrt(chunk)). Scanners come from `memo`, so a core's
-    is built once for any number of sequences and chunk lengths up to `chunk`.
+
+def chunk_scan(core, h, x):
+    """Stream a (t, H) chunk, 1 <= t <= STREAM_CHUNK, from carried state h; returns (h, y).
+
+    h is the (H, N/2) state in the core's complex dtype, zeros at a sequence's
+    start; the result equals t calls of `recurrent_step` up to roundoff. A
+    chunk on the full chunk's padded length convolves with the kept spectrum
+    of K[:STREAM_CHUNK] (two transforms), a shorter one with K[:t]. The carry
+    2*Re(sum_n (C h A_bar)_n A_bar^k) is the `_power_sum` of the giant steps
+    weighted by C h A_bar and the baby steps (the first t of them if t < c);
+    the input sum sum_i A_bar^i x[t-1-i] is the baby steps times the reversed
+    chunk folded to (H, c, nq), weighted by the giant steps; and the state
+    decays by A_bar^t, a giant step times a baby step times A_bar.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    return memo("scanner", core_key(params), chunk)
-
-
-def _scanner(params, chunk):
-    a_bar, b_bar, rate = (v.data for v in discretize_t(params))
-    c, d = params["c_re"] + 1j * params["c_im"], params["d"]
-    baby, giant = (v.data for v in _powers(rate, chunk))
-    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], chunk).real.T
-    n = _next_pow2(2 * chunk - 1)
-    spectrum = np.fft.rfft(kernel, n=n, axis=0)
+    a_bar, b_bar, c, d, baby, giant, kernel, spectrum = memo(
+        "scanner", core_key(core), STREAM_CHUNK)
+    t = x.shape[0]
+    if h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= STREAM_CHUNK:
+        raise ValueError(
+            f"state {h.shape} / input {x.shape} inconsistent with "
+            f"A_bar {a_bar.shape} and chunk {STREAM_CHUNK}"
+        )
     n_channels, n_baby = baby.shape[0], baby.shape[-1]
-    # Kept as copies made last, so they sit above the build's freed temporaries
-    # in the malloc heap; kept below them, they left the heap top free, and
-    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    baby, giant, kernel, spectrum = (a.copy() for a in (baby, giant, kernel, spectrum))
-    spectrum = ad.Tensor(spectrum)
-
-    def scan(state, x):
-        t = x.shape[0]
-        if state.h.shape != a_bar.shape or x.shape[1:] != (n_channels,) or not 1 <= t <= chunk:
-            raise ValueError(
-                f"state {state.h.shape} / input {x.shape} inconsistent with "
-                f"A_bar {a_bar.shape} and chunk {chunk}"
-            )
-        r = min(t, n_baby)  # a chunk shorter than c steps needs only its first t baby steps
-        nq = -(-t // r)
-        steps = baby[:, :, :r]
-        k = spectrum if _next_pow2(2 * t - 1) == n else ad.Tensor(kernel[:t])
-        y = causal_conv_t(ad.Tensor(x), k).data + d * x
-        y += 2.0 * _power_sum(giant[:, :nq] * (c * state.h * a_bar)[:, None, :], steps, t).real.T
-        # Complex, since numpy's complex @ real product runs no BLAS.
-        folded = np.zeros((n_channels, nq * r), np.result_type(x.dtype, baby.dtype))
-        folded[:, :t] = x[::-1].T
-        inputs = ((steps @ folded.reshape(n_channels, nq, r).swapaxes(1, 2))
-                  * giant[:, :nq].swapaxes(1, 2)).sum(axis=-1)
-        decay = giant[:, (t - 1) // n_baby] * baby[:, :, (t - 1) % n_baby] * a_bar  # A_bar^t
-        return StreamState(decay * state.h + b_bar * inputs), y
-
-    return scan
+    r = min(t, n_baby)  # a chunk shorter than c steps needs only its first t baby steps
+    nq = -(-t // r)
+    steps = baby[:, :, :r]
+    k = spectrum if _next_pow2(2 * t - 1) == _next_pow2(2 * STREAM_CHUNK - 1) else kernel[:t]
+    y = causal_conv_t(x, k).data + d * x
+    y += 2.0 * _power_sum(giant[:, :nq] * (c * h * a_bar)[:, None, :], steps, t).real.T
+    # Complex, since numpy's complex @ real product runs no BLAS.
+    folded = np.zeros((n_channels, nq * r), np.result_type(x.dtype, baby.dtype))
+    folded[:, :t] = x[::-1].T
+    inputs = ((steps @ folded.reshape(n_channels, nq, r).swapaxes(1, 2))
+              * giant[:, :nq].swapaxes(1, 2)).sum(axis=-1)
+    decay = giant[:, (t - 1) // n_baby] * baby[:, :, (t - 1) % n_baby] * a_bar  # A_bar^t
+    return decay * h + b_bar * inputs, y
 
 
 def stream_sequence(params, x):
@@ -371,10 +344,10 @@ def stream_sequence(params, x):
     if x.ndim != 2 or x.shape[1] != d.shape[0]:
         raise ValueError(f"expected (L, {d.shape[0]}) input, got {x.shape}")
     a_bar, b_bar = zoh_discretize(params)
-    state = StreamState.for_params(params)
+    h = np.zeros_like(a_bar)
     out = np.empty_like(x)
     for k in range(x.shape[0]):
-        state, out[k] = recurrent_step(state, x[k], a_bar, b_bar, c, d)
+        h, out[k] = recurrent_step(h, x[k], a_bar, b_bar, c, d)
     return out
 
 

@@ -150,6 +150,15 @@ class TestGen:
         assert not out.exists()
 
 
+    def test_noise_that_overflows_to_inf_is_rejected_before_writing(self, capsys, tmp_path):
+        """Finite noise can still draw values no reader accepts; none are written."""
+        out = tmp_path / "g.csv"
+        code, stdout, err = run(capsys, "gen", "--n", "4", "--len", "64", "--noise", "1e308",
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert re.search(r"error: sample \d+, step \d+, feature 0: non-finite value -?inf", err)
+        assert not out.exists()
+
     def test_unallocatable_size_is_exit_1(self, capsys, tmp_path):
         out = tmp_path / "d.csv"
         code, stdout, err = run(capsys, "gen", "--n", "1000000000000", "--len", "10",

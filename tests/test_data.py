@@ -60,6 +60,17 @@ class TestTscCsv:
         back = data.load_dataset(path)
         assert back.x.tobytes() == ds.x.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_written(self, tmp_path, value):
+        ds = make_dataset(n=3, length=4, n_feat=2, seed=5)
+        ds.x[1, 2, 1] = value
+        ds.x[2, 0, 0] = np.nan  # a later one is not the one named
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=f"^sample 1, step 2, feature 1: non-finite value "
+                                             f"{value}; "):
+            data.save_dataset(ds, path)
+        assert not path.exists()
+
     def test_short_row_names_line(self, tmp_path):
         ds = make_dataset(n=3, seed=3)
         path = tmp_path / "d.csv"

@@ -1,7 +1,10 @@
 """The package runs on numpy alone: no scipy module is loaded by importing ms4
-or by its forward, training and streaming paths."""
+or by its forward, training and streaming paths. And every library name that
+the benchmark's traced runs wrap still exists."""
 
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +33,11 @@ def test_no_scipy_module_is_loaded():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_every_traced_name_is_a_library_callable():
+    """bench/tracing.py wraps `ms4.<module>.<attr>` by name, so a refactor that
+    renames or drops one breaks traced benchmark runs."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    for module, attr in tracing["WRAPPED"]:
+        assert callable(getattr(importlib.import_module(f"ms4.{module}"), attr, None)), (module, attr)

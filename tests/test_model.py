@@ -2,6 +2,7 @@
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -575,6 +576,22 @@ class TestBatchLogits:
         model.batch_logits(x, mdl)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("shape", [(200, 3), (200,), (1, 2, 8, 3)])
+    def test_input_that_is_not_3d_is_rejected_before_any_forward(self, monkeypatch, shape):
+        """An (L, F) sequence is not scored as SCORE_CHUNK-step slices of fake sequences."""
+        mdl = tiny_model(seed=37)
+        x = np.random.default_rng(37).standard_normal(shape)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = self.record_forwards(monkeypatch)
+        ds = data.Dataset(x=np.zeros((1, 8, 3)), y=np.zeros(1), n_classes=3)
+        ds.x = x  # set after the constructor, which checks the shape itself
+        message = re.escape(f"expected (n, L, 3) input, got {shape}")
+        for score in (lambda: model.batch_logits(x, mdl), lambda: model.predict(x, mdl),
+                      lambda: training.evaluate(mdl, ds)):
+            with pytest.raises(ValueError, match=message):
+                score()
+        assert calls == []
+
     def test_empty_input(self):
         mdl = tiny_model(seed=34)
         assert model.batch_logits(np.zeros((0, 8, 3)), mdl).shape == (0, mdl.n_classes)
@@ -911,7 +928,7 @@ class TestCheckpoint:
 
 
 STREAM_LENGTHS = [1, 63, 64, 133,
-                  model.STREAM_CHUNK - 1, model.STREAM_CHUNK, 2 * model.STREAM_CHUNK + 5]
+                  ssm.STREAM_CHUNK - 1, ssm.STREAM_CHUNK, 2 * ssm.STREAM_CHUNK + 5]
 
 
 class TestStreaming:
@@ -936,33 +953,39 @@ class TestStreaming:
             raise AssertionError("stream_logits called recurrent_step")
 
         monkeypatch.setattr(ssm, "recurrent_step", refuse)
-        self.assert_stream_matches_forward(tiny_model(seed=11), 3 * model.STREAM_CHUNK + 7)
+        self.assert_stream_matches_forward(tiny_model(seed=11), 3 * ssm.STREAM_CHUNK + 7)
 
     def test_scanner_built_once_per_core(self, monkeypatch):
-        """Later sequences take each block's scanner, with its kernel, from the memo:
+        """Later sequences take each block's scan arrays, with its kernel, from the memo:
         one discretization and one build of STREAM_CHUNK steps' powers per core."""
         mdl = tiny_model(normalized=False, n_layers=2, seed=13)
         powers, maps = [], []
         build, discretize = ssm._powers, ssm.discretize_t
         monkeypatch.setattr(ssm, "_powers", lambda r, n, *w: powers.append(n) or build(r, n, *w))
         monkeypatch.setattr(ssm, "discretize_t", lambda p: maps.append(1) or discretize(p))
-        for x in np.random.default_rng(13).standard_normal((3, 2 * model.STREAM_CHUNK + 5, 3)):
+        for x in np.random.default_rng(13).standard_normal((3, 2 * ssm.STREAM_CHUNK + 5, 3)):
             model.stream_logits(mdl, x)
-        assert powers == [model.STREAM_CHUNK] * 2
+        assert powers == [ssm.STREAM_CHUNK] * 2
         assert len(maps) == 2
 
     def test_one_scanner_serves_every_length(self, monkeypatch):
-        """Short sequences of varied lengths share each core's STREAM_CHUNK scanner."""
+        """Short sequences of varied lengths share each core's STREAM_CHUNK scan arrays."""
         mdl = tiny_model(normalized=False, n_layers=2, seed=15)
-        builds, build = [], ssm._scanner
-        monkeypatch.setattr(ssm, "_scanner", lambda p, n: builds.append(n) or build(p, n))
+        builds, build = [], ssm._powers
+
+        def powers(rate, n, *weight):
+            if not weight:  # the scan's build; a kernel's powers are weighted by C*B_bar
+                builds.append(n)
+            return build(rate, n, *weight)
+
+        monkeypatch.setattr(ssm, "_powers", powers)
         for length in (5, 17, 300):
             self.assert_stream_matches_forward(mdl, length)
-        assert builds == [model.STREAM_CHUNK] * 2
+        assert builds == [ssm.STREAM_CHUNK] * 2
 
     def test_cold_and_warm_calls_give_identical_bits(self):
         mdl = tiny_model(normalized=False, n_layers=2, seed=16)
-        x = np.random.default_rng(16).standard_normal((model.STREAM_CHUNK + 77, 3))
+        x = np.random.default_rng(16).standard_normal((ssm.STREAM_CHUNK + 77, 3))
         cold = model.stream_logits(mdl, x)
         warm = model.stream_logits(mdl, x)
         ssm.memo.cache_clear()

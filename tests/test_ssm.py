@@ -1,6 +1,7 @@
 """SSM layer tests: initialization, discretization, kernel, convolution, and
 the convolution/recurrence duality, each against an independent oracle."""
 
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -230,10 +231,10 @@ class TestRecurrence:
     def test_zero_state_zero_input(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
         a_bar, b_bar = ssm.zoh_discretize(p)
-        state = ssm.StreamState.for_params(p)
-        new_state, y = ssm.recurrent_step(state, np.zeros(3), a_bar, b_bar,
-                                          helpers.complex_of(p, "c"), p["d"])
-        np.testing.assert_array_equal(new_state.h, np.zeros_like(state.h))
+        h = np.zeros_like(a_bar)
+        new_h, y = ssm.recurrent_step(h, np.zeros(3), a_bar, b_bar,
+                                      helpers.complex_of(p, "c"), p["d"])
+        np.testing.assert_array_equal(new_h, np.zeros_like(h))
         np.testing.assert_array_equal(y, np.zeros(3))
 
     def test_first_step_equals_kernel_head_plus_feedthrough(self):
@@ -241,7 +242,7 @@ class TestRecurrence:
         p = helpers.random_ssm_params(rng, 4, 8)
         a_bar, b_bar = ssm.zoh_discretize(p)
         x0 = rng.standard_normal(4)
-        _, y0 = ssm.recurrent_step(ssm.StreamState.for_params(p), x0, a_bar, b_bar,
+        _, y0 = ssm.recurrent_step(np.zeros_like(a_bar), x0, a_bar, b_bar,
                                    helpers.complex_of(p, "c"), p["d"])
         expected = (ssm.compute_kernel(p, 1)[0] + p["d"]) * x0
         np.testing.assert_allclose(y0, expected, atol=1e-12)
@@ -250,7 +251,7 @@ class TestRecurrence:
         p = ssm.init_s4d_params(3, 4, seed=0)
         a_bar, b_bar = ssm.zoh_discretize(p)
         with pytest.raises(ValueError):
-            ssm.recurrent_step(ssm.StreamState.zeros(2, 2), np.zeros(3), a_bar, b_bar,
+            ssm.recurrent_step(np.zeros((2, 2), complex), np.zeros(3), a_bar, b_bar,
                                helpers.complex_of(p, "c"), p["d"])
 
     def test_stream_equals_conv_plus_feedthrough(self):
@@ -262,58 +263,64 @@ class TestRecurrence:
         np.testing.assert_allclose(streamed, batch, rtol=0, atol=1e-9)
 
 
-CHUNK = 16
+CHUNK = ssm.STREAM_CHUNK
 
 
-def stepwise(params, state, x):
-    """Reference for `chunk_scanner`: one `recurrent_step` per row of x."""
+def stepwise(params, h, x):
+    """Reference for `chunk_scan`: one `recurrent_step` per row of x."""
     a_bar, b_bar = ssm.zoh_discretize(params)
     out = np.empty_like(x)
     for k in range(x.shape[0]):
-        state, out[k] = ssm.recurrent_step(state, x[k], a_bar, b_bar,
-                                           helpers.complex_of(params, "c"), params["d"])
-    return state, out
+        h, out[k] = ssm.recurrent_step(h, x[k], a_bar, b_bar,
+                                       helpers.complex_of(params, "c"), params["d"])
+    return h, out
+
+
+def scan_chunks(params, h, x):
+    """`chunk_scan` over x in chunks of STREAM_CHUNK steps; the last may be shorter."""
+    outputs = []
+    for start in range(0, x.shape[0], CHUNK):
+        h, y = ssm.chunk_scan(params, h, x[start : start + CHUNK])
+        outputs.append(y)
+    return h, np.concatenate(outputs)
 
 
 class TestChunkScanner:
-    """Chunked carried-state streaming against the per-step recurrence."""
+    """`chunk_scan`: chunked carried-state streaming against the per-step recurrence."""
 
-    def assert_matches_stepwise(self, params, x, rng, chunk=CHUNK):
+    def assert_matches_stepwise(self, params, x, rng):
         shape = params["c_re"].shape
-        state = ssm.StreamState(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        expected_state, expected = stepwise(params, state, x)
-        scan = ssm.chunk_scanner(params, chunk)
-        outputs = []
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected_h, expected = stepwise(params, h, x)
         with np.errstate(invalid="raise", divide="raise", over="raise"):
-            for start in range(0, x.shape[0], chunk):
-                state, y = scan(state, x[start : start + chunk])
-                outputs.append(y)
-        np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.h, expected_state.h, rtol=0, atol=1e-12)
+            h, y = scan_chunks(params, h, x)
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, expected_h, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("length", [1, 15, 16, 53, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
     def test_matches_recurrent_steps(self, length):
         rng = np.random.default_rng(length)
         params = helpers.random_ssm_params(rng, 4, 8)
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
-    @pytest.mark.parametrize("length", [1, 5, 22, 23, 3 * 23 + 5])
+    @pytest.mark.parametrize("length", [1, 5, 22, 23, 74, 2 * CHUNK + 74])
     def test_matches_recurrent_steps_at_a_chunk_that_is_not_a_square(self, length):
-        """isqrt(23) = 4, so the giant steps overrun the chunk and partial
-        chunks end inside a baby-step block."""
+        """isqrt(512) = 22, so the 24 giant steps overrun the chunk, and
+        chunks end at, just past and inside a baby-step block."""
+        assert (math.isqrt(CHUNK), -(-CHUNK // math.isqrt(CHUNK))) == (22, 24)
         rng = np.random.default_rng(200 + length)
         params = helpers.random_ssm_params(rng, 4, 8)
-        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng, chunk=23)
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
-    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("length", [1, 15, 16, 53])
     def test_fast_decay_underflows_cleanly(self, length):
         rng = np.random.default_rng(100 + length)
         params = helpers.random_ssm_params(rng, 4, 8)
-        params["log_delta"][:] = np.log(1e3)  # delta = 1000, so A_bar^CHUNK underflows to 0
-        assert np.abs(ssm.zoh_discretize(params)[0] ** CHUNK).max() == 0.0
+        params["log_delta"][:] = np.log(1e3)  # delta = 1000, so A_bar^16 underflows to 0
+        assert np.abs(ssm.zoh_discretize(params)[0] ** 16).max() == 0.0
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
-    @pytest.mark.parametrize("length", [1, 511, 512, 2 * 512 + 5])
+    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 2 * CHUNK + 5])
     def test_fast_decay_underflows_cleanly_at_a_long_chunk(self, length):
         """exp(rate*k) underflows to 0 for most k, and to 0 already at k = 1
         for the modes whose A_bar is 0, with no NaN or floating-point error."""
@@ -321,7 +328,7 @@ class TestChunkScanner:
         params = helpers.random_ssm_params(rng, 4, 8)
         params["log_delta"][:] = np.log(1e3)
         assert (ssm.zoh_discretize(params)[0] == 0.0).any()
-        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng, chunk=512)
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
     def test_float32_core_streams_in_float32(self):
         """The carried state stays complex64 and the output float32 across chunks."""
@@ -329,13 +336,12 @@ class TestChunkScanner:
         params64 = helpers.random_ssm_params(rng, 4, 8)
         params = {name: v.astype(np.float32) for name, v in params64.items()}
         x = rng.standard_normal((2 * CHUNK + 5, 4)).astype(np.float32)
-        scan = ssm.chunk_scanner(params, CHUNK)
-        state, outputs = ssm.StreamState.for_params(params), []
+        h, outputs = np.zeros((4, 4), np.complex64), []
         for start in range(0, x.shape[0], CHUNK):
-            state, y = scan(state, x[start : start + CHUNK])
-            assert state.h.dtype == np.complex64 and y.dtype == np.float32
+            h, y = ssm.chunk_scan(params, h, x[start : start + CHUNK])
+            assert h.dtype == np.complex64 and y.dtype == np.float32
             outputs.append(y)
-        _, expected = stepwise(params64, ssm.StreamState.for_params(params64), x.astype(float))
+        _, expected = stepwise(params64, np.zeros((4, 4), complex), x.astype(float))
         np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-4)
 
     def test_a_short_chunk_is_transformed_at_its_own_length(self, monkeypatch):
@@ -343,31 +349,29 @@ class TestChunkScanner:
         lengths, conv = [], ad.causal_conv
         monkeypatch.setattr(ad, "causal_conv", lambda x, k, n: lengths.append(n) or conv(x, k, n))
         params = ssm.init_s4d_params(3, 4, seed=0)
-        scan = ssm.chunk_scanner(params, 512)
         for t in (5, 256, 257, 512):
-            scan(ssm.StreamState.for_params(params), np.zeros((t, 3)))
+            ssm.chunk_scan(params, np.zeros((3, 2), complex), np.zeros((t, 3)))
         assert lengths == [16, 512, 1024, 1024]
 
     def test_building_a_scanner_keeps_no_power_table(self):
-        """At H = N = 64 a table of A_bar^0..A_bar^4096 alone would be 134 MB."""
+        """At H = N = 64 a table of A_bar^0..A_bar^512 alone would be 16.8 MB."""
         core = ssm.init_s4d_params(64, 64, seed=0)
         tracemalloc.start()
         try:
-            ssm.chunk_scanner(core, 4096)
+            ssm.chunk_scan(core, np.zeros((64, 32), complex), np.zeros((1, 64)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 64 * 32 * (CHUNK + 1) * 16
 
     def test_rejects_bad_chunks(self):
         params = ssm.init_s4d_params(3, 4, seed=0)
-        scan = ssm.chunk_scanner(params, CHUNK)
-        state = ssm.StreamState.for_params(params)
+        h = np.zeros((3, 2), complex)
         for x in (np.zeros((0, 3)), np.zeros((CHUNK + 1, 3)), np.zeros((4, 2))):
             with pytest.raises(ValueError):
-                scan(state, x)
+                ssm.chunk_scan(params, h, x)
         with pytest.raises(ValueError):
-            ssm.chunk_scanner(params, 0)
+            ssm.chunk_scan(params, np.zeros((3, 3), complex), np.zeros((4, 3)))
 
 
 class TestDuality:
@@ -484,13 +488,13 @@ class TestMemo:
         p = helpers.random_ssm_params(rng, 4, 8)
         original = {name: v.copy() for name, v in p.items()}
         x = rng.standard_normal((CHUNK, 4))
-        state = ssm.StreamState.for_params(p)
-        ssm.chunk_scanner(p, CHUNK)
+        h = np.zeros((4, 4), complex)
+        ssm.chunk_scan(p, h, x)
         p["c_re"] *= -2.0
         p["d"] += 1.0
-        for core in (p, original):  # `original` hits the scanner built from p's old values
-            _, y = ssm.chunk_scanner(core, CHUNK)(state, x)
-            np.testing.assert_allclose(y, stepwise(core, state, x)[1], rtol=0, atol=1e-12)
+        for core in (p, original):  # `original` hits the arrays built from p's old values
+            _, y = ssm.chunk_scan(core, h, x)
+            np.testing.assert_allclose(y, stepwise(core, h, x)[1], rtol=0, atol=1e-12)
         info = ssm.memo.cache_info()
         assert (info.hits, info.misses) == (1, 2)
 
