@@ -263,12 +263,36 @@ def forward_t(x, leaves, keeps=None):
 
     The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
     multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
+    When nothing requires a gradient, the stages read their spectra from `memo`.
     """
+    n = block_count(leaves)
+    graph = x.requires_grad or any(t.requires_grad for t in leaves.values())
+    spectra = [None] * n if graph else memo(memo_key(leaves), x.shape[-2])
     h = ad.affine(x, leaves["w1"], leaves["b1"])
-    for i in range(block_count(leaves)):
-        h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i])
+    for i in range(n):
+        h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i], spectra[i])
         h = channel_mix_t(h, leaves, i)  # an eval forward frees the stage's input first
     return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
+
+
+def memo_key(leaves):
+    """The name, dtype, shape and bytes of every S4D leaf (array or Tensor): `memo`'s key."""
+    arrays = {k: ad.as_tensor(v).data for k, v in leaves.items() if ".ssm." in k}
+    return tuple((k, a.dtype, a.shape, a.tobytes()) for k, a in arrays.items())
+
+
+@functools.lru_cache(maxsize=2)
+def memo(key, length):
+    """Every block's `ssm.kernel_spectrum` at `length`, or, if it is None, its `ssm.scan_arrays`.
+
+    The cores are rebuilt read-only from `key` (a `memo_key`), so a model edited in
+    place is another key. Two entries hold a model's scan arrays and one length's
+    spectra, as a stream checked against forwards needs. Racing misses build twice.
+    """
+    leaves = {k: np.frombuffer(data, dtype).reshape(shape) for k, dtype, shape, data in key}
+    cores = [block_core(leaves, i) for i in range(len(leaves) // len(ssm.SSM_LEAF_NAMES))]
+    return [ssm.scan_arrays(core) if length is None else ssm.kernel_spectrum(core, length)
+            for core in cores]
 
 
 def forward(x, model):
@@ -365,14 +389,16 @@ def batch_logits(x, model, batch_size=256):
 
     Each forward takes min(batch_size, SCORE_CHUNK) sequences, a size that does
     not depend on the machine, so the logits are the same on any CPU count.
-    Forwards run on `cpu_map`, with at most `batch_size` sequences in flight
-    at once. An x that is not 3-D raises ValueError before they start.
+    Forwards run on `cpu_map`, at most `batch_size` sequences in flight at once,
+    after the spectra are in `memo`. An x that is not 3-D raises ValueError first.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise ValueError(f"expected (n, L, {model.n_features}) input, got {x.shape}")
+    if x.shape[0] and x.shape[1]:  # built here, so that no two workers build them
+        memo(memo_key(model.params), x.shape[1])
     step = min(batch_size, SCORE_CHUNK)
     starts = range(0, x.shape[0], step)
     chunks = cpu_map(lambda start: forward(x[start : start + step], model), starts,
@@ -393,10 +419,10 @@ def stream_logits(model, x):
 
     The sequence is read in chunks of `ssm.STREAM_CHUNK` steps, so working
     memory is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK)) whatever L is. Each
-    block runs a chunk through `ssm.chunk_scan` with its core and the state
-    carried from the previous chunk, then applies GELU and `channel_mix_t`
-    exactly as `forward_t` does. A running sum over time replaces pooling
-    and feeds the shared head `classify_t`.
+    block runs a chunk through `ssm.chunk_scan` with its scan arrays, from one
+    `memo` lookup, and the state carried from the previous chunk, then applies
+    GELU and `channel_mix_t` exactly as `forward_t` does. A running sum over
+    time replaces pooling and feeds the shared head `classify_t`.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
@@ -405,18 +431,17 @@ def stream_logits(model, x):
         raise ValueError(f"expected (L, {model.n_features}) input, got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("sequence length must be >= 1")
-    leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    cores = [block_core(model.params, i) for i in range(model.n_layers)]
-    states = [np.zeros_like(c["a_imag"], np.result_type(c["a_imag"], np.complex64)) for c in cores]
+    scans = memo(memo_key(model.params), None)
+    states = [np.zeros_like(a_bar) for a_bar, *_ in scans]
     total = np.zeros(model.n_hidden)
     for start in range(0, x.shape[0], ssm.STREAM_CHUNK):
         h = x[start : start + ssm.STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
-        for i, core in enumerate(cores):
-            states[i], y = ssm.chunk_scan(core, states[i], h)
-            h = channel_mix_t(ad.gelu(ad.Tensor(y)), leaves, i).data
+        for i, scan in enumerate(scans):
+            states[i], y = ssm.chunk_scan(scan, states[i], h)
+            h = channel_mix_t(ad.gelu(ad.Tensor(y)), model.params, i).data
         total += h.sum(axis=0)
     mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
-    return classify_t(mean, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"]).data[0]
+    return classify_t(mean, *(model.params[k] for k in ("w3", "b3", "w4", "b4"))).data[0]
 
 
 # -- complexity accounting -----------------------------------------------------
@@ -439,7 +464,7 @@ def mac_breakdown(model, length):
     constants. Transcendental evaluations (GELU, sigmoid, exp) are not
     counted as MACs. The `ssm_kernel` and `ssm_fft` counts are those of a
     cold forward, which computes each kernel and makes three transforms per
-    channel: an eval-mode forward whose kernel spectra `ssm.memo` holds
+    channel: an eval-mode forward whose kernel spectra `memo` holds
     computes no kernel and makes two.
     """
     if length < 1:

@@ -23,9 +23,9 @@ O(H N sqrt(T)) arrays, so a chunk costs one convolution and a few small
 batched products, and memory is O(T*H + H*N*sqrt(T)) whatever the sequence
 length. The state is a plain (H, N/2) complex array.
 
-Outside a training graph, a core's kernel spectrum and scan arrays depend
-only on its arrays, so `memo` keeps the most recently used of them, keyed on
-the arrays' content (`core_key`). Since the H channels are independent, the
+The module keeps no state: outside a training graph, the stage and the scan
+take a core's `kernel_spectrum` and `scan_arrays` from their caller, which
+may keep them (`model.memo`). Since the H channels are independent, the
 stage runs in slices of at most CHANNEL_BLOCK channels, and of fewer when
 the sequence is long (BLOCK_BINS), so their FFT spectra stay in cache. In
 a training graph the stage is one tape node that saves GELU's slope and
@@ -34,7 +34,6 @@ recomputes the spectra in its VJP.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -48,7 +47,6 @@ SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "
 
 CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
 BLOCK_BINS = 16 * 4097  # most spectrum bins per sequence and pass (1 MB): 16 channels up to L=4096
-MEMO_SIZE = 8  # kernels and scan arrays `memo` keeps; the least recently used goes
 
 
 def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
@@ -146,20 +144,21 @@ def causal_conv_t(x, kernel):
     return ad.causal_conv(x, kernel, _next_pow2(2 * x.shape[-2] - 1))
 
 
-def s4d_apply(x, p, keep=None):
+def s4d_apply(x, p, keep=None, spectrum=None):
     """Full S4D stage on a projected input: conv + feedthrough, GELU, then dropout.
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
     dropout runs. The stage runs on at most CHANNEL_BLOCK channels at a time,
     and each channel's arithmetic is that of `_stage` on the whole width, so the
-    output is bit-identical to it. When no operand requires a gradient, the
-    kernel's spectrum comes from `memo`; otherwise see `_stage_node`.
+    output is bit-identical to it. When no operand requires a gradient, it reads
+    `spectrum`, or builds the core's `kernel_spectrum`; otherwise see `_stage_node`.
     """
     d = ad.as_tensor(p["d"])
     if x.requires_grad or any(ad.as_tensor(v).requires_grad for v in p.values()):
         return _stage_node(x, kernel_t(p, x.shape[-2]), d, keep)
-    y = ad.Tensor(_blocks(x.data, memo("kernel", core_key(p), x.shape[-2]), d.data))
+    spectrum = kernel_spectrum(p, x.shape[-2]) if spectrum is None else spectrum
+    y = ad.Tensor(_blocks(x.data, spectrum, d.data))
     return y if keep is None else y * keep
 
 
@@ -217,43 +216,10 @@ def _stage(x, kernel, d):
     return ad.gelu(causal_conv_t(x, kernel) + x * d)
 
 
-def core_key(p):
-    """The exact dtype, shape and bytes of each leaf (array or Tensor) of core `p`."""
-    leaves = (ad.as_tensor(p[name]).data for name in SSM_LEAF_NAMES)
-    return tuple((a.dtype, a.shape, a.tobytes()) for a in leaves)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def memo(kind, key, n):
-    """The spectrum of `kernel_t(core, n)` ("kernel"), or the arrays `chunk_scan`
-    reads for chunks of up to n steps ("scanner").
-
-    The spectrum is the kernel's rfft on the stage's padded length, which is
-    all the eval-mode convolution reads, so a warm stage makes two transforms
-    per channel, not three. The scan arrays are A_bar, B_bar, C, D, the
-    unweighted baby and giant steps of `_powers`, K[:n] (their `_power_sum`
-    weighted by C*B_bar, the same bits as `kernel_t`'s) and its spectrum.
-
-    The core is rebuilt, read-only, from `key` (its `core_key`), so a value
-    depends on nothing but the key's bytes: a core edited in place is another
-    key. Both kinds share the MEMO_SIZE entries; `memo.cache_clear()` empties
-    them. Threads that miss together each build the same value.
-    """
-    core = {
-        name: np.frombuffer(data, dtype).reshape(shape)
-        for name, (dtype, shape, data) in zip(SSM_LEAF_NAMES, key)
-    }
-    if kind == "kernel":
-        return np.fft.rfft(kernel_t(core, n).data, n=_next_pow2(2 * n - 1), axis=0)
-    a_bar, b_bar, rate = (v.data for v in discretize_t(core))
-    c = core["c_re"] + 1j * core["c_im"]
-    baby, giant = (v.data for v in _powers(rate, n))
-    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], n).real.T
-    spectrum = np.fft.rfft(kernel, n=_next_pow2(2 * n - 1), axis=0)
-    # Copied last, so the kept arrays sit above the build's freed temporaries
-    # in the malloc heap; kept below them, they left the heap top free, and
-    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    return (a_bar, b_bar, c, core["d"]) + tuple(a.copy() for a in (baby, giant, kernel, spectrum))
+def kernel_spectrum(p, n):
+    """The rfft of `kernel_t(p, n)` on the stage's padded length: all an eval-mode
+    convolution reads, so a stage given it makes two transforms per channel, not three."""
+    return np.fft.rfft(kernel_t(p, n).data, n=_next_pow2(2 * n - 1), axis=0)
 
 
 def _next_pow2(n):
@@ -300,12 +266,26 @@ def recurrent_step(h, x_k, a_bar, b_bar, c, d):
 STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
 
 
-def chunk_scan(core, h, x):
+def scan_arrays(core):
+    """What `chunk_scan` reads: A_bar, B_bar, C, D, `_powers`' unweighted baby and giant
+    steps, K[:STREAM_CHUNK] (`kernel_t`'s bits, from their weighted `_power_sum`) and its rfft."""
+    a_bar, b_bar, rate = (v.data for v in discretize_t(core))
+    c = core["c_re"] + 1j * core["c_im"]
+    baby, giant = (v.data for v in _powers(rate, STREAM_CHUNK))
+    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], STREAM_CHUNK).real.T
+    spectrum = np.fft.rfft(kernel, n=_next_pow2(2 * STREAM_CHUNK - 1), axis=0)
+    # Copied last, so the kept arrays sit above the build's freed temporaries
+    # in the malloc heap; kept below them, they left the heap top free, and
+    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
+    return (a_bar, b_bar, c, core["d"]) + tuple(a.copy() for a in (baby, giant, kernel, spectrum))
+
+
+def chunk_scan(scan, h, x):
     """Stream a (t, H) chunk, 1 <= t <= STREAM_CHUNK, from carried state h; returns (h, y).
 
-    h is the (H, N/2) state in the core's complex dtype, zeros at a sequence's
-    start; the result equals t calls of `recurrent_step` up to roundoff. A
-    chunk on the full chunk's padded length convolves with the kept spectrum
+    `scan` is a core's `scan_arrays` and h the (H, N/2) state in its complex dtype,
+    zeros at a sequence's start; the result equals t calls of `recurrent_step` up to
+    roundoff. A chunk on the full chunk's padded length convolves with the kept spectrum
     of K[:STREAM_CHUNK] (two transforms), a shorter one with K[:t]. The carry
     2*Re(sum_n (C h A_bar)_n A_bar^k) is the `_power_sum` of the giant steps
     weighted by C h A_bar and the baby steps (the first t of them if t < c);
@@ -313,8 +293,7 @@ def chunk_scan(core, h, x):
     chunk folded to (H, c, nq), weighted by the giant steps; and the state
     decays by A_bar^t, a giant step times a baby step times A_bar.
     """
-    a_bar, b_bar, c, d, baby, giant, kernel, spectrum = memo(
-        "scanner", core_key(core), STREAM_CHUNK)
+    a_bar, b_bar, c, d, baby, giant, kernel, spectrum = scan
     t = x.shape[0]
     if h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= STREAM_CHUNK:
         raise ValueError(

@@ -109,15 +109,15 @@ def train(mdl, dataset, config):
     Each batch's gradient is the sum over shards of `model.TRAIN_SHARD`
     sequences, each its own tape with its loss scaled by shard/batch, run on
     `model.cpu_map`; the sums are taken in shard order, so the result does
-    not depend on the CPU count. A run starts by emptying `ssm`'s kernel
-    memo: the parameters change every step, so no kernel of a validation
+    not depend on the CPU count. A run starts by emptying `model.memo`: the
+    parameters change every step, so no kernel spectrum of a validation
     forward is used twice, and a run does the same work however many runs
     with the same seed came before it.
     """
     config.validate()
     if dataset.n_classes < 2 or np.unique(dataset.y).size < 2:
         raise ValueError("training requires at least two classes present in the data")
-    ssm.memo.cache_clear()
+    model_mod.memo.cache_clear()
     train_set, val_set = data_mod.split(dataset, config.val_fraction, config.seed)
 
     leaves = {k: v.copy() for k, v in mdl.leaves().items()}

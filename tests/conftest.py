@@ -2,11 +2,11 @@
 
 import pytest
 
-from ms4 import ssm
+from ms4 import model
 
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    """Start each test with an empty kernel and scanner memo, so the order in
-    which tests run cannot decide whether a test takes the cold or warm path."""
-    ssm.memo.cache_clear()
+    """Start each test with an empty `model.memo`, so the order in which
+    tests run cannot decide whether a test takes the cold or warm path."""
+    model.memo.cache_clear()

@@ -104,16 +104,16 @@ def test_criterion_6_linear_scaling_in_length():
     start = time.perf_counter()
     mdl = model.init_model(4, 64, 64, 10, normalized=True, dropout_rate=0.0, seed=0)
     rng = np.random.default_rng(106)
-    times = {}
-    for length in (4096, 8192):
-        x = rng.standard_normal((length, 4))
-        model.forward(x, mdl)  # warm-up outside the timed repeats
-        samples = []
-        for _ in range(20):
+    inputs = {length: rng.standard_normal((length, 4)) for length in (4096, 8192)}
+    for x in inputs.values():
+        model.forward(x, mdl)  # warm-up outside the timed repeats; both spectra stay in the memo
+    samples = {length: [] for length in inputs}
+    for _ in range(20):  # alternated, so drift on a shared host reaches both lengths alike
+        for length, x in inputs.items():
             t0 = time.perf_counter()
             model.forward(x, mdl)
-            samples.append(time.perf_counter() - t0)
-        times[length] = float(np.median(samples))
+            samples[length].append(time.perf_counter() - t0)
+    times = {length: float(np.median(s)) for length, s in samples.items()}
     ratio = times[8192] / times[4096]
     elapsed = time.perf_counter() - start
     report(6, "linear-in-L forward scaling", ratio <= 2.5, elapsed, 60,

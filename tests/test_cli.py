@@ -548,7 +548,7 @@ class TestScoringInBlocks:
         for n in (256, 256, 4096):  # the first run warms up
             path = tmp_path / f"{n}.csv"
             data.save_dataset(data.synth_freq_task(n, 16, seed=n), path)
-            ssm.memo.cache_clear()
+            model.memo.cache_clear()
             tracemalloc.start()
             try:
                 code = cli.main(["eval", "--model", str(ckpt), "--data", str(path)])

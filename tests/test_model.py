@@ -2,7 +2,10 @@
 pass, parameter/MAC accounting, checkpointing, and streaming equivalence."""
 
 import json
+import os
+import platform
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -282,17 +285,19 @@ class TestForward:
     def test_memo_stays_bounded(self):
         mdl = tiny_model(n_layers=2, seed=43)
         rng = np.random.default_rng(43)
-        for length in range(1, ssm.MEMO_SIZE + 4):
-            model.forward(rng.standard_normal((length, 3)), mdl)
-            assert ssm.memo.cache_info().currsize <= ssm.MEMO_SIZE
-        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
+        for length in range(1, 6):
+            x = rng.standard_normal((length, 3))
+            model.forward(x, mdl)
+            model.stream_logits(mdl, x)
+            assert model.memo.cache_info().currsize <= 2
+        assert model.memo.cache_info().currsize == 2
 
     def test_long_forward_peak_memory(self):
         """One L=4096, H=N=64 forward, cold and then warm. The whole-width stage peaked
         at 21 MB cold; an unsliced mix peaked at 10.6 MB warm (5 activations)."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=44)
         x = np.random.default_rng(44).standard_normal((4096, 4))
-        ssm.memo.cache_clear()
+        model.memo.cache_clear()
         assert forward_peak(x, mdl) <= 16e6
         assert forward_peak(x, mdl) <= 9e6
 
@@ -352,8 +357,8 @@ class TestForward:
         native = model.forward(x, mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         sizes, inner = [], model.forward_t
-        monkeypatch.setattr(model, "forward_t", lambda xb, leaves, keeps=None: sizes.append(
-            len(xb.data)) or inner(xb, leaves, keeps))
+        monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
+            len(xb.data)) or inner(xb, leaves, **kw))
         logits = model.forward(x, mdl)
         assert sizes == [model.SCORE_CHUNK, model.SCORE_CHUNK, 1]
         parts = [model.forward(x[lo : lo + model.SCORE_CHUNK], mdl)
@@ -536,12 +541,16 @@ class TestBatchLogits:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_cold_memo_logits_independent_of_cpu_count(self, monkeypatch, cpus):
-        """Workers that all miss the memo build the same kernel and score the same."""
+        """A cold call builds each block's kernel spectrum once, before its workers start,
+        and scores as one CPU does."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, seed=36)
         x = np.random.default_rng(36).standard_normal((4 * model.SCORE_CHUNK, 16, 3))
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         single = model.batch_logits(x, mdl)
-        ssm.memo.cache_clear()
+        model.memo.cache_clear()
+        built, spectrum = [], ssm.kernel_spectrum
+        monkeypatch.setattr(ssm, "kernel_spectrum",
+                            lambda p, n: built.append(p["d"]) or spectrum(p, n))
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -550,6 +559,8 @@ class TestBatchLogits:
             warm = model.batch_logits(x, mdl)
         finally:
             sys.setswitchinterval(interval)
+        assert [d.tobytes() for d in built] == [mdl.params[f"block{i}.ssm.d"].tobytes()
+                                                for i in range(2)]
         np.testing.assert_array_equal(cold, single)
         np.testing.assert_array_equal(warm, single)
 
@@ -988,7 +999,7 @@ class TestStreaming:
         x = np.random.default_rng(16).standard_normal((ssm.STREAM_CHUNK + 77, 3))
         cold = model.stream_logits(mdl, x)
         warm = model.stream_logits(mdl, x)
-        ssm.memo.cache_clear()
+        model.memo.cache_clear()
         assert cold.tobytes() == warm.tobytes() == model.stream_logits(mdl, x).tobytes()
 
     def test_working_memory_independent_of_length(self):
@@ -1003,3 +1014,102 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[8192] <= 1.5 * peaks[512]
+
+
+class TestMemoUse:
+    """Each call looks `model.memo` up once, and a model's arrays stay warm whatever
+    its block count, also when streams and forwards alternate."""
+
+    @staticmethod
+    def record_builds(monkeypatch):
+        """The lengths `ssm.kernel_spectrum` is built at from now on; None for `ssm.scan_arrays`."""
+        builds, spectrum, scan = [], ssm.kernel_spectrum, ssm.scan_arrays
+        monkeypatch.setattr(ssm, "kernel_spectrum", lambda p, n: builds.append(n) or spectrum(p, n))
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(None) or scan(p))
+        return builds
+
+    def test_a_second_call_of_nine_blocks_builds_nothing(self, monkeypatch):
+        """Nine blocks overran the eight entries of a memo of single cores."""
+        mdl = tiny_model(n_layers=9, seed=50)
+        x = np.random.default_rng(50).standard_normal((64, 3))
+        first = model.forward(x, mdl), model.stream_logits(mdl, x)
+        builds = self.record_builds(monkeypatch)
+        second = model.forward(x, mdl), model.stream_logits(mdl, x)
+        assert builds == []
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_alternating_stream_and_forward_build_once(self, monkeypatch):
+        mdl = tiny_model(n_layers=5, seed=51)
+        x = np.random.default_rng(51).standard_normal((64, 3))
+        builds = self.record_builds(monkeypatch)
+        for _ in range(4):
+            model.stream_logits(mdl, x)
+            model.forward(x, mdl)
+        assert builds == [None] * 5 + [64] * 5
+
+    def test_forward_looks_up_once_per_scoring_chunk_and_a_graph_never(self):
+        mdl = tiny_model(n_layers=2, seed=53)
+        x = np.random.default_rng(53).standard_normal((model.SCORE_CHUNK + 1, 16, 3))
+        model.forward(x, mdl)
+        info = model.memo.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        model.forward_t(ad.Tensor(x[:2]), {k: ad.Tensor(v, requires_grad=True)
+                                           for k, v in mdl.params.items()})
+        model.forward_t(ad.Tensor(x[:2], requires_grad=True),
+                        {k: ad.Tensor(v) for k, v in mdl.params.items()})
+        assert model.memo.cache_info() == info
+
+    def test_cold_forward_builds_its_spectra_inside_forward_t(self, monkeypatch):
+        """So a trace nests every kernel build of an eval forward in a `forward_t` span."""
+        mdl = tiny_model(n_layers=2, seed=54)
+        depth, inside, forward_t, kernel_t = [0], [], model.forward_t, ssm.kernel_t
+
+        def traced(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return forward_t(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(model, "forward_t", traced)
+        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: inside.append(depth[0]) or kernel_t(p, n))
+        model.forward(np.random.default_rng(54).standard_normal((16, 3)), mdl)
+        assert inside == [1, 1]
+
+    def test_stream_looks_up_once(self):
+        mdl = tiny_model(n_layers=2, seed=52)
+        x = np.random.default_rng(52).standard_normal((2 * ssm.STREAM_CHUNK + 5, 3))
+        model.stream_logits(mdl, x)
+        info = model.memo.cache_info()
+        assert info.hits + info.misses == 1
+
+
+# The infer-long order: a cold forward, a stream, then warm forwards, with the
+# minor page faults of each warm forward read around it.
+FAULTS_SCRIPT = """
+import resource, statistics
+import numpy as np
+from ms4 import model
+mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=0)
+x = np.random.default_rng(0).standard_normal((4096, 4))
+model.forward(x, mdl)
+model.stream_logits(mdl, x)
+faults = []
+for _ in range(12):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.forward(x, mdl)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim only")
+def test_warm_long_forward_does_not_refault_the_heap():
+    """glibc trims a free heap top after a call, and the next L=4096 forward faults
+    its 8 MB back in (2,016 faults) unless long-lived arrays sit above it."""
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True,
+                            text=True, check=True)
+    assert float(result.stdout) <= 64

@@ -278,9 +278,9 @@ def stepwise(params, h, x):
 
 def scan_chunks(params, h, x):
     """`chunk_scan` over x in chunks of STREAM_CHUNK steps; the last may be shorter."""
-    outputs = []
+    outputs, scan = [], ssm.scan_arrays(params)
     for start in range(0, x.shape[0], CHUNK):
-        h, y = ssm.chunk_scan(params, h, x[start : start + CHUNK])
+        h, y = ssm.chunk_scan(scan, h, x[start : start + CHUNK])
         outputs.append(y)
     return h, np.concatenate(outputs)
 
@@ -336,9 +336,9 @@ class TestChunkScanner:
         params64 = helpers.random_ssm_params(rng, 4, 8)
         params = {name: v.astype(np.float32) for name, v in params64.items()}
         x = rng.standard_normal((2 * CHUNK + 5, 4)).astype(np.float32)
-        h, outputs = np.zeros((4, 4), np.complex64), []
+        h, outputs, scan = np.zeros((4, 4), np.complex64), [], ssm.scan_arrays(params)
         for start in range(0, x.shape[0], CHUNK):
-            h, y = ssm.chunk_scan(params, h, x[start : start + CHUNK])
+            h, y = ssm.chunk_scan(scan, h, x[start : start + CHUNK])
             assert h.dtype == np.complex64 and y.dtype == np.float32
             outputs.append(y)
         _, expected = stepwise(params64, np.zeros((4, 4), complex), x.astype(float))
@@ -348,9 +348,9 @@ class TestChunkScanner:
         """Only chunks that need the full chunk's FFT length use the kept spectrum."""
         lengths, conv = [], ad.causal_conv
         monkeypatch.setattr(ad, "causal_conv", lambda x, k, n: lengths.append(n) or conv(x, k, n))
-        params = ssm.init_s4d_params(3, 4, seed=0)
+        scan = ssm.scan_arrays(ssm.init_s4d_params(3, 4, seed=0))
         for t in (5, 256, 257, 512):
-            ssm.chunk_scan(params, np.zeros((3, 2), complex), np.zeros((t, 3)))
+            ssm.chunk_scan(scan, np.zeros((3, 2), complex), np.zeros((t, 3)))
         assert lengths == [16, 512, 1024, 1024]
 
     def test_building_a_scanner_keeps_no_power_table(self):
@@ -358,20 +358,20 @@ class TestChunkScanner:
         core = ssm.init_s4d_params(64, 64, seed=0)
         tracemalloc.start()
         try:
-            ssm.chunk_scan(core, np.zeros((64, 32), complex), np.zeros((1, 64)))
+            ssm.chunk_scan(ssm.scan_arrays(core), np.zeros((64, 32), complex), np.zeros((1, 64)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 32 * (CHUNK + 1) * 16
 
     def test_rejects_bad_chunks(self):
-        params = ssm.init_s4d_params(3, 4, seed=0)
+        scan = ssm.scan_arrays(ssm.init_s4d_params(3, 4, seed=0))
         h = np.zeros((3, 2), complex)
         for x in (np.zeros((0, 3)), np.zeros((CHUNK + 1, 3)), np.zeros((4, 2))):
             with pytest.raises(ValueError):
-                ssm.chunk_scan(params, h, x)
+                ssm.chunk_scan(scan, h, x)
         with pytest.raises(ValueError):
-            ssm.chunk_scan(params, np.zeros((3, 3), complex), np.zeros((4, 3)))
+            ssm.chunk_scan(scan, np.zeros((3, 3), complex), np.zeros((4, 3)))
 
 
 class TestDuality:
@@ -401,102 +401,115 @@ class TestDuality:
 
 
 class TestMemo:
-    """`ssm.memo` is keyed on the content of a core's arrays and holds MEMO_SIZE entries."""
+    """`model.memo`: every block's kernel spectra at one length, or its scan arrays,
+    keyed on the content of a model's S4D leaves; it holds two entries."""
 
     def test_key_is_content_shape_and_dtype(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: builds.append(p) or ad.Tensor(np.zeros(n)))
-        core = ssm.init_s4d_params(4, 8, seed=0)
-        first = ssm.memo("kernel", ssm.core_key(core), 5)
-        copied = {name: v.copy() for name, v in core.items()}
-        assert ssm.memo("kernel", ssm.core_key(copied), 5) is first
-        tensors = {name: ad.Tensor(v) for name, v in core.items()}
-        assert ssm.memo("kernel", ssm.core_key(tensors), 5) is first
-        assert ssm.memo.cache_info().hits == 2
-        # the build sees the core's values, rebuilt from the key as read-only arrays
-        (built,) = builds
-        for name, v in core.items():
-            np.testing.assert_array_equal(built[name], v)
-            assert built[name].dtype == v.dtype and not built[name].flags.writeable
-        # the same bytes as another shape, and as another dtype, are other cores
-        reshaped = {name: v.reshape(2, -1) if v.ndim == 2 else v for name, v in core.items()}
-        ssm.memo("kernel", ssm.core_key(reshaped), 5)
-        viewed = {name: v.view(np.int64) for name, v in core.items()}
-        ssm.memo("kernel", ssm.core_key(viewed), 5)
-        assert ssm.memo.cache_info().misses == 3
-        assert builds[1]["a_imag"].shape == (2, 8) and builds[2]["a_imag"].dtype == np.int64
-        ssm.memo("scanner", ssm.core_key(core), 5)  # another kind
-        assert ssm.memo.cache_info().misses == 4
+        monkeypatch.setattr(ssm, "kernel_spectrum", lambda p, n: builds.append(p) or np.zeros(n))
+        mdl = model.init_model(3, 4, 8, 2, n_layers=2, seed=0)
+        first = model.memo(model.memo_key(mdl.params), 5)
+        copied = {name: v.copy() for name, v in mdl.params.items()}
+        copied["w1"] += 1.0  # not an S4D leaf
+        assert model.memo(model.memo_key(copied), 5) is first
+        assert model.memo.cache_info().hits == 1
+        # each build sees its block's values, rebuilt from the key as read-only arrays
+        assert len(builds) == 2
+        for i, built in enumerate(builds):
+            for name, v in model.block_core(mdl.params, i).items():
+                np.testing.assert_array_equal(built[name], v)
+                assert built[name].dtype == v.dtype and not built[name].flags.writeable
+        # an in-place edit, and the same bytes as another dtype or shape, are other keys
+        copied["block1.ssm.d"][0] += 1.0
+        model.memo(model.memo_key(copied), 5)
+        viewed = {name: v.view(np.int64) for name, v in mdl.params.items()}
+        model.memo(model.memo_key(viewed), 5)
+        flattened = {name: v.reshape(-1) for name, v in mdl.params.items()}
+        model.memo(model.memo_key(flattened), 5)
+        assert model.memo.cache_info().misses == 4
+        assert builds[3]["d"][0] == mdl.params["block1.ssm.d"][0] + 1.0
+        assert builds[4]["a_imag"].dtype == np.int64 and builds[6]["a_imag"].shape == (16,)
+        model.memo(model.memo_key(mdl.params), None)  # scan arrays are another entry
+        assert model.memo.cache_info().misses == 5
 
     def test_bounded_and_drops_the_least_recently_used(self):
-        key = ssm.core_key(ssm.init_s4d_params(2, 4, seed=0))
-        for n in range(1, ssm.MEMO_SIZE + 1):
-            ssm.memo("kernel", key, n)
-        ssm.memo("kernel", key, 1)  # 1 is now the most recent, 2 the least
-        ssm.memo("kernel", key, ssm.MEMO_SIZE + 1)
-        info = ssm.memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, ssm.MEMO_SIZE + 1, ssm.MEMO_SIZE)
-        ssm.memo("kernel", key, 1)
-        assert ssm.memo.cache_info().hits == 2
-        ssm.memo("kernel", key, 2)
-        assert ssm.memo.cache_info().misses == ssm.MEMO_SIZE + 2
+        key = model.memo_key(model.init_model(2, 2, 4, 2, seed=0).params)
+        for n in (1, 2, 1, 3):  # 1 is the most recent when 3 comes, so 2 goes
+            model.memo(key, n)
+        info = model.memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+        model.memo(key, 1)
+        assert model.memo.cache_info().hits == 2
+        model.memo(key, 2)
+        assert model.memo.cache_info().misses == 4
 
     def test_kernels_and_scanners_share_the_bound(self):
-        key = ssm.core_key(ssm.init_s4d_params(2, 4, seed=0))
-        for n in range(1, ssm.MEMO_SIZE + 1):
-            ssm.memo("kernel", key, n)
-        ssm.memo("scanner", key, 1)  # drops the kernel of length 1
-        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
-        ssm.memo("kernel", key, 2)
-        ssm.memo("kernel", key, 1)
-        info = ssm.memo.cache_info()
-        assert (info.hits, info.misses) == (1, ssm.MEMO_SIZE + 2)
+        key = model.memo_key(model.init_model(2, 2, 4, 2, seed=0).params)
+        for n in (None, 1, 2):  # the spectra at length 2 drop the scan arrays
+            model.memo(key, n)
+        model.memo(key, 1)
+        model.memo(key, None)  # drops the spectra at length 2
+        model.memo(key, 1)
+        info = model.memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
 
     def test_threads_keep_the_bound_and_get_their_own_values(self):
-        core = ssm.init_s4d_params(2, 4, seed=0)
-        key = ssm.core_key(core)
-        lengths = 2 * ssm.MEMO_SIZE
-        expected = [np.fft.rfft(ssm.compute_kernel(core, n), n=ssm._next_pow2(2 * n - 1), axis=0)
+        mdl = model.init_model(2, 2, 4, 2, n_layers=2, seed=0)
+        key = model.memo_key(mdl.params)
+        lengths = 4
+        expected = [[ssm.kernel_spectrum(model.block_core(mdl.params, i), n) for i in range(2)]
                     for n in range(1, lengths + 1)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda i: ssm.memo("kernel", key, i % lengths + 1),
+                got = list(pool.map(lambda i: model.memo(key, i % lengths + 1),
                                     range(50 * lengths)))
         finally:
             sys.setswitchinterval(interval)
-        for i, kernel in enumerate(got):
-            np.testing.assert_array_equal(kernel, expected[i % lengths])
-        assert ssm.memo.cache_info().currsize == ssm.MEMO_SIZE
+        for i, spectra in enumerate(got):
+            assert len(spectra) == 2
+            for spectrum, want in zip(spectra, expected[i % lengths]):
+                np.testing.assert_array_equal(spectrum, want)
+        assert model.memo.cache_info().currsize == 2
 
     def test_eval_stage_misses_after_an_in_place_edit(self):
         rng = np.random.default_rng(21)
-        p = helpers.random_ssm_params(rng, 20, 8)
-        x = rng.standard_normal((2, 33, 20))
-        before = TestS4dForward.apply(x, p)
-        p["log_delta"] += 0.5
-        after = TestS4dForward.apply(x, p)
+        mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=21)
+        x = rng.standard_normal((2, 33, 3))
+        before = model.forward(x, mdl)
+        mdl.params["block0.ssm.log_delta"] += 0.5
+        after = model.forward(x, mdl)
         assert not np.array_equal(after, before)
-        assert ssm.memo.cache_info().misses == 2
+        assert model.memo.cache_info().misses == 2
+        # the edited stage, on the memo's spectrum, against a reference that shares no code path
+        (spectrum,) = model.memo(model.memo_key(mdl.params), 33)
+        assert model.memo.cache_info().hits == 1
+        p, h = model.block_core(mdl.params, 0), rng.standard_normal((2, 33, 20))
+        stage = ssm.s4d_apply(ad.Tensor(h), p, spectrum=spectrum).data
         kernel = ssm.compute_kernel(p, 33)
-        expected = ad.gelu(ad.Tensor(ssm.fft_causal_conv(x, kernel) + x * p["d"])).data
-        np.testing.assert_allclose(after, expected, rtol=0, atol=1e-12)
+        expected = ad.gelu(ad.Tensor(ssm.fft_causal_conv(h, kernel) + h * p["d"])).data
+        np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
 
     def test_scanner_misses_after_an_in_place_edit_and_keeps_its_own_arrays(self):
         rng = np.random.default_rng(22)
-        p = helpers.random_ssm_params(rng, 4, 8)
-        original = {name: v.copy() for name, v in p.items()}
-        x = rng.standard_normal((CHUNK, 4))
-        h = np.zeros((4, 4), complex)
-        ssm.chunk_scan(p, h, x)
-        p["c_re"] *= -2.0
-        p["d"] += 1.0
-        for core in (p, original):  # `original` hits the arrays built from p's old values
-            _, y = ssm.chunk_scan(core, h, x)
-            np.testing.assert_allclose(y, stepwise(core, h, x)[1], rtol=0, atol=1e-12)
-        info = ssm.memo.cache_info()
+        mdl = model.init_model(3, 4, 8, 2, seed=22)
+        original = {name: v.copy() for name, v in mdl.params.items()}
+        (scan,) = model.memo(model.memo_key(mdl.params), None)
+        kept = [a.copy() for a in scan]
+        mdl.params["block0.ssm.c_re"] *= -2.0
+        mdl.params["block0.ssm.d"] += 1.0
+        (edited,) = model.memo(model.memo_key(mdl.params), None)
+        assert model.memo(model.memo_key(original), None)[0] is scan
+        for a, b in zip(scan, kept):  # the edit reached none of the kept arrays
+            np.testing.assert_array_equal(a, b)
+        info = model.memo.cache_info()
         assert (info.hits, info.misses) == (1, 2)
+        x, h = rng.standard_normal((CHUNK, 4)), np.zeros((4, 4), complex)
+        for arrays, params in ((scan, original), (edited, mdl.params)):
+            _, y = ssm.chunk_scan(arrays, h, x)
+            core = model.block_core(params, 0)
+            np.testing.assert_allclose(y, stepwise(core, h, x)[1], rtol=0, atol=1e-12)
 
 
 class TestS4dForward:
