@@ -2,7 +2,7 @@
 classification: kernel math, training, streaming inference, and a benchmark
 evaluation harness."""
 
-from .data import Dataset, iter_dataset, load_dataset, save_dataset, split, normalize, synth_freq_task
+from .data import Dataset, iter_dataset, load_dataset, save_dataset, split, synth_freq_task
 from .errors import DataFormatError, NumericError
 from .evaluate import (
     EvalTable,
@@ -15,7 +15,6 @@ from .evaluate import (
 from .model import (
     ModelParams,
     count_macs,
-    count_mmacs,
     count_params,
     forward,
     init_model,

@@ -44,6 +44,18 @@ def _build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="random seed (printed at startup)")
 
+    def training(p, hidden, state, epochs, batch):
+        """The dataset, model-size and `TrainConfig` flags of train and converge."""
+        p.add_argument("--data", required=True)
+        p.add_argument("--hidden", type=int, default=hidden)
+        p.add_argument("--state", type=int, default=state)
+        p.add_argument("--dropout", type=float, default=0.1)
+        p.add_argument("--epochs", type=int, default=epochs)
+        p.add_argument("--batch", type=int, default=batch)
+        p.add_argument("--lr", type=float, default=0.001)
+        p.add_argument("--val-frac", type=float, default=0.1)
+        p.add_argument("--patience", type=int, default=20)
+
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--len", type=int, required=True, dest="length")
@@ -55,17 +67,9 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("train", help="train a model on a TSC-CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--state", type=int, default=64)
+    training(p, hidden=64, state=64, epochs=200, batch=256)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=20)
     p.add_argument("--out", default="model.ckpt")
     p.add_argument("--history", default=None)
     common(p)
@@ -106,17 +110,9 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("converge", help="MS4 vs MS4N threshold-crossing report")
-    p.add_argument("--data", required=True)
+    training(p, hidden=16, state=8, epochs=50, batch=64)
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--state", type=int, default=8)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=20)
     p.add_argument("--out", required=True)
 
     return parser
@@ -125,6 +121,13 @@ def _build_parser():
 def _announce(args):
     flags = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items()) if k != "verb")
     print(f"ms4 {args.verb} | {flags}", file=sys.stderr)
+
+
+def _train_config(args, seed=0):
+    return train_mod.TrainConfig(
+        lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+        patience=args.patience, val_fraction=args.val_frac, seed=seed,
+    )
 
 
 def _cmd_gen(args):
@@ -146,14 +149,10 @@ def _cmd_train(args):
     )
     print(
         f"model: params={model_mod.count_params(mdl)} "
-        f"mmac={model_mod.count_mmacs(mdl, dataset.length):.3f} (L={dataset.length})",
+        f"mmac={model_mod.count_macs(mdl, dataset.length) / 1e6:.3f} (L={dataset.length})",
         file=sys.stderr,
     )
-    config = train_mod.TrainConfig(
-        lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-        patience=args.patience, val_fraction=args.val_frac, seed=args.seed,
-    )
-    best, history = train_mod.train(mdl, dataset, config)
+    best, history = train_mod.train(mdl, dataset, _train_config(args, args.seed))
     model_mod.save_checkpoint(best, args.out)
     if args.history:
         train_mod.write_history_csv(history, args.history)
@@ -309,12 +308,8 @@ def _cmd_converge(args):
         raise _UsageError(f"--seeds must be a comma-separated integer list: {exc}") from exc
     if not seeds:
         raise _UsageError("--seeds must name at least one seed")
-    config = train_mod.TrainConfig(
-        lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-        patience=args.patience, val_fraction=args.val_frac,
-    )
     rows = train_mod.compare_convergence(
-        dataset, config, seeds, args.hidden, args.state, args.threshold,
+        dataset, _train_config(args), seeds, args.hidden, args.state, args.threshold,
         dropout_rate=args.dropout,
     )
     train_mod.write_convergence_csv(rows, args.out)

@@ -26,10 +26,6 @@ from .errors import DataFormatError
 
 _HEADER_RE = re.compile(r"^#tsc v1 n=(\d+) L=(\d+) F=(\d+) classes=(\d+)$", re.ASCII)
 
-# Features whose spread is this small relative to their mean are treated as
-# dead channels and normalized to zero instead of amplifying rounding noise.
-_DEAD_CHANNEL_RTOL = 1e-12
-
 
 @dataclass
 class Dataset:
@@ -38,8 +34,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     n_classes: int
-    feature_mean: np.ndarray | None = None
-    feature_std: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -281,22 +275,3 @@ def split(dataset, fraction, seed):
             f"fraction {fraction} leaves an empty side for n={n} (val size {n_val})"
         )
     return dataset.take(np.flatnonzero(~val_mask)), dataset.take(np.flatnonzero(val_mask))
-
-
-def normalize(train, *others):
-    """Z-normalize per feature with statistics from `train` only.
-
-    The same (mean, std) computed on the training portion is applied to every
-    dataset passed, so no validation/test statistics ever leak in. Features
-    with (near-)zero variance map to zero. Returns the datasets in argument
-    order, each carrying the statistics used.
-    """
-    mean = train.x.mean(axis=(0, 1))
-    std = train.x.std(axis=(0, 1))
-    dead = std <= _DEAD_CHANNEL_RTOL * np.maximum(1.0, np.abs(mean))
-    inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, std))
-
-    def apply(ds):
-        return replace(ds, x=(ds.x - mean) * inv, feature_mean=mean.copy(), feature_std=std.copy())
-
-    return tuple(apply(ds) for ds in (train, *others))

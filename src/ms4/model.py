@@ -91,12 +91,21 @@ def param_shapes(n_features, n_hidden, n_state, n_classes, n_layers=1, normalize
                  head_hidden=None):
     """Name -> shape of every parameter, in checkpoint order; allocates nothing.
 
-    This is the one definition of the layout: `init_model` fills it and
-    `load_checkpoint` checks a file against it. An S4D core stores its
-    complex B, C and eigenvalues as real pairs of (H, N/2) arrays beside the
-    per-channel `d` and `log_delta`; MS4N adds `gamma` and `beta` per block.
+    This is the one definition of the layout and of its size rules:
+    `init_model` fills it and `load_checkpoint` checks a file against it. An
+    S4D core stores its complex B, C and eigenvalues as real pairs of (H, N/2)
+    arrays beside the per-channel `d` and `log_delta`; MS4N adds `gamma` and
+    `beta` per block. A size below its least, or an odd n_state, raises
+    ValueError naming the field.
     """
     head = n_hidden if head_hidden is None else head_hidden
+    for name, value, least in (("n_features", n_features, 1), ("n_hidden", n_hidden, 1),
+                               ("head_hidden", head, 1), ("n_classes", n_classes, 2),
+                               ("n_layers", n_layers, 1)):
+        if value < least:
+            raise ValueError(f"{name}={value} must be an integer >= {least}")
+    if n_state < 2 or n_state % 2:
+        raise ValueError(f"n_state={n_state} must be an even integer >= 2")
     shapes = {"w1": (n_features, n_hidden), "b1": (n_hidden,)}
     for i in range(n_layers):
         for name in ssm.SSM_LEAF_NAMES:
@@ -125,10 +134,6 @@ def init_model(
     One generator is drawn in layout order; each block's S4D core is made by
     `ssm.init_s4d_params` from a seed drawn where the core starts.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
@@ -471,7 +476,7 @@ def mac_breakdown(model, length):
         raise ValueError(f"length must be >= 1, got {length}")
     hidden = model.n_hidden
     modes = model.n_state // 2
-    padded = ssm._next_pow2(2 * length - 1)
+    padded = ssm.fft_length(length)
     fft_per_channel = 3 * 5 * padded * int(np.log2(padded)) + 4 * padded
     counts = {
         "projection": length * model.n_features * hidden,
@@ -489,11 +494,6 @@ def mac_breakdown(model, length):
 def count_macs(model, length):
     """Total MACs for one forward pass (raw count)."""
     return sum(mac_breakdown(model, length).values())
-
-
-def count_mmacs(model, length):
-    """Forward-pass cost in MMac (10^6 multiply-accumulates)."""
-    return count_macs(model, length) / 1e6
 
 
 # -- checkpoint format ---------------------------------------------------------
@@ -560,12 +560,9 @@ def load_checkpoint(path):
             name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
             for name, entry in doc["params"].items()
         }
-        for name, least in (("n_features", 1), ("n_hidden", 1), ("n_state", 2), ("n_classes", 2),
-                            ("head_hidden", 1), ("n_layers", 1)):
-            if type(hyper[name]) is not int or hyper[name] < least:
-                raise ValueError(f"hyper {name}={hyper[name]!r} is not an integer >= {least}")
-        if hyper["n_state"] % 2:
-            raise ValueError(f"hyper n_state={hyper['n_state']} is odd")
+        for name in ("n_features", "n_hidden", "n_state", "n_classes", "head_hidden", "n_layers"):
+            if type(hyper[name]) is not int:
+                raise ValueError(f"hyper {name}={hyper[name]!r} is not an integer")
         if type(hyper["normalized"]) is not bool:
             raise ValueError(f"hyper normalized={hyper['normalized']!r} is not a boolean")
         rate = hyper["dropout_rate"]

@@ -137,11 +137,11 @@ def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
     x is (..., L, H) and the kernel (L, H), or its spectrum on the padded
-    length (see `ad.causal_conv`); padding to the next power of two at or
-    above 2L-1 rules out circular wraparound, so the first L outputs equal
-    the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
+    length `fft_length(L)` (see `ad.causal_conv`); that padding rules out
+    circular wraparound, so the first L outputs equal the direct sum
+    y[k] = sum_{j<=k} K[j] x[k-j].
     """
-    return ad.causal_conv(x, kernel, _next_pow2(2 * x.shape[-2] - 1))
+    return ad.causal_conv(x, kernel, fft_length(x.shape[-2]))
 
 
 def s4d_apply(x, p, keep=None, spectrum=None):
@@ -168,7 +168,7 @@ def _stage_node(x, kernel, d, keep):
     It saves GELU's slope (one array shaped like x) and `keep`. Its VJP
     recomputes the spectra of x and the kernel, one channel block at a time.
     """
-    n = _next_pow2(2 * x.shape[-2] - 1)
+    n = fft_length(x.shape[-2])
     slope = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
     out = _blocks(x.data, np.fft.rfft(kernel.data, n=n, axis=0), d.data, slope)
     if keep is not None:
@@ -219,11 +219,13 @@ def _stage(x, kernel, d):
 def kernel_spectrum(p, n):
     """The rfft of `kernel_t(p, n)` on the stage's padded length: all an eval-mode
     convolution reads, so a stage given it makes two transforms per channel, not three."""
-    return np.fft.rfft(kernel_t(p, n).data, n=_next_pow2(2 * n - 1), axis=0)
+    return np.fft.rfft(kernel_t(p, n).data, n=fft_length(n), axis=0)
 
 
-def _next_pow2(n):
-    return 1 << max(0, (int(n) - 1).bit_length())
+def fft_length(length):
+    """The FFT length of a causal convolution over `length` steps: the power of
+    two at or above 2*length - 1, so the padded transform does not wrap around."""
+    return 1 << (2 * int(length) - 2).bit_length()
 
 
 # -- plain-array surface -------------------------------------------------------
@@ -273,7 +275,7 @@ def scan_arrays(core):
     c = core["c_re"] + 1j * core["c_im"]
     baby, giant = (v.data for v in _powers(rate, STREAM_CHUNK))
     kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], STREAM_CHUNK).real.T
-    spectrum = np.fft.rfft(kernel, n=_next_pow2(2 * STREAM_CHUNK - 1), axis=0)
+    spectrum = np.fft.rfft(kernel, n=fft_length(STREAM_CHUNK), axis=0)
     # Copied last, so the kept arrays sit above the build's freed temporaries
     # in the malloc heap; kept below them, they left the heap top free, and
     # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
@@ -304,7 +306,7 @@ def chunk_scan(scan, h, x):
     r = min(t, n_baby)  # a chunk shorter than c steps needs only its first t baby steps
     nq = -(-t // r)
     steps = baby[:, :, :r]
-    k = spectrum if _next_pow2(2 * t - 1) == _next_pow2(2 * STREAM_CHUNK - 1) else kernel[:t]
+    k = spectrum if fft_length(t) == fft_length(STREAM_CHUNK) else kernel[:t]
     y = causal_conv_t(x, k).data + d * x
     y += 2.0 * _power_sum(giant[:, :nq] * (c * h * a_bar)[:, None, :], steps, t).real.T
     # Complex, since numpy's complex @ real product runs no BLAS.

@@ -96,9 +96,9 @@ def adam_step(params, grads, moment1, moment2, t, config):
     return new_p, new_m, new_v
 
 
-def evaluate(mdl, dataset, batch_size=256):
+def evaluate(mdl, dataset):
     """(mean loss, misclassification error) of a model on a dataset, eval mode."""
-    logits = model_mod.batch_logits(dataset.x, mdl, batch_size)
+    logits = model_mod.batch_logits(dataset.x, mdl)
     wrong = int((np.argmax(logits, axis=-1) != dataset.y).sum())
     return cross_entropy(logits, dataset.y), wrong / dataset.n_samples
 

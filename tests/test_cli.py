@@ -391,6 +391,17 @@ class TestMalformedInputs:
         assert (code, out) == (2, "")
         assert "bad.ckpt" in err and "shape" in err
 
+    @pytest.mark.parametrize("field, value", [("n_state", 9), ("n_classes", 1), ("n_layers", 0),
+                                              ("head_hidden", 0)])
+    def test_bad_hyper_size(self, capsys, workdir, tmp_path, field, value):
+        doc = json.loads((workdir / "model.ckpt").read_text())
+        doc["hyper"][field] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--model", str(bad), "--data", str(workdir / "d.csv"))
+        assert (code, out) == (2, "")
+        assert f"bad.ckpt: malformed checkpoint: {field}={value} must be" in err
+
     def _eval_with(self, capsys, workdir, tmp_path, name, edit):
         doc = json.loads((workdir / "model.ckpt").read_text())
         edit(doc["params"][name])

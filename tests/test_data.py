@@ -490,43 +490,6 @@ class TestSplit:
             data.split(ds, 1.5, seed=0)
 
 
-class TestNormalize:
-    def test_train_statistics_bounds(self):
-        ds = make_dataset(n=30, length=10, n_feat=4, seed=8)
-        (norm,) = data.normalize(ds)
-        assert np.abs(norm.x.mean(axis=(0, 1))).max() <= 1e-6
-        assert np.abs(norm.x.std(axis=(0, 1)) - 1.0).max() <= 1e-6
-
-    def test_constant_feature_maps_to_zero(self):
-        ds = make_dataset(n=10, n_feat=3, seed=9)
-        ds.x[:, :, 1] = 0.1  # dead channel
-        (norm,) = data.normalize(ds)
-        np.testing.assert_array_equal(norm.x[:, :, 1], 0.0)
-        assert np.isfinite(norm.x).all()
-
-    def test_applies_train_stats_to_others(self):
-        train_set = make_dataset(n=20, seed=10)
-        val_set = make_dataset(n=8, seed=11)
-        norm_train, norm_val = data.normalize(train_set, val_set)
-        expected = (val_set.x - train_set.x.mean(axis=(0, 1))) / train_set.x.std(axis=(0, 1))
-        np.testing.assert_allclose(norm_val.x, expected, atol=1e-12)
-
-    def test_no_leakage_from_validation(self):
-        train_set = make_dataset(n=20, seed=12)
-        val_a = make_dataset(n=8, seed=13)
-        val_b = data.Dataset(x=val_a.x + 1000.0, y=val_a.y, n_classes=val_a.n_classes)
-        norm_train_a, _ = data.normalize(train_set, val_a)
-        norm_train_b, _ = data.normalize(train_set, val_b)
-        np.testing.assert_array_equal(norm_train_a.x, norm_train_b.x)
-        np.testing.assert_array_equal(norm_train_a.feature_mean, norm_train_b.feature_mean)
-
-    def test_original_untouched(self):
-        ds = make_dataset(n=5, seed=14)
-        before = ds.x.copy()
-        data.normalize(ds)
-        np.testing.assert_array_equal(ds.x, before)
-
-
 class TestDatasetValidation:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):

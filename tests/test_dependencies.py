@@ -1,7 +1,8 @@
 """The package runs on numpy alone: no scipy module is loaded by importing ms4
 or by its forward, training and streaming paths. And every library name that
-the benchmark's traced runs wrap still exists."""
+the benchmark calls or its traced runs wrap still exists."""
 
+import ast
 import importlib
 import json
 import runpy
@@ -12,6 +13,7 @@ from pathlib import Path
 import ms4
 
 SRC = Path(ms4.__file__).resolve().parents[1]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CHILD = """
 import json, sys
@@ -38,6 +40,31 @@ def test_no_scipy_module_is_loaded():
 def test_every_traced_name_is_a_library_callable():
     """bench/tracing.py wraps `ms4.<module>.<attr>` by name, so a refactor that
     renames or drops one breaks traced benchmark runs."""
-    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    tracing = runpy.run_path(str(BENCH / "tracing.py"))
     for module, attr in tracing["WRAPPED"]:
         assert callable(getattr(importlib.import_module(f"ms4.{module}"), attr, None)), (module, attr)
+
+
+def bench_library_names(paths):
+    """Every `(module, attr)` that the sources read as `<name>.<attr>` on a name
+    bound by `from ms4 import <module> [as <name>]`; parsed, never imported."""
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "ms4"
+                   for alias in node.names}
+        names.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules)
+    return names
+
+
+def test_every_bench_library_name_exists():
+    """The benchmark calls the library by name (`model.predict`, `data.split`, ...),
+    so a refactor that renames or deletes one breaks the benchmark unnoticed."""
+    names = bench_library_names(sorted(BENCH.glob("*.py")))
+    assert ("model", "predict") in names and ("training", "TrainConfig") in names
+    missing = [(module, attr) for module, attr in sorted(names)
+               if not hasattr(importlib.import_module(f"ms4.{module}"), attr)]
+    assert missing == []
