@@ -167,20 +167,21 @@ def _cmd_train(args):
     return 0
 
 
-def _block_rows(batch):
-    """Rows per parsed block when scoring with `batch_logits(x, model, batch)`.
+def _block_rows(batch, length):
+    """Rows per parsed block of `length`-step sequences scored by `batch_logits(x, model, batch)`.
 
-    A multiple of its forward size min(batch, SCORE_CHUNK), so every block
+    A multiple of its forward size `score_size(length, batch)`, so every block
     boundary is a forward boundary and each forward scores the sequences it
-    would score on the whole file.
+    would score on the whole file; only a last block of one sample, which the
+    whole file would join to the forward before it, is scored alone.
     """
-    if batch < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch}")
-    return batch - batch % min(batch, model_mod.SCORE_CHUNK)
+    return batch - batch % model_mod.score_size(length, batch)
 
 
 def _error_rate(args, rows, logits_of):
-    """Misclassification error of `logits_of(model, x)` over args.data, scored in blocks of `rows`.
+    """Misclassification error of `logits_of(model, x)` over args.data, in blocks of `rows(L)`.
+
+    L is the data header's sequence length, so a block can be sized by it.
 
     Only the running count of errors is kept, so memory does not grow with
     the file. The checkpoint's F is checked before the first block is scored.
@@ -212,8 +213,11 @@ def _error_rate(args, rows, logits_of):
 
 
 def _cmd_eval(args):
-    rows = _block_rows(args.batch)
-    print(repr(_error_rate(args, rows, lambda mdl, x: model_mod.batch_logits(x, mdl, args.batch))))
+    if args.batch < 1:
+        raise ValueError(f"batch_size must be >= 1, got {args.batch}")
+    error = _error_rate(args, lambda length: _block_rows(args.batch, length),
+                        lambda mdl, x: model_mod.batch_logits(x, mdl, args.batch))
+    print(repr(error))
     return 0
 
 
@@ -225,15 +229,16 @@ def _check_tol(tol):
 def _cmd_stream(args):
     _check_tol(args.tol)
     deviations = []
+    batch = 256  # of the --check reference, as `eval` scores by default
 
     def streamed(mdl, x):
         logits = np.stack([model_mod.stream_logits(mdl, xi) for xi in x])
         if args.check and np.isfinite(logits).all():
-            deviations.append(np.abs(logits - model_mod.batch_logits(x, mdl)).max())
+            deviations.append(np.abs(logits - model_mod.batch_logits(x, mdl, batch)).max())
         return logits
 
-    # the --check reference scores SCORE_CHUNK sequences per forward; blocks of that size keep them
-    error = _error_rate(args, model_mod.SCORE_CHUNK, streamed)
+    # a block of one reference forward: stream memory is bounded by SCORE_ROWS rows too
+    error = _error_rate(args, lambda length: model_mod.score_size(length, batch), streamed)
     if args.check:
         deviation = float(np.max(deviations))
         print(repr(deviation))

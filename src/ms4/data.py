@@ -157,19 +157,23 @@ def _grown(x, y, filled, size, features):
 def iter_dataset(path, rows):
     """Read TSC-CSV v1 as validated Dataset blocks of at most `rows` samples, in file order.
 
-    Each line is checked as it is read and written into its block, so the
-    fault raised is the one on the first faulty line whatever `rows` is. A
-    block is yielded when full, the file's last one after the count check;
-    lines past n are counted but not parsed. A valid row takes at least
-    2*(1 + L*F) bytes with its newline, so a block the file's size backs is
-    allocated whole, and any other (a pipe has size 0) starts at one row and
-    doubles. The last block is dropped before the next is allocated.
+    `rows` is a count, or a function of the header's L that returns one, so
+    that a reader can size blocks by sequence length. Each line is checked
+    as it is read and written into its block, so the fault raised is the one
+    on the first faulty line whatever `rows` is. A block is yielded when
+    full, the file's last one after the count check; lines past n are
+    counted but not parsed. A valid row takes at least 2*(1 + L*F) bytes
+    with its newline, so a block the file's size backs is allocated whole,
+    and any other (a pipe has size 0) starts at one row and doubles. The
+    last block is dropped before the next is allocated.
     """
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = _lines(fh, path)
         n, length, n_feat, n_classes = _header(next(lines, None), path)
+        if callable(rows):
+            rows = rows(length)
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
         width = 1 + length * n_feat
         backed = os.fstat(fh.fileno()).st_size >= 2 * width * n
         count = 0

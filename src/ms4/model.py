@@ -19,6 +19,7 @@ import ctypes
 import functools
 import glob
 import json
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -95,17 +96,22 @@ def param_shapes(n_features, n_hidden, n_state, n_classes, n_layers=1, normalize
     `init_model` fills it and `load_checkpoint` checks a file against it. An
     S4D core stores its complex B, C and eigenvalues as real pairs of (H, N/2)
     arrays beside the per-channel `d` and `log_delta`; MS4N adds `gamma` and
-    `beta` per block. A size below its least, or an odd n_state, raises
-    ValueError naming the field.
+    `beta` per block. A size that is not an integer (by `operator.index`),
+    a size below its least, or an odd n_state raises ValueError naming the
+    field.
     """
     head = n_hidden if head_hidden is None else head_hidden
     for name, value, least in (("n_features", n_features, 1), ("n_hidden", n_hidden, 1),
                                ("head_hidden", head, 1), ("n_classes", n_classes, 2),
-                               ("n_layers", n_layers, 1)):
-        if value < least:
-            raise ValueError(f"{name}={value} must be an integer >= {least}")
-    if n_state < 2 or n_state % 2:
-        raise ValueError(f"n_state={n_state} must be an even integer >= 2")
+                               ("n_layers", n_layers, 1), ("n_state", n_state, 2)):
+        even = name == "n_state"
+        try:
+            valid = operator.index(value) >= least and not (even and value % 2)
+        except TypeError:  # a float, or anything else that is not an integer
+            valid = False
+        if not valid:
+            raise ValueError(f"{name}={value} must be {'an even' if even else 'an'} integer "
+                             f">= {least}")
     shapes = {"w1": (n_features, n_hidden), "b1": (n_hidden,)}
     for i in range(n_layers):
         for name in ssm.SSM_LEAF_NAMES:
@@ -197,7 +203,7 @@ def channel_mix_t(h, leaves, i):
         return _mix(h, params)
     rows = h.data.reshape(n_rows, -1)
     out = np.empty(rows.shape, np.result_type(rows.dtype, *(t.dtype for t in params)))
-    for part in _row_slices(n_rows):
+    for part in _slices(n_rows, MIX_ROWS):
         out[part] = _mix(ad.Tensor(rows[part]), params).data
     return ad.Tensor(out.reshape(h.shape))
 
@@ -207,14 +213,17 @@ def _mix(h, params):
     return h if len(params) == 2 else layer_norm_t(h, *params[2:])
 
 
-def _row_slices(n_rows):
-    """MIX_ROWS-row slices of n_rows, a one-row remainder joined to the slice before it.
+def _slices(n, size):
+    """Slices of range(n) of `size` each, a remainder of one joined to the slice before it.
 
     numpy sends a one-row matmul down another BLAS path, which rounds
     differently. Without one-row slices, the sliced mix is bit-identical to
-    one call over an input whose sequences have two steps or more.
+    one call over an input whose sequences have two steps or more, and no
+    scoring forward of a batch of two or more holds one sequence. A size of
+    one gives one-long slices.
     """
-    bounds = [*range(0, n_rows - 1, MIX_ROWS), n_rows]
+    last = n - 1 if n > 1 and size > 1 else n  # a slice starting at n - 1 would hold one row
+    bounds = [*range(0, last, size), n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -303,8 +312,8 @@ def memo(key, length):
 def forward(x, model):
     """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences.
 
-    The batch is scored as `forward_t` calls on SCORE_CHUNK sequences at a
-    time, one after another, so working memory does not grow with B;
+    The batch is scored as `forward_t` calls on `score_size(L)` sequences at
+    a time, one after another, so working memory grows with neither B nor L;
     `batch_logits` runs such forwards on the CPUs.
     """
     x = np.asarray(x, dtype=float)
@@ -313,16 +322,32 @@ def forward(x, model):
         x = x[None]
     if x.ndim != 3 or x.shape[-1] != model.n_features:
         raise ValueError(f"expected (..., L, {model.n_features}) input, got {x.shape}")
-    if x.shape[-2] < 1:
-        raise ValueError("sequence length must be >= 1")
+    size = score_size(x.shape[1])  # raises ValueError for L < 1
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    chunks = [forward_t(ad.Tensor(x[start : start + SCORE_CHUNK]), leaves).data
-              for start in range(0, x.shape[0], SCORE_CHUNK)]
+    chunks = [forward_t(ad.Tensor(x[part]), leaves).data for part in _slices(x.shape[0], size)]
     logits = np.concatenate(chunks) if chunks else np.empty((0, model.n_classes))
     return logits[0] if single else logits
 
 
-SCORE_CHUNK = 64  # sequences per scoring forward; bounds a forward's working memory
+SCORE_ROWS = 4096  # (sequence, step) rows per scoring forward; bounds its working memory
+
+
+def score_size(length, batch_size=None):
+    """Sequences per scoring forward at `length` steps: SCORE_ROWS // length, at least two.
+
+    A batch of two or more never scores a lone sequence, whose head product
+    `pooled @ w3` would take numpy's one-row BLAS path and round otherwise:
+    its forwards are `_slices` of this size. Given `batch_size`, the most
+    sequences scored at once, a forward takes at most half of it, so that
+    two forwards can run at once, and a batch_size of one scores one
+    sequence at a time.
+    """
+    if length < 1:
+        raise ValueError("sequence length must be >= 1")
+    size = max(2, SCORE_ROWS // length)
+    return size if batch_size is None else min(size, max(2, batch_size // 2), batch_size)
+
+
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
 
 
@@ -392,23 +417,24 @@ def cpu_map(fn, items, max_workers=None):
 def batch_logits(x, model, batch_size=256):
     """Eval-mode logits for an (n, L, F) dataset tensor, scored on the CPUs of this process.
 
-    Each forward takes min(batch_size, SCORE_CHUNK) sequences, a size that does
-    not depend on the machine, so the logits are the same on any CPU count.
-    Forwards run on `cpu_map`, at most `batch_size` sequences in flight at once,
-    after the spectra are in `memo`. An x that is not 3-D raises ValueError first.
+    Each forward takes the `_slices` of `score_size(L, batch_size)` sequences,
+    a size that does not depend on the machine, so the logits are the same on
+    any CPU count. Forwards run on `cpu_map`, at most `batch_size` sequences
+    in flight at once (one more when a lone one joins a forward), after the
+    spectra are in `memo`. An x that is not 3-D raises ValueError first.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise ValueError(f"expected (n, L, {model.n_features}) input, got {x.shape}")
-    if x.shape[0] and x.shape[1]:  # built here, so that no two workers build them
-        memo(memo_key(model.params), x.shape[1])
-    step = min(batch_size, SCORE_CHUNK)
-    starts = range(0, x.shape[0], step)
-    chunks = cpu_map(lambda start: forward(x[start : start + step], model), starts,
+    if not x.shape[0]:
+        return np.empty((0, model.n_classes))
+    step = score_size(x.shape[1], batch_size)
+    memo(memo_key(model.params), x.shape[1])  # built here, so that no two workers build them
+    chunks = cpu_map(lambda part: forward(x[part], model), _slices(x.shape[0], step),
                      batch_size // step)
-    return np.concatenate(chunks) if chunks else np.empty((0, model.n_classes))
+    return np.concatenate(chunks)
 
 
 def predict(x, model, batch_size=256):

@@ -242,9 +242,11 @@ class TestStreamVerb:
         assert float(out.strip()) <= 1e-4
 
     def test_check_scores_in_bounded_forwards(self, capsys, workdir, tmp_path, monkeypatch):
-        """The --check reference is scored in forwards of at most SCORE_CHUNK samples."""
+        """The --check reference is scored in forwards of `score_size(8, 256)` samples,
+        and none of one."""
+        step = model.score_size(8, 256)
         many = tmp_path / "many.csv"
-        assert cli.main(["gen", "--n", str(2 * model.SCORE_CHUNK + 2), "--len", "8",
+        assert cli.main(["gen", "--n", str(2 * step + 2), "--len", "8",
                          "--out", str(many)]) == 0
         sizes, inner = [], model.forward
 
@@ -257,8 +259,7 @@ class TestStreamVerb:
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
                            "--data", str(many), "--check")
         assert code == 0 and float(out) <= 1e-4
-        assert sum(sizes) == 2 * model.SCORE_CHUNK + 2
-        assert max(sizes) <= model.SCORE_CHUNK
+        assert sizes == [step, step, 2]
 
     def test_without_check_prints_error_rate(self, capsys, workdir):
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
@@ -456,9 +457,10 @@ class TestScoringInBlocks:
     """eval and stream score each parsed block in turn: with the outputs of scoring
     the whole file, format faults in any block still winning over numeric ones."""
 
-    N = 2 * model.SCORE_CHUNK + 46  # three stream blocks, the last a partial one
-    # blocks of SCORE_CHUNK samples for both verbs
-    BLOCK_ARGS = {"eval": ["--batch", str(model.SCORE_CHUNK)], "stream": []}
+    BLOCK = model.score_size(8, 256)  # a stream block at L=8
+    N = 2 * BLOCK + 46  # three stream blocks, the last a partial one
+    # blocks of BLOCK samples for both verbs
+    BLOCK_ARGS = {"eval": ["--batch", str(BLOCK)], "stream": []}
 
     @pytest.fixture(scope="class")
     def long_csv(self, tmp_path_factory):
@@ -481,7 +483,8 @@ class TestScoringInBlocks:
         assert code == 0
         ds, mdl = data.load_dataset(long_csv), model.load_checkpoint(workdir / "model.ckpt")
         whole = inner(ds.x, mdl, batch)
-        rows = batch - batch % min(batch, model.SCORE_CHUNK)
+        rows = cli._block_rows(batch, 8)
+        assert rows % model.score_size(8, batch) == 0
         assert [len(logits) for logits in recorded[:-1]] == [rows] * (len(recorded) - 1)
         assert np.concatenate(recorded).tobytes() == whole.tobytes()
         expected = evaluate.misclassification_error(np.argmax(whole, axis=-1), ds.y)
@@ -514,7 +517,7 @@ class TestScoringInBlocks:
     @pytest.mark.parametrize("verb", ["eval", "stream"])
     def test_non_finite_logit_in_the_second_block(self, capsys, workdir, long_csv, tmp_path,
                                                   verb):
-        i = model.SCORE_CHUNK + 1
+        i = self.BLOCK + 1
         huge = with_line(long_csv, tmp_path / "huge.csv", i + 2, overflowing)
         code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
                              "--data", str(huge), *self.BLOCK_ARGS[verb])
@@ -524,13 +527,13 @@ class TestScoringInBlocks:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     @pytest.mark.parametrize("fault, message", [
         (lambda line: line[:5] + b"\xff" + line[6:], "not UTF-8 text"),
-        (lambda line: line.rsplit(b",", 1)[0], f"huge.csv:{model.SCORE_CHUNK + 3}: expected"),
+        (lambda line: line.rsplit(b",", 1)[0], f"huge.csv:{BLOCK + 3}: expected"),
     ], ids=["non-utf8", "short-row"])
     @pytest.mark.parametrize("verb", ["eval", "stream"])
     def test_later_format_fault_wins_over_a_non_finite_logit(self, capsys, workdir, long_csv,
                                                              tmp_path, verb, fault, message):
         huge = with_line(long_csv, tmp_path / "huge.csv", 2, overflowing)  # sample 0
-        with_line(huge, huge, model.SCORE_CHUNK + 3, fault)  # the second block's second line
+        with_line(huge, huge, self.BLOCK + 3, fault)  # the second block's second line
         code, out, err = run(capsys, verb, "--model", str(workdir / "model.ckpt"),
                              "--data", str(huge), *self.BLOCK_ARGS[verb])
         assert (code, out) == (2, "")
@@ -540,7 +543,7 @@ class TestScoringInBlocks:
     def test_feature_count_is_checked_before_scoring(self, capsys, workdir, tmp_path,
                                                      monkeypatch, verb):
         wide = tmp_path / "wide.csv"
-        data.save_dataset(data.synth_freq_task(2 * model.SCORE_CHUNK, 8, n_features=2), wide)
+        data.save_dataset(data.synth_freq_task(2 * self.BLOCK, 8, n_features=2), wide)
         scored = []
         monkeypatch.setattr(model, "batch_logits", lambda *a, **k: scored.append(a))
         monkeypatch.setattr(model, "stream_logits", lambda *a, **k: scored.append(a))

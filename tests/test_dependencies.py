@@ -1,10 +1,11 @@
 """The package runs on numpy alone: no scipy module is loaded by importing ms4
 or by its forward, training and streaming paths. And every library name that
-the benchmark calls or its traced runs wrap still exists."""
+the benchmark calls, its traced runs wrap or the README cites still exists."""
 
 import ast
 import importlib
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import ms4
 
 SRC = Path(ms4.__file__).resolve().parents[1]
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CHILD = """
 import json, sys
@@ -67,4 +69,27 @@ def test_every_bench_library_name_exists():
     assert ("model", "predict") in names and ("training", "TrainConfig") in names
     missing = [(module, attr) for module, attr in sorted(names)
                if not hasattr(importlib.import_module(f"ms4.{module}"), attr)]
+    assert missing == []
+
+
+def readme_library_names(text):
+    """Every `(module, dotted attr)` that starts a backticked span of `text` as
+    `<module>.<attr>[.<attr>...]`, for a module of the package."""
+    modules = "model|ssm|data|training|autodiff|evaluate|cli"
+    return {(m[1], m[2]) for span in re.findall(r"`([^`\n]+)`", text)
+            if (m := re.match(rf"({modules})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", span))}
+
+
+def test_every_readme_library_name_exists():
+    """The README cites the library by name (`model.batch_logits`, `ssm.chunk_scan(...)`,
+    `model.memo.cache_clear()`), so a rename that misses it leaves the docs stale."""
+    names = readme_library_names(README.read_text(encoding="utf-8"))
+    assert ("model", "memo.cache_clear") in names and ("ssm", "chunk_scan") in names
+    absent, missing = object(), []
+    for module, dotted in sorted(names):
+        owner = importlib.import_module(f"ms4.{module}")
+        for attr in dotted.split("."):
+            owner = getattr(owner, attr, absent)
+        if owner is absent:
+            missing.append(f"{module}.{dotted}")
     assert missing == []

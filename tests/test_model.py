@@ -302,12 +302,22 @@ class TestForward:
         assert forward_peak(x, mdl) <= 9e6
 
     def test_batch_forward_peak_memory(self):
-        """A warm forward of 256 sequences runs as four of SCORE_CHUNK; one forward_t
-        over all of them peaked at 169 MB."""
+        """A warm forward of 256 sequences runs as sixteen of `score_size(256)`, and
+        peaked at 7.9 MB; four of 64 peaked at 31.5 MB, and one forward_t over all
+        of them at 169 MB."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=45)
         x = np.random.default_rng(45).standard_normal((256, 256, 4))
         model.forward(x[:1], mdl)
-        assert forward_peak(x, mdl) <= 40e6
+        assert forward_peak(x, mdl) <= 10e6
+
+    def test_long_batch_forward_peak_memory_does_not_grow_with_n(self):
+        """At L=4096 a forward scores two sequences at a time: a warm forward of 32
+        peaked at 8.4 MB, as one of 4 did. Forwards of 64 sequences peaked at 134 MB
+        against 16.8 MB, 8.0 times."""
+        mdl = model.init_model(4, 16, 64, 10, dropout_rate=0.0, seed=55)
+        x = np.random.default_rng(55).standard_normal((32, 4096, 4))
+        model.forward(x[:2], mdl)
+        assert forward_peak(x, mdl) <= 1.25 * forward_peak(x[:4], mdl)
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -352,19 +362,61 @@ class TestForward:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_forward_scores_score_chunks_in_turn(self, monkeypatch, cpus):
+        """Forwards of `score_size(L)` sequences, the lone one left joining the last."""
         mdl = tiny_model(seed=48)
-        x = np.random.default_rng(48).standard_normal((2 * model.SCORE_CHUNK + 1, 8, 3))
+        size = model.score_size(8)
+        assert size == model.SCORE_ROWS // 8
+        x = np.random.default_rng(48).standard_normal((2 * size + 1, 8, 3))
         native = model.forward(x, mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         sizes, inner = [], model.forward_t
         monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
             len(xb.data)) or inner(xb, leaves, **kw))
         logits = model.forward(x, mdl)
-        assert sizes == [model.SCORE_CHUNK, model.SCORE_CHUNK, 1]
-        parts = [model.forward(x[lo : lo + model.SCORE_CHUNK], mdl)
-                 for lo in range(0, len(x), model.SCORE_CHUNK)]
+        assert sizes == [size, size + 1]
+        parts = [model.forward(x[:size], mdl), model.forward(x[size:], mdl)]
         np.testing.assert_array_equal(logits, np.concatenate(parts))
         np.testing.assert_array_equal(logits, native)
+
+    @pytest.mark.parametrize("length, batch_size, size", [
+        (8, None, 512), (256, None, 16), (4096, None, 2), (50_000, None, 2),
+        (16, 256, 128), (256, 256, 16), (256, 10, 5), (256, 3, 2), (256, 2, 2), (256, 1, 1),
+        (4096, 256, 2), (4096, 1, 1),
+    ])
+    def test_score_size(self, length, batch_size, size):
+        """About SCORE_ROWS rows, at most half of a batch_size and at least two, or one
+        when a batch_size of one is scored."""
+        assert model.score_size(length, batch_size) == size
+
+    def test_zero_length_sequences_are_rejected(self):
+        mdl = tiny_model(seed=57)
+        for score in (model.forward, model.batch_logits):
+            with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
+                score(np.zeros((2, 0, 3)), mdl)
+
+    def test_a_lone_sequence_rounds_differently_only_in_the_head(self, monkeypatch):
+        """Why no forward of a batch of two or more scores one sequence, and why `ms4
+        eval` keeps forward boundaries. A sequence's activations and pooled features
+        are the same bits in a forward of any size. But the one-row product
+        `pooled @ w3` takes another BLAS path, and its logits differ in the last bits.
+        With 3 classes from 16 hidden units, the second product also rounds the rows
+        of a 2-row forward unlike those of a 16-row one. If numpy ever rounds them
+        alike, the remainder rule of `model._slices` has no reason left."""
+        mdl = model.init_model(3, 16, 8, 3, dropout_rate=0.0, seed=56)
+        x = np.random.default_rng(56).standard_normal((16, 256, 3))  # one forward_t each
+        seen, inner = [], model.classify_t
+        monkeypatch.setattr(model, "classify_t",
+                            lambda g, *head: seen.append(g.data) or inner(g, *head))
+        logits = {b: model.forward(x[:b], mdl) for b in (16, 2, 1)}
+        assert seen[1].tobytes() == seen[0][:2].tobytes()
+        assert seen[2].tobytes() == seen[0][:1].tobytes()
+        pooled = seen[0].mean(axis=-2)
+        assert seen[2].mean(axis=-2).tobytes() == pooled[:1].tobytes()
+        w3 = mdl.params["w3"]
+        assert (pooled[:1] @ w3).tobytes() != (pooled @ w3)[:1].tobytes()
+        for b in (2, 1):
+            assert logits[b].tobytes() != logits[16][:b].tobytes()
+            np.testing.assert_allclose(logits[b], logits[16][:b], rtol=0, atol=1e-15)
 
     def test_empty_batch(self):
         mdl = tiny_model(seed=49)
@@ -521,8 +573,39 @@ class TestBatchLogits:
         calls = self.record_forwards(monkeypatch)
         logits = model.batch_logits(x, mdl, batch_size)
         np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
-        assert sum(size for _, size in calls) == n
-        assert all(size <= min(batch_size, model.SCORE_CHUNK) for _, size in calls)
+        sizes, step = [size for _, size in calls], model.score_size(8, batch_size)
+        assert sum(sizes) == n
+        assert all(size == step for size in sizes[:-1])
+        assert all(size <= step + 1 for size in sizes[-1:])  # a lone one left joins it
+
+    @pytest.mark.parametrize("rows", [model.SCORE_ROWS, 1024, 2])
+    def test_logits_independent_of_batch_size_and_score_rows(self, monkeypatch, rows):
+        """At L=256, 37 sequences leave a lone one over forwards of 2 and of 4 (a
+        `rows` of 1024). It joins the forward before it, so no forward holds one
+        sequence, and with this head, whose products round a row of two or more
+        alike in any forward, every forward size scores the same bits. Not every
+        head does: see `test_a_lone_sequence_rounds_differently_only_in_the_head`."""
+        mdl = tiny_model(n_layers=2, seed=38)
+        x = np.random.default_rng(38).standard_normal((37, 256, 3))
+        expected = model.batch_logits(x, mdl)
+        monkeypatch.setattr(model, "SCORE_ROWS", rows)
+        calls = self.record_forwards(monkeypatch)
+        for batch_size in (2, 3, 10, 256):
+            assert model.batch_logits(x, mdl, batch_size).tobytes() == expected.tobytes()
+        assert min(size for _, size in calls) >= 2
+        assert {size for _, size in calls} >= {2, 3}
+
+    def test_forward_of_a_batch_never_scores_one_sequence(self, monkeypatch):
+        mdl = tiny_model(seed=39)
+        sizes, inner = [], model.forward_t
+        monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
+            len(xb.data)) or inner(xb, leaves, **kw))
+        for length in (1, 8, 2049, 5000):
+            step = model.score_size(length)
+            for n in (2, 3, step + 1, 2 * step + 1):
+                sizes.clear()
+                model.forward(np.zeros((n, length, 3)), mdl)
+                assert sum(sizes) == n and min(sizes) >= 2, (length, n, sizes)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_logits_independent_of_cpu_count(self, monkeypatch, cpus):
@@ -544,7 +627,7 @@ class TestBatchLogits:
         """A cold call builds each block's kernel spectrum once, before its workers start,
         and scores as one CPU does."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, seed=36)
-        x = np.random.default_rng(36).standard_normal((4 * model.SCORE_CHUNK, 16, 3))
+        x = np.random.default_rng(36).standard_normal((256, 16, 3))  # two forwards
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         single = model.batch_logits(x, mdl)
         model.memo.cache_clear()
@@ -566,9 +649,9 @@ class TestBatchLogits:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         mdl = tiny_model(seed=32)
-        wide = np.zeros((3 * model.SCORE_CHUNK, 8, 4))
+        wide = np.zeros((3 * model.score_size(8, 256), 8, 4))  # three forwards
         with pytest.raises(ValueError) as direct:
-            model.forward(wide[: model.SCORE_CHUNK], mdl)
+            model.forward(wide[: model.score_size(8, 256)], mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
         calls = self.record_forwards(monkeypatch)
         with pytest.raises(ValueError) as scored:
@@ -578,18 +661,19 @@ class TestBatchLogits:
 
     def test_single_forward_runs_inline_and_no_thread_outlives_a_call(self, monkeypatch):
         mdl = tiny_model(seed=33)
-        x = np.random.default_rng(33).standard_normal((2 * model.SCORE_CHUNK + 1, 8, 3))
+        step = model.score_size(8, 256)
+        x = np.random.default_rng(33).standard_normal((2 * step + 2, 8, 3))
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
         before = threading.active_count()
         calls = self.record_forwards(monkeypatch)
-        model.batch_logits(x[:model.SCORE_CHUNK], mdl)
+        model.batch_logits(x[: step + 1], mdl)
         assert {ident for ident, _ in calls} == {threading.get_ident()}
         model.batch_logits(x, mdl)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("shape", [(200, 3), (200,), (1, 2, 8, 3)])
     def test_input_that_is_not_3d_is_rejected_before_any_forward(self, monkeypatch, shape):
-        """An (L, F) sequence is not scored as SCORE_CHUNK-step slices of fake sequences."""
+        """An (L, F) sequence is not scored as `score_size`-step slices of fake sequences."""
         mdl = tiny_model(seed=37)
         x = np.random.default_rng(37).standard_normal(shape)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1059,7 +1143,7 @@ class TestMemoUse:
 
     def test_forward_looks_up_once_per_scoring_chunk_and_a_graph_never(self):
         mdl = tiny_model(n_layers=2, seed=53)
-        x = np.random.default_rng(53).standard_normal((model.SCORE_CHUNK + 1, 16, 3))
+        x = np.random.default_rng(53).standard_normal((model.score_size(16) + 2, 16, 3))
         model.forward(x, mdl)
         info = model.memo.cache_info()
         assert (info.hits, info.misses) == (1, 1)
