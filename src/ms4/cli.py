@@ -77,7 +77,7 @@ def _build_parser():
     p = sub.add_parser("eval", help="print misclassification error of a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--batch", type=int, default=model_mod.SCORE_BATCH)
 
     p = sub.add_parser("stream", help="recurrent inference with O(H*N) state per block")
     p.add_argument("--model", required=True)
@@ -172,8 +172,8 @@ def _block_rows(batch, length):
 
     A multiple of its forward size `score_size(length, batch)`, so every block
     boundary is a forward boundary and each forward scores the sequences it
-    would score on the whole file; only a last block of one sample, which the
-    whole file would join to the forward before it, is scored alone.
+    would score on the whole file: a sample that would be left alone joins
+    the last block, as it joins the last forward.
     """
     return batch - batch % model_mod.score_size(length, batch)
 
@@ -229,16 +229,16 @@ def _check_tol(tol):
 def _cmd_stream(args):
     _check_tol(args.tol)
     deviations = []
-    batch = 256  # of the --check reference, as `eval` scores by default
 
     def streamed(mdl, x):
         logits = np.stack([model_mod.stream_logits(mdl, xi) for xi in x])
         if args.check and np.isfinite(logits).all():
-            deviations.append(np.abs(logits - model_mod.batch_logits(x, mdl, batch)).max())
+            deviations.append(np.abs(logits - model_mod.batch_logits(x, mdl)).max())
         return logits
 
     # a block of one reference forward: stream memory is bounded by SCORE_ROWS rows too
-    error = _error_rate(args, lambda length: model_mod.score_size(length, batch), streamed)
+    error = _error_rate(args, lambda length: model_mod.score_size(length, model_mod.SCORE_BATCH),
+                        streamed)
     if args.check:
         deviation = float(np.max(deviations))
         print(repr(deviation))

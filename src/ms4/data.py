@@ -155,17 +155,21 @@ def _grown(x, y, filled, size, features):
 
 
 def iter_dataset(path, rows):
-    """Read TSC-CSV v1 as validated Dataset blocks of at most `rows` samples, in file order.
+    """Read TSC-CSV v1 as validated Dataset blocks of `rows` samples, in file order.
 
     `rows` is a count, or a function of the header's L that returns one, so
-    that a reader can size blocks by sequence length. Each line is checked
-    as it is read and written into its block, so the fault raised is the one
-    on the first faulty line whatever `rows` is. A block is yielded when
-    full, the file's last one after the count check; lines past n are
-    counted but not parsed. A valid row takes at least 2*(1 + L*F) bytes
-    with its newline, so a block the file's size backs is allocated whole,
-    and any other (a pipe has size 0) starts at one row and doubles. The
-    last block is dropped before the next is allocated.
+    that a reader can size blocks by sequence length. The last block holds
+    what is left, and rows + 1 samples when rows >= 2 and one sample would
+    be left alone: a reader that scores blocks in forwards of a size that
+    divides rows then scores the forwards `model.batch_logits` scores on the
+    whole file, which joins a lone sample to the forward before it. Each
+    line is checked as it is read and written into its block, so the fault
+    raised is the one on the first faulty line whatever `rows` is. A block
+    is yielded when full, the file's last one after the count check; lines
+    past n are counted but not parsed. A valid row takes at least
+    2*(1 + L*F) bytes with its newline, so a block the file's size backs is
+    allocated whole, and any other (a pipe has size 0) starts at one row and
+    doubles. The last block is dropped before the next is allocated.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = _lines(fh, path)
@@ -176,19 +180,20 @@ def iter_dataset(path, rows):
             raise ValueError(f"rows must be >= 1, got {rows}")
         width = 1 + length * n_feat
         backed = os.fstat(fh.fileno()).st_size >= 2 * width * n
-        count = 0
+        count = j = size = 0
         for count, line in enumerate(lines, 1):
             if count > n:
                 continue
             label, row = _parse_line(line, count + 1, path, width, n_classes)
-            j = (count - 1) % rows
-            if j == 0:
+            if j == size:  # the first line of a block
                 x = y = None  # not held while the next block is allocated
-                size = min(rows, n + 1 - count)
+                left = n + 1 - count
+                j, size = 0, left if left <= rows + (rows > 1) else rows
             if j == 0 or j == len(x):
                 x, y = _grown(x, y, j, size if backed else min(size, 2 * j or 1), width - 1)
             x[j], y[j] = row, label
-            if j + 1 == size and count < n:
+            j += 1
+            if j == size and count < n:
                 yield Dataset(x.reshape(-1, length, n_feat), y, n_classes)
     if count != n:
         raise DataFormatError(f"{path}: header declares n={n} but body has {count} data lines")

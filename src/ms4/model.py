@@ -313,8 +313,9 @@ def forward(x, model):
     """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences.
 
     The batch is scored as `forward_t` calls on `score_size(L)` sequences at
-    a time, one after another, so working memory grows with neither B nor L;
-    `batch_logits` runs such forwards on the CPUs.
+    a time, one after another, so working memory does not grow with B, nor
+    with L up to SCORE_ROWS // 2 steps; past that a forward holds two
+    sequences. `batch_logits` runs such forwards on the CPUs.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
@@ -330,6 +331,7 @@ def forward(x, model):
 
 
 SCORE_ROWS = 4096  # (sequence, step) rows per scoring forward; bounds its working memory
+SCORE_BATCH = 256  # sequences scored at once by default: batch_logits, ms4 eval and stream
 
 
 def score_size(length, batch_size=None):
@@ -414,7 +416,7 @@ def cpu_map(fn, items, max_workers=None):
         return list(pool.map(fn, items))
 
 
-def batch_logits(x, model, batch_size=256):
+def batch_logits(x, model, batch_size=SCORE_BATCH):
     """Eval-mode logits for an (n, L, F) dataset tensor, scored on the CPUs of this process.
 
     Each forward takes the `_slices` of `score_size(L, batch_size)` sequences,
@@ -437,7 +439,7 @@ def batch_logits(x, model, batch_size=256):
     return np.concatenate(chunks)
 
 
-def predict(x, model, batch_size=256):
+def predict(x, model, batch_size=SCORE_BATCH):
     """Argmax labels for an (n, L, F) dataset tensor, evaluated in chunks."""
     return np.argmax(batch_logits(x, model, batch_size), axis=-1)
 

@@ -462,33 +462,67 @@ class TestScoringInBlocks:
     # blocks of BLOCK samples for both verbs
     BLOCK_ARGS = {"eval": ["--batch", str(BLOCK)], "stream": []}
 
+    ODD_N = 2 * BLOCK + 1  # one sample past a block of 16, of BLOCK and of 256
+
     @pytest.fixture(scope="class")
     def long_csv(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("blocks") / "long.csv"
         data.save_dataset(data.synth_freq_task(self.N, 8, noise_std=0.5, seed=11), path)
         return path
 
-    @pytest.mark.parametrize("batch", [1, 10, 100, 256])
-    def test_eval_logits_equal_the_whole_file(self, capsys, workdir, long_csv, monkeypatch,
-                                              batch):
+    @pytest.fixture(scope="class")
+    def odd_csv(self, tmp_path_factory):
+        """A file whose last block would hold one sample, which the whole file joins
+        to the forward before it."""
+        path = tmp_path_factory.mktemp("blocks") / "odd.csv"
+        ds = data.synth_freq_task(self.ODD_N + 1, 8, noise_std=0.5, seed=12)  # n is even
+        data.save_dataset(data.Dataset(ds.x[1:], ds.y[1:], ds.n_classes), path)
+        return path
+
+    @staticmethod
+    def recorded_batch_logits(monkeypatch):
+        """The logits of every `model.batch_logits` call from here on, in call order."""
         recorded, inner = [], model.batch_logits
 
-        def recording(x, mdl, batch_size=256):
+        def recording(x, mdl, batch_size=model.SCORE_BATCH):
             recorded.append(inner(x, mdl, batch_size))
             return recorded[-1]
 
         monkeypatch.setattr(model, "batch_logits", recording)
+        return recorded
+
+    def eval_block_sizes(self, capsys, workdir, monkeypatch, path, batch):
+        """`ms4 eval --batch batch` on `path`, checked to score the bits and print the
+        error of scoring the whole file; returns its block sizes and the rows of a
+        full block, the largest multiple of the forward size not above `batch`."""
+        whole_file = model.batch_logits
+        recorded = self.recorded_batch_logits(monkeypatch)
         code, out, _ = run(capsys, "eval", "--model", str(workdir / "model.ckpt"),
-                           "--data", str(long_csv), "--batch", str(batch))
+                           "--data", str(path), "--batch", str(batch))
         assert code == 0
-        ds, mdl = data.load_dataset(long_csv), model.load_checkpoint(workdir / "model.ckpt")
-        whole = inner(ds.x, mdl, batch)
-        rows = cli._block_rows(batch, 8)
-        assert rows % model.score_size(8, batch) == 0
-        assert [len(logits) for logits in recorded[:-1]] == [rows] * (len(recorded) - 1)
+        ds, mdl = data.load_dataset(path), model.load_checkpoint(workdir / "model.ckpt")
+        whole = whole_file(ds.x, mdl, batch)
         assert np.concatenate(recorded).tobytes() == whole.tobytes()
         expected = evaluate.misclassification_error(np.argmax(whole, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
+        rows = batch - batch % model.score_size(8, batch)
+        assert rows <= batch
+        return [len(logits) for logits in recorded], rows
+
+    @pytest.mark.parametrize("batch", [1, 10, 100, 256])
+    def test_eval_logits_equal_the_whole_file(self, capsys, workdir, long_csv, monkeypatch,
+                                              batch):
+        sizes, rows = self.eval_block_sizes(capsys, workdir, monkeypatch, long_csv, batch)
+        assert sizes == [rows] * (self.N // rows) + [self.N % rows] * (self.N % rows > 0)
+
+    @pytest.mark.parametrize("batch", [16, BLOCK, 256])
+    def test_eval_joins_a_lone_last_sample_to_the_block_before_it(self, capsys, workdir,
+                                                                   odd_csv, monkeypatch, batch):
+        """The whole file scores the sample left over past the last full block in the
+        forward before it; scored alone, its logits differed in the last bit."""
+        sizes, rows = self.eval_block_sizes(capsys, workdir, monkeypatch, odd_csv, batch)
+        assert self.ODD_N % rows == 1
+        assert sizes == [rows] * (self.ODD_N // rows - 1) + [rows + 1]
 
     @pytest.mark.parametrize("check", [False, True])
     def test_stream_output_equals_the_whole_file(self, capsys, workdir, long_csv, check):
@@ -502,6 +536,18 @@ class TestScoringInBlocks:
         else:
             expected = evaluate.misclassification_error(np.argmax(streamed, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
+
+    def test_stream_check_reference_joins_a_lone_last_sample(self, capsys, workdir, odd_csv,
+                                                             monkeypatch):
+        """The --check reference scores the bits of the whole file's `batch_logits`."""
+        ds, mdl = data.load_dataset(odd_csv), model.load_checkpoint(workdir / "model.ckpt")
+        whole = model.batch_logits(ds.x, mdl)
+        recorded = self.recorded_batch_logits(monkeypatch)
+        code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                           "--data", str(odd_csv), "--check")
+        assert code == 0 and float(out) <= 1e-4
+        assert [len(logits) for logits in recorded] == [self.BLOCK, self.BLOCK + 1]
+        assert np.concatenate(recorded).tobytes() == whole.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("verb", ["eval", "stream"])

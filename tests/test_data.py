@@ -162,14 +162,33 @@ class TestBlocks:
         path.write_text("\n".join(lines), encoding="utf-8")
 
     def test_blocks_in_file_order(self, tmp_path):
-        ds = make_dataset(n=7, seed=20)
+        ds = make_dataset(n=8, seed=20)
         path = tmp_path / "d.csv"
         data.save_dataset(ds, path)
         blocks = list(data.iter_dataset(path, 3))
-        assert [b.n_samples for b in blocks] == [3, 3, 1]
+        assert [b.n_samples for b in blocks] == [3, 3, 2]
         assert all(b.n_classes == ds.n_classes for b in blocks)
         assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
         np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), ds.y)
+
+    @pytest.mark.parametrize("n, rows, sizes", [(7, 3, [3, 4]), (3, 2, [3]), (4, 3, [4]),
+                                                (2, 1, [1, 1])])
+    def test_a_lone_last_sample_joins_the_block_before_it(self, tmp_path, n, rows, sizes):
+        """As `model.batch_logits` joins it to the forward before it, unless rows is one."""
+        ds = make_dataset(n=n, seed=20)
+        path = tmp_path / "d.csv"
+        data.save_dataset(ds, path)
+        for read in (path, helpers.piped(path, tmp_path)):
+            blocks = list(data.iter_dataset(read, rows))
+            assert [b.n_samples for b in blocks] == sizes
+            assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
+
+    def test_rows_may_be_a_function_of_the_length(self, tmp_path):
+        path = tmp_path / "d.csv"
+        data.save_dataset(make_dataset(n=6, length=4), path)
+        lengths = []
+        blocks = list(data.iter_dataset(path, lambda length: lengths.append(length) or 2))
+        assert lengths == [4] and [b.n_samples for b in blocks] == [2, 2, 2]
 
     @pytest.mark.parametrize("rows", [0, -1])
     def test_rows_must_be_positive(self, tmp_path, rows):
@@ -215,9 +234,9 @@ class TestBlocks:
     def test_count_mismatch_is_named_after_the_last_line(self, tmp_path):
         path = tmp_path / "d.csv"
         data.save_dataset(make_dataset(n=5, seed=23), path)
-        path.write_text(path.read_text().replace("n=5", "n=3", 1))
+        path.write_text(path.read_text().replace("n=5", "n=4", 1))
         yielded = []
-        with pytest.raises(DataFormatError, match="n=3 but body has 5 data lines"):
+        with pytest.raises(DataFormatError, match="n=4 but body has 5 data lines"):
             for block in data.iter_dataset(path, 2):
                 yielded.append(block.n_samples)
         assert yielded == [2]  # the last block is never yielded
@@ -347,9 +366,9 @@ class TestBlocks:
         path = tmp_path / "d.csv"
         data.save_dataset(ds, path)
         assert data.load_dataset(helpers.piped(path, tmp_path)).x.tobytes() == ds.x.tobytes()
-        for rows in (1, 3, 7):
+        for rows, sizes in ((1, [1] * 7), (2, [2, 2, 3]), (4, [4, 3]), (7, [7])):
             blocks = list(data.iter_dataset(helpers.piped(path, tmp_path), rows))
-            assert [len(b.y) for b in blocks] == [rows] * (7 // rows) + [7 % rows] * (7 % rows > 0)
+            assert [len(b.y) for b in blocks] == sizes
             assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
             assert np.concatenate([b.y for b in blocks]).tolist() == ds.y.tolist()
         self.edit(path, 5, EDGE_FAULTS["bad label"][0])
@@ -408,7 +427,10 @@ class TestBlocks:
             if isinstance(whole, str):
                 assert blocks == whole
             else:
-                assert all(b.n_samples <= rows for b in blocks)
+                sizes = [b.n_samples for b in blocks]
+                assert sizes[:-1] == [rows] * (len(sizes) - 1)
+                assert sizes[-1] <= rows + (rows > 1) and (sizes[-1] > 1 or len(sizes) == 1
+                                                           or rows == 1)
                 assert np.concatenate([b.x for b in blocks]).tobytes() == whole.x.tobytes()
                 assert np.concatenate([b.y for b in blocks]).tobytes() == whole.y.tobytes()
 
