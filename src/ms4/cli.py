@@ -170,10 +170,11 @@ def _cmd_train(args):
 def _block_rows(batch, length):
     """Rows per parsed block of `length`-step sequences scored by `batch_logits(x, model, batch)`.
 
-    A multiple of its forward size `score_size(length, batch)`, so every block
-    boundary is a forward boundary and each forward scores the sequences it
-    would score on the whole file: a sample that would be left alone joins
-    the last block, as it joins the last forward.
+    The most rows, at most `batch`, that are a multiple of the forward size
+    `score_size(length, batch)`, so every block boundary is a forward
+    boundary and each forward scores the sequences it would score on the
+    whole file: a sample that would be left alone joins the last block, as
+    it joins the last forward.
     """
     return batch - batch % model_mod.score_size(length, batch)
 

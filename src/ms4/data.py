@@ -15,6 +15,7 @@ preallocated blocks (iter_dataset; load_dataset is its single block).
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import sys
@@ -37,13 +38,22 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if self.x.ndim != 3:
             raise ValueError(f"x must be (n, L, F), got shape {self.x.shape}")
-        if self.y.shape != (self.x.shape[0],):
-            raise ValueError(f"y shape {self.y.shape} does not match n={self.x.shape[0]}")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        if y.shape != (self.x.shape[0],):
+            raise ValueError(f"y shape {y.shape} does not match n={self.x.shape[0]}")
+        try:
+            valid = operator.index(self.n_classes) >= 2
+        except TypeError:  # a float, or anything else that is not an integer
+            valid = False
+        if not valid:
+            raise ValueError(f"n_classes={self.n_classes} must be an integer >= 2")
+        if y.dtype.kind == "f":  # a cast to int64 would truncate 1.7 to 1
+            bad = np.flatnonzero(~np.isfinite(y) | (np.trunc(y) != y))
+            if bad.size:
+                raise ValueError(f"label {bad[0]} is {y[bad[0]]}, not a whole number")
+        self.y = y.astype(np.int64, copy=False)
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
 
@@ -161,15 +171,16 @@ def iter_dataset(path, rows):
     that a reader can size blocks by sequence length. The last block holds
     what is left, and rows + 1 samples when rows >= 2 and one sample would
     be left alone: a reader that scores blocks in forwards of a size that
-    divides rows then scores the forwards `model.batch_logits` scores on the
-    whole file, which joins a lone sample to the forward before it. Each
-    line is checked as it is read and written into its block, so the fault
-    raised is the one on the first faulty line whatever `rows` is. A block
-    is yielded when full, the file's last one after the count check; lines
-    past n are counted but not parsed. A valid row takes at least
-    2*(1 + L*F) bytes with its newline, so a block the file's size backs is
-    allocated whole, and any other (a pipe has size 0) starts at one row and
-    doubles. The last block is dropped before the next is allocated.
+    divides rows then scores the forwards that `model.batch_logits`, the one
+    scoring path, runs on the whole file, joining a lone sample to the
+    forward before it. Each line is checked as it is read and written into
+    its block, so the fault raised is the one on the first faulty line
+    whatever `rows` is. A block is yielded when full, the file's last one
+    after the count check; lines past n are counted but not parsed. A valid
+    row takes at least 2*(1 + L*F) bytes with its newline, so a block the
+    file's size backs is allocated whole, and any other (a pipe has size 0)
+    starts at one row and doubles. The last block is dropped before the next
+    is allocated.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = _lines(fh, path)

@@ -7,9 +7,9 @@ Pipeline per forward pass (MS4N adds the normalization stage):
 
 With more than one block, the S4D-through-normalization segment repeats on
 the H-wide stream; the F -> H projection exists to absorb the input width
-and is applied once. Parameters live in plain float64 arrays addressable by
-name (complex pairs stored as separate real arrays), which is also the unit
-of accounting for parameter counts.
+and is applied once. Parameters live in plain arrays, float64 by default,
+addressable by name (complex pairs stored as separate real arrays), which is
+also the unit of accounting for parameter counts.
 """
 
 from __future__ import annotations
@@ -310,44 +310,28 @@ def memo(key, length):
 
 
 def forward(x, model):
-    """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch of sequences.
-
-    The batch is scored as `forward_t` calls on `score_size(L)` sequences at
-    a time, one after another, so working memory does not grow with B, nor
-    with L up to SCORE_ROWS // 2 steps; past that a forward holds two
-    sequences. `batch_logits` runs such forwards on the CPUs.
-    """
+    """Eval-mode logits for one (L, F) sequence or a (B, L, F) batch: `batch_logits` scores both."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.ndim != 3 or x.shape[-1] != model.n_features:
-        raise ValueError(f"expected (..., L, {model.n_features}) input, got {x.shape}")
-    size = score_size(x.shape[1])  # raises ValueError for L < 1
-    leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
-    chunks = [forward_t(ad.Tensor(x[part]), leaves).data for part in _slices(x.shape[0], size)]
-    logits = np.concatenate(chunks) if chunks else np.empty((0, model.n_classes))
-    return logits[0] if single else logits
+    if x.ndim == 2 and x.shape[1] != model.n_features:  # an error shows the caller's shape
+        raise ValueError(f"expected (L, {model.n_features}) input, got {x.shape}")
+    return batch_logits(x[None], model)[0] if x.ndim == 2 else batch_logits(x, model)
 
 
 SCORE_ROWS = 4096  # (sequence, step) rows per scoring forward; bounds its working memory
 SCORE_BATCH = 256  # sequences scored at once by default: batch_logits, ms4 eval and stream
 
 
-def score_size(length, batch_size=None):
-    """Sequences per scoring forward at `length` steps: SCORE_ROWS // length, at least two.
+def score_size(length, batch_size):
+    """Sequences per scoring forward at `length` steps, `batch_size` of them scored at once.
 
-    A batch of two or more never scores a lone sequence, whose head product
-    `pooled @ w3` would take numpy's one-row BLAS path and round otherwise:
-    its forwards are `_slices` of this size. Given `batch_size`, the most
-    sequences scored at once, a forward takes at most half of it, so that
-    two forwards can run at once, and a batch_size of one scores one
-    sequence at a time.
+    SCORE_ROWS // length and at most half of `batch_size`, so that two forwards
+    can run at once, but at least two, or one for a batch_size of one: a lone
+    sequence's head product `pooled @ w3` takes numpy's one-row BLAS path and
+    rounds otherwise, and forwards are `_slices` of this size.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    size = max(2, SCORE_ROWS // length)
-    return size if batch_size is None else min(size, max(2, batch_size // 2), batch_size)
+    return min(max(2, SCORE_ROWS // length), max(2, batch_size // 2), batch_size)
 
 
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
@@ -417,24 +401,27 @@ def cpu_map(fn, items, max_workers=None):
 
 
 def batch_logits(x, model, batch_size=SCORE_BATCH):
-    """Eval-mode logits for an (n, L, F) dataset tensor, scored on the CPUs of this process.
+    """Eval-mode logits for an (n, L, F) batch, scored on the CPUs of this process.
 
-    Each forward takes the `_slices` of `score_size(L, batch_size)` sequences,
-    a size that does not depend on the machine, so the logits are the same on
-    any CPU count. Forwards run on `cpu_map`, at most `batch_size` sequences
-    in flight at once (one more when a lone one joins a forward), after the
-    spectra are in `memo`. An x that is not 3-D raises ValueError first.
+    Its `forward_t` calls score the `_slices` of `score_size(L, batch_size)`
+    sequences, a size that depends on neither the machine nor n, so the logits
+    are the same on any CPU count and a forward's memory does not grow with n.
+    They run on `cpu_map`, about `batch_size` sequences in flight; when there are
+    two or more, `memo` is filled first. Input not (n, L, F) raises ValueError.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3:
+    if x.ndim != 3 or x.shape[-1] != model.n_features:
         raise ValueError(f"expected (n, L, {model.n_features}) input, got {x.shape}")
+    step = score_size(x.shape[1], batch_size)  # raises ValueError for L < 1, also when n = 0
     if not x.shape[0]:
         return np.empty((0, model.n_classes))
-    step = score_size(x.shape[1], batch_size)
-    memo(memo_key(model.params), x.shape[1])  # built here, so that no two workers build them
-    chunks = cpu_map(lambda part: forward(x[part], model), _slices(x.shape[0], step),
+    parts = _slices(x.shape[0], step)
+    if len(parts) > 1:  # built here, so that no two workers build them
+        memo(memo_key(model.params), x.shape[1])
+    leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
+    chunks = cpu_map(lambda part: forward_t(ad.Tensor(x[part]), leaves).data, parts,
                      batch_size // step)
     return np.concatenate(chunks)
 

@@ -47,25 +47,24 @@ SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "
 
 CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
 BLOCK_BINS = 16 * 4097  # most spectrum bins per sequence and pass (1 MB): 16 channels up to L=4096
+DT_MIN, DT_MAX = 1e-3, 1e-1  # an initial step size delta is log-uniform in [DT_MIN, DT_MAX)
 
 
-def init_s4d_params(n_channels, n_state, dt_min=1e-3, dt_max=1e-1, seed=0):
+def init_s4d_params(n_channels, n_state, seed=0):
     """An S4D core with the HiPPO-flavored diagonal eigenvalues lambda_n = -1/2 + i*pi*n.
 
     All channels start from the same eigenvalues; B = 1, D = 1, C is drawn
     from a seeded standard normal (real and imaginary parts), and log(delta)
-    is log-uniform in [log dt_min, log dt_max) per channel.
+    is log-uniform in [log DT_MIN, log DT_MAX) per channel.
     """
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
     if n_state < 2 or n_state % 2 != 0:
         raise ValueError(f"n_state must be a positive even integer, got {n_state}")
-    if not (0.0 < dt_min < dt_max):
-        raise ValueError(f"need 0 < dt_min < dt_max, got dt_min={dt_min}, dt_max={dt_max}")
     n_modes = n_state // 2
     rng = np.random.default_rng(seed)
     shape = (n_channels, n_modes)
-    log_delta = rng.uniform(np.log(dt_min), np.log(dt_max), size=n_channels)
+    log_delta = rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=n_channels)
     return {
         "log_a_real": np.full(shape, np.log(0.5)),
         "a_imag": np.broadcast_to(np.pi * np.arange(n_modes), shape).copy(),

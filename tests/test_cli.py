@@ -248,13 +248,13 @@ class TestStreamVerb:
         many = tmp_path / "many.csv"
         assert cli.main(["gen", "--n", str(2 * step + 2), "--len", "8",
                          "--out", str(many)]) == 0
-        sizes, inner = [], model.forward
+        sizes, inner = [], model.forward_t
 
-        def recording(x, mdl, *args, **kwargs):
-            sizes.append(len(x))
-            return inner(x, mdl, *args, **kwargs)
+        def recording(x, leaves, *args, **kwargs):
+            sizes.append(x.shape[0])
+            return inner(x, leaves, *args, **kwargs)
 
-        monkeypatch.setattr(model, "forward", recording)
+        monkeypatch.setattr(model, "forward_t", recording)
         capsys.readouterr()
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
                            "--data", str(many), "--check")

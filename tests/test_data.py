@@ -517,6 +517,24 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             data.Dataset(x=np.zeros((2, 3, 1)), y=np.array([0, 5]), n_classes=2)
 
+    @pytest.mark.parametrize("y, index, value", [
+        ([0.5, 1.7, 1.0], 0, "0.5"), ([1.0, 1.7, 0.0], 1, "1.7"), ([0.0, 1.0, np.nan], 2, "nan"),
+        ([0.0, np.inf, 1.0], 1, "inf"),
+    ])
+    def test_labels_that_are_not_whole_numbers_rejected(self, y, index, value):
+        """A cast to int64 alone stored [0.5, 1.7, 1.0] as [0, 1, 1]."""
+        with pytest.raises(ValueError, match=f"^label {index} is {value}, not a whole number$"):
+            data.Dataset(x=np.zeros((3, 4, 1)), y=y, n_classes=2)
+
+    def test_whole_number_float_labels_kept(self):
+        ds = data.Dataset(x=np.zeros((3, 4, 1)), y=[0.0, 1.0, 1.0], n_classes=np.int64(2))
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("n_classes", [2.0, 2.5, "2", None, 1])
+    def test_n_classes_must_be_an_integer_of_two_or_more(self, n_classes):
+        with pytest.raises(ValueError, match="^n_classes=.* must be an integer >= 2$"):
+            data.Dataset(x=np.zeros((2, 3, 1)), y=[0, 1], n_classes=n_classes)
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             data.Dataset(x=np.zeros((2, 3)), y=np.array([0, 1]), n_classes=2)

@@ -301,22 +301,32 @@ class TestForward:
         assert forward_peak(x, mdl) <= 16e6
         assert forward_peak(x, mdl) <= 9e6
 
-    def test_batch_forward_peak_memory(self):
-        """A warm forward of 256 sequences runs as sixteen of `score_size(256)`, and
-        peaked at 7.9 MB; four of 64 peaked at 31.5 MB, and one forward_t over all
-        of them at 169 MB."""
+    def test_batch_forward_peak_memory(self, monkeypatch):
+        """A warm forward of 256 sequences on one CPU runs as sixteen of
+        `score_size(256, 256)` in turn, and peaked at 7.9 MB; four of 64 peaked at
+        31.5 MB, and one forward_t over all of them at 169 MB."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=45)
         x = np.random.default_rng(45).standard_normal((256, 256, 4))
         model.forward(x[:1], mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         assert forward_peak(x, mdl) <= 10e6
 
-    def test_long_batch_forward_peak_memory_does_not_grow_with_n(self):
-        """At L=4096 a forward scores two sequences at a time: a warm forward of 32
-        peaked at 8.4 MB, as one of 4 did. Forwards of 64 sequences peaked at 134 MB
-        against 16.8 MB, 8.0 times."""
+    def test_batch_forward_peak_memory_on_two_cpus(self, monkeypatch):
+        """On two CPUs two of those forwards run at once, within twice one CPU's bound."""
+        mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=45)
+        x = np.random.default_rng(45).standard_normal((256, 256, 4))
+        model.forward(x[:1], mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert forward_peak(x, mdl) <= 2 * 10e6
+
+    def test_long_batch_forward_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        """At L=4096 a forward scores two sequences at a time: on one CPU a warm
+        forward of 32 peaked at 8.4 MB, as one of 4 did. Forwards of 64 sequences
+        peaked at 134 MB against 16.8 MB, 8.0 times."""
         mdl = model.init_model(4, 16, 64, 10, dropout_rate=0.0, seed=55)
         x = np.random.default_rng(55).standard_normal((32, 4096, 4))
         model.forward(x[:2], mdl)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         assert forward_peak(x, mdl) <= 1.25 * forward_peak(x[:4], mdl)
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -362,10 +372,11 @@ class TestForward:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_forward_scores_score_chunks_in_turn(self, monkeypatch, cpus):
-        """Forwards of `score_size(L)` sequences, the lone one left joining the last."""
+        """Forwards of `score_size(L, SCORE_BATCH)` sequences, the lone one left joining
+        the last; on four CPUs they run at once."""
         mdl = tiny_model(seed=48)
-        size = model.score_size(8)
-        assert size == model.SCORE_ROWS // 8
+        size = model.score_size(8, model.SCORE_BATCH)
+        assert size == model.SCORE_BATCH // 2  # SCORE_ROWS // 8 would be 512
         x = np.random.default_rng(48).standard_normal((2 * size + 1, 8, 3))
         native = model.forward(x, mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -373,7 +384,7 @@ class TestForward:
         monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
             len(xb.data)) or inner(xb, leaves, **kw))
         logits = model.forward(x, mdl)
-        assert sizes == [size, size + 1]
+        assert sorted(sizes) == [size, size + 1]
         parts = [model.forward(x[:size], mdl), model.forward(x[size:], mdl)]
         np.testing.assert_array_equal(logits, np.concatenate(parts))
         np.testing.assert_array_equal(logits, native)
@@ -385,14 +396,17 @@ class TestForward:
     ])
     def test_score_size(self, length, batch_size, size):
         """About SCORE_ROWS rows, at most half of a batch_size and at least two, or one
-        when a batch_size of one is scored."""
+        when a batch_size of one is scored. A batch_size of None stands for one too
+        large to bind, so that SCORE_ROWS alone sets the size."""
+        batch_size = sys.maxsize if batch_size is None else batch_size
         assert model.score_size(length, batch_size) == size
 
     def test_zero_length_sequences_are_rejected(self):
         mdl = tiny_model(seed=57)
         for score in (model.forward, model.batch_logits):
-            with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
-                score(np.zeros((2, 0, 3)), mdl)
+            for n in (2, 0):
+                with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
+                    score(np.zeros((n, 0, 3)), mdl)
 
     def test_a_lone_sequence_rounds_differently_only_in_the_head(self, monkeypatch):
         """Why no forward of a batch of two or more scores one sequence, and why `ms4
@@ -554,14 +568,14 @@ class TestBatchLogits:
 
     @staticmethod
     def record_forwards(monkeypatch):
-        """Wrap model.forward to log (thread id, batch size) of each call."""
-        calls, inner = [], model.forward
+        """Wrap model.forward_t to log (thread id, batch size) of each call."""
+        calls, inner = [], model.forward_t
 
-        def recording(x, mdl, *args, **kwargs):
-            calls.append((threading.get_ident(), len(x)))
-            return inner(x, mdl, *args, **kwargs)
+        def recording(x, leaves, *args, **kwargs):
+            calls.append((threading.get_ident(), x.shape[0]))
+            return inner(x, leaves, *args, **kwargs)
 
-        monkeypatch.setattr(model, "forward", recording)
+        monkeypatch.setattr(model, "forward_t", recording)
         return calls
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 256])
@@ -601,7 +615,7 @@ class TestBatchLogits:
         monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
             len(xb.data)) or inner(xb, leaves, **kw))
         for length in (1, 8, 2049, 5000):
-            step = model.score_size(length)
+            step = model.score_size(length, model.SCORE_BATCH)
             for n in (2, 3, step + 1, 2 * step + 1):
                 sizes.clear()
                 model.forward(np.zeros((n, length, 3)), mdl)
@@ -649,14 +663,18 @@ class TestBatchLogits:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         mdl = tiny_model(seed=32)
-        wide = np.zeros((3 * model.score_size(8, 256), 8, 4))  # three forwards
-        with pytest.raises(ValueError) as direct:
-            model.forward(wide[: model.score_size(8, 256)], mdl)
+        x = np.zeros((3 * model.score_size(8, 256), 8, 3))  # three forwards
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
         calls = self.record_forwards(monkeypatch)
-        with pytest.raises(ValueError) as scored:
-            model.batch_logits(wide, mdl)
-        assert str(scored.value) == str(direct.value)
+        recording = model.forward_t
+
+        def failing(xb, leaves, **kwargs):
+            recording(xb, leaves, **kwargs)
+            raise FloatingPointError(f"forward of {xb.shape[0]} failed")
+
+        monkeypatch.setattr(model, "forward_t", failing)
+        with pytest.raises(FloatingPointError, match=f"^forward of {len(x) // 3} failed$"):
+            model.batch_logits(x, mdl)
         assert calls and threading.get_ident() not in {ident for ident, _ in calls}
 
     def test_single_forward_runs_inline_and_no_thread_outlives_a_call(self, monkeypatch):
@@ -671,9 +689,10 @@ class TestBatchLogits:
         model.batch_logits(x, mdl)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("shape", [(200, 3), (200,), (1, 2, 8, 3)])
+    @pytest.mark.parametrize("shape", [(200, 3), (200,), (1, 2, 8, 3), (2, 8, 4)])
     def test_input_that_is_not_3d_is_rejected_before_any_forward(self, monkeypatch, shape):
-        """An (L, F) sequence is not scored as `score_size`-step slices of fake sequences."""
+        """An (L, F) sequence is not scored as `score_size`-step slices of fake sequences,
+        and a batch of the wrong width fails before any worker starts."""
         mdl = tiny_model(seed=37)
         x = np.random.default_rng(37).standard_normal(shape)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -686,6 +705,34 @@ class TestBatchLogits:
             with pytest.raises(ValueError, match=message):
                 score()
         assert calls == []
+
+    @pytest.mark.parametrize("n, length", [(1025, 8), (700, 16)])
+    def test_forward_scores_as_batch_logits(self, n, length):
+        """`forward` adds no scoring of its own: a batch, and a sequence as a batch of one."""
+        mdl = tiny_model(seed=58)
+        x = np.random.default_rng(58).standard_normal((n, length, 3))
+        assert model.forward(x, mdl).tobytes() == model.batch_logits(x, mdl).tobytes()
+        assert model.forward(x[0], mdl).tobytes() == model.batch_logits(x[:1], mdl)[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(64, 3), (1, 64, 3), (129, 8, 3)])
+    def test_one_forward_call_looks_up_the_memo_once_and_starts_no_thread(self, monkeypatch,
+                                                                          shape):
+        """A sequence, or a batch that is one forward (128 sequences and a lone one
+        joined at L=8), is scored inline with the memo lookup of its `forward_t`."""
+        mdl = tiny_model(seed=60)
+        x = np.random.default_rng(60).standard_normal(shape)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)))
+        lookups, memo = [], model.memo
+        monkeypatch.setattr(model, "memo", lambda key, length: lookups.append(length)
+                            or memo(key, length))
+        starts, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+        calls = self.record_forwards(monkeypatch)
+        for score in [model.forward] if len(shape) == 2 else [model.forward, model.batch_logits]:
+            lookups.clear()
+            score(x, mdl)
+            assert lookups == [shape[-2]]
+        assert starts == [] and {ident for ident, _ in calls} == {threading.get_ident()}
 
     def test_empty_input(self):
         mdl = tiny_model(seed=34)
@@ -1142,11 +1189,13 @@ class TestMemoUse:
         assert builds == [None] * 5 + [64] * 5
 
     def test_forward_looks_up_once_per_scoring_chunk_and_a_graph_never(self):
+        """Two forwards: the memo is filled before they start, then each looks it up."""
         mdl = tiny_model(n_layers=2, seed=53)
-        x = np.random.default_rng(53).standard_normal((model.score_size(16) + 2, 16, 3))
+        x = np.random.default_rng(53).standard_normal(
+            (model.score_size(16, model.SCORE_BATCH) + 2, 16, 3))
         model.forward(x, mdl)
         info = model.memo.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert (info.hits, info.misses) == (2, 1)
         model.forward_t(ad.Tensor(x[:2]), {k: ad.Tensor(v, requires_grad=True)
                                            for k, v in mdl.params.items()})
         model.forward_t(ad.Tensor(x[:2], requires_grad=True),

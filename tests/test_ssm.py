@@ -35,7 +35,8 @@ class TestInit:
         assert p["c_re"].std() > 0.1
 
     def test_log_delta_within_bounds(self):
-        p = ssm.init_s4d_params(64, 4, dt_min=1e-3, dt_max=1e-1, seed=3)
+        p = ssm.init_s4d_params(64, 4, seed=3)
+        assert (ssm.DT_MIN, ssm.DT_MAX) == (1e-3, 1e-1)
         assert (p["log_delta"] >= np.log(1e-3)).all() and (p["log_delta"] < np.log(1e-1)).all()
 
     def test_same_seed_bit_identical(self):
@@ -51,8 +52,6 @@ class TestInit:
             {"n_channels": 0, "n_state": 4},
             {"n_channels": 2, "n_state": 5},
             {"n_channels": 2, "n_state": 0},
-            {"n_channels": 2, "n_state": 4, "dt_min": 0.1, "dt_max": 0.1},
-            {"n_channels": 2, "n_state": 4, "dt_min": -1.0, "dt_max": 0.1},
         ],
     )
     def test_parameter_errors(self, kwargs):
