@@ -167,22 +167,11 @@ def _cmd_train(args):
     return 0
 
 
-def _block_rows(batch, length):
-    """Rows per parsed block of `length`-step sequences scored by `batch_logits(x, model, batch)`.
-
-    The most rows, at most `batch`, that are a multiple of the forward size
-    `score_size(length, batch)`, so every block boundary is a forward
-    boundary and each forward scores the sequences it would score on the
-    whole file: a sample that would be left alone joins the last block, as
-    it joins the last forward.
-    """
-    return batch - batch % model_mod.score_size(length, batch)
-
-
 def _error_rate(args, rows, logits_of):
-    """Misclassification error of `logits_of(model, x)` over args.data, in blocks of `rows(L)`.
+    """Misclassification error of `logits_of(model, x)` over args.data, in blocks of `rows`.
 
-    L is the data header's sequence length, so a block can be sized by it.
+    `rows` is a count, or a function of the data header's sequence length L
+    (see `data.iter_dataset`), so a block can be sized by it.
 
     Only the running count of errors is kept, so memory does not grow with
     the file. The checkpoint's F is checked before the first block is scored.
@@ -216,7 +205,7 @@ def _error_rate(args, rows, logits_of):
 def _cmd_eval(args):
     if args.batch < 1:
         raise ValueError(f"batch_size must be >= 1, got {args.batch}")
-    error = _error_rate(args, lambda length: _block_rows(args.batch, length),
+    error = _error_rate(args, args.batch,
                         lambda mdl, x: model_mod.batch_logits(x, mdl, args.batch))
     print(repr(error))
     return 0

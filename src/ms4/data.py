@@ -169,11 +169,7 @@ def iter_dataset(path, rows):
 
     `rows` is a count, or a function of the header's L that returns one, so
     that a reader can size blocks by sequence length. The last block holds
-    what is left, and rows + 1 samples when rows >= 2 and one sample would
-    be left alone: a reader that scores blocks in forwards of a size that
-    divides rows then scores the forwards that `model.batch_logits`, the one
-    scoring path, runs on the whole file, joining a lone sample to the
-    forward before it. Each line is checked as it is read and written into
+    what is left. Each line is checked as it is read and written into
     its block, so the fault raised is the one on the first faulty line
     whatever `rows` is. A block is yielded when full, the file's last one
     after the count check; lines past n are counted but not parsed. A valid
@@ -198,8 +194,7 @@ def iter_dataset(path, rows):
             label, row = _parse_line(line, count + 1, path, width, n_classes)
             if j == size:  # the first line of a block
                 x = y = None  # not held while the next block is allocated
-                left = n + 1 - count
-                j, size = 0, left if left <= rows + (rows > 1) else rows
+                j, size = 0, min(rows, n + 1 - count)
             if j == 0 or j == len(x):
                 x, y = _grown(x, y, j, size if backed else min(size, 2 * j or 1), width - 1)
             x[j], y[j] = row, label

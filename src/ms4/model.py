@@ -182,8 +182,9 @@ def layer_norm_t(g, gamma, beta):
 
 
 def classify_t(g, w3, b3, w4, b4):
-    pooled = g.mean(axis=-2)
-    return ad.affine(ad.gelu(ad.affine(pooled, w3, b3)), w4, b4)
+    # pooled is (B, 1, H), so numpy's matmul takes one product per sample, whatever B is
+    pooled = g.mean(axis=-2, keepdims=True)
+    return ad.affine(ad.gelu(ad.affine(pooled, w3, b3)), w4, b4)[..., 0, :]
 
 
 def channel_mix_t(h, leaves, i):
@@ -218,8 +219,7 @@ def _slices(n, size):
 
     numpy sends a one-row matmul down another BLAS path, which rounds
     differently. Without one-row slices, the sliced mix is bit-identical to
-    one call over an input whose sequences have two steps or more, and no
-    scoring forward of a batch of two or more holds one sequence. A size of
+    one call over an input whose sequences have two steps or more. A size of
     one gives one-long slices.
     """
     last = n - 1 if n > 1 and size > 1 else n  # a slice starting at n - 1 would hold one row
@@ -325,13 +325,11 @@ def score_size(length, batch_size):
     """Sequences per scoring forward at `length` steps, `batch_size` of them scored at once.
 
     SCORE_ROWS // length and at most half of `batch_size`, so that two forwards
-    can run at once, but at least two, or one for a batch_size of one: a lone
-    sequence's head product `pooled @ w3` takes numpy's one-row BLAS path and
-    rounds otherwise, and forwards are `_slices` of this size.
+    can run at once, but at least one.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    return min(max(2, SCORE_ROWS // length), max(2, batch_size // 2), batch_size)
+    return max(1, min(SCORE_ROWS // length, batch_size // 2))
 
 
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once

@@ -242,8 +242,8 @@ class TestStreamVerb:
         assert float(out.strip()) <= 1e-4
 
     def test_check_scores_in_bounded_forwards(self, capsys, workdir, tmp_path, monkeypatch):
-        """The --check reference is scored in forwards of `score_size(8, 256)` samples,
-        and none of one."""
+        """The --check reference is scored in forwards of `score_size(8, 256)` samples
+        and one of what is left."""
         step = model.score_size(8, 256)
         many = tmp_path / "many.csv"
         assert cli.main(["gen", "--n", str(2 * step + 2), "--len", "8",
@@ -472,8 +472,7 @@ class TestScoringInBlocks:
 
     @pytest.fixture(scope="class")
     def odd_csv(self, tmp_path_factory):
-        """A file whose last block would hold one sample, which the whole file joins
-        to the forward before it."""
+        """A file whose last block holds one sample at a block size of 16, BLOCK or 256."""
         path = tmp_path_factory.mktemp("blocks") / "odd.csv"
         ds = data.synth_freq_task(self.ODD_N + 1, 8, noise_std=0.5, seed=12)  # n is even
         data.save_dataset(data.Dataset(ds.x[1:], ds.y[1:], ds.n_classes), path)
@@ -493,8 +492,7 @@ class TestScoringInBlocks:
 
     def eval_block_sizes(self, capsys, workdir, monkeypatch, path, batch):
         """`ms4 eval --batch batch` on `path`, checked to score the bits and print the
-        error of scoring the whole file; returns its block sizes and the rows of a
-        full block, the largest multiple of the forward size not above `batch`."""
+        error of scoring the whole file; returns its block sizes."""
         whole_file = model.batch_logits
         recorded = self.recorded_batch_logits(monkeypatch)
         code, out, _ = run(capsys, "eval", "--model", str(workdir / "model.ckpt"),
@@ -505,24 +503,27 @@ class TestScoringInBlocks:
         assert np.concatenate(recorded).tobytes() == whole.tobytes()
         expected = evaluate.misclassification_error(np.argmax(whole, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
-        rows = batch - batch % model.score_size(8, batch)
-        assert rows <= batch
-        return [len(logits) for logits in recorded], rows
+        return [len(logits) for logits in recorded]
 
-    @pytest.mark.parametrize("batch", [1, 10, 100, 256])
+    @staticmethod
+    def blocks(n, batch):
+        """The sizes of `n` samples read in blocks of `batch`: full blocks, then what is left."""
+        return [batch] * (n // batch) + [n % batch] * (n % batch > 0)
+
+    @pytest.mark.parametrize("batch", [1, 10, 16, 100, BLOCK, 256])
     def test_eval_logits_equal_the_whole_file(self, capsys, workdir, long_csv, monkeypatch,
                                               batch):
-        sizes, rows = self.eval_block_sizes(capsys, workdir, monkeypatch, long_csv, batch)
-        assert sizes == [rows] * (self.N // rows) + [self.N % rows] * (self.N % rows > 0)
+        sizes = self.eval_block_sizes(capsys, workdir, monkeypatch, long_csv, batch)
+        assert sizes == self.blocks(self.N, batch)
 
-    @pytest.mark.parametrize("batch", [16, BLOCK, 256])
-    def test_eval_joins_a_lone_last_sample_to_the_block_before_it(self, capsys, workdir,
-                                                                   odd_csv, monkeypatch, batch):
-        """The whole file scores the sample left over past the last full block in the
-        forward before it; scored alone, its logits differed in the last bit."""
-        sizes, rows = self.eval_block_sizes(capsys, workdir, monkeypatch, odd_csv, batch)
-        assert self.ODD_N % rows == 1
-        assert sizes == [rows] * (self.ODD_N // rows - 1) + [rows + 1]
+    @pytest.mark.parametrize("batch", [1, 10, 16, BLOCK, 256])
+    def test_eval_scores_a_lone_last_sample_as_the_whole_file_does(self, capsys, workdir,
+                                                                    odd_csv, monkeypatch,
+                                                                    batch):
+        """At a batch of 16, BLOCK or 256 the last block holds one sample, which is
+        scored in a forward of its own and keeps the whole file's bits."""
+        sizes = self.eval_block_sizes(capsys, workdir, monkeypatch, odd_csv, batch)
+        assert sizes == self.blocks(self.ODD_N, batch)
 
     @pytest.mark.parametrize("check", [False, True])
     def test_stream_output_equals_the_whole_file(self, capsys, workdir, long_csv, check):
@@ -537,16 +538,17 @@ class TestScoringInBlocks:
             expected = evaluate.misclassification_error(np.argmax(streamed, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
 
-    def test_stream_check_reference_joins_a_lone_last_sample(self, capsys, workdir, odd_csv,
-                                                             monkeypatch):
-        """The --check reference scores the bits of the whole file's `batch_logits`."""
+    def test_stream_check_reference_scores_a_lone_last_sample_alone(self, capsys, workdir,
+                                                                    odd_csv, monkeypatch):
+        """The --check reference scores the bits of the whole file's `batch_logits`,
+        the last sample in a forward of its own."""
         ds, mdl = data.load_dataset(odd_csv), model.load_checkpoint(workdir / "model.ckpt")
         whole = model.batch_logits(ds.x, mdl)
         recorded = self.recorded_batch_logits(monkeypatch)
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
                            "--data", str(odd_csv), "--check")
         assert code == 0 and float(out) <= 1e-4
-        assert [len(logits) for logits in recorded] == [self.BLOCK, self.BLOCK + 1]
+        assert [len(logits) for logits in recorded] == [self.BLOCK, self.BLOCK, 1]
         assert np.concatenate(recorded).tobytes() == whole.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -171,10 +171,10 @@ class TestBlocks:
         assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
         np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), ds.y)
 
-    @pytest.mark.parametrize("n, rows, sizes", [(7, 3, [3, 4]), (3, 2, [3]), (4, 3, [4]),
-                                                (2, 1, [1, 1])])
-    def test_a_lone_last_sample_joins_the_block_before_it(self, tmp_path, n, rows, sizes):
-        """As `model.batch_logits` joins it to the forward before it, unless rows is one."""
+    @pytest.mark.parametrize("n, rows, sizes", [(7, 3, [3, 3, 1]), (3, 2, [2, 1]),
+                                                (4, 3, [3, 1]), (2, 1, [1, 1])])
+    def test_a_lone_last_sample_is_a_block_of_its_own(self, tmp_path, n, rows, sizes):
+        """The last block holds what is left, also when that is one sample."""
         ds = make_dataset(n=n, seed=20)
         path = tmp_path / "d.csv"
         data.save_dataset(ds, path)
@@ -366,7 +366,7 @@ class TestBlocks:
         path = tmp_path / "d.csv"
         data.save_dataset(ds, path)
         assert data.load_dataset(helpers.piped(path, tmp_path)).x.tobytes() == ds.x.tobytes()
-        for rows, sizes in ((1, [1] * 7), (2, [2, 2, 3]), (4, [4, 3]), (7, [7])):
+        for rows, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (4, [4, 3]), (7, [7])):
             blocks = list(data.iter_dataset(helpers.piped(path, tmp_path), rows))
             assert [len(b.y) for b in blocks] == sizes
             assert np.concatenate([b.x for b in blocks]).tobytes() == ds.x.tobytes()
@@ -429,8 +429,7 @@ class TestBlocks:
             else:
                 sizes = [b.n_samples for b in blocks]
                 assert sizes[:-1] == [rows] * (len(sizes) - 1)
-                assert sizes[-1] <= rows + (rows > 1) and (sizes[-1] > 1 or len(sizes) == 1
-                                                           or rows == 1)
+                assert 0 < sizes[-1] <= rows
                 assert np.concatenate([b.x for b in blocks]).tobytes() == whole.x.tobytes()
                 assert np.concatenate([b.y for b in blocks]).tobytes() == whole.y.tobytes()
 

@@ -320,8 +320,8 @@ class TestForward:
         assert forward_peak(x, mdl) <= 2 * 10e6
 
     def test_long_batch_forward_peak_memory_does_not_grow_with_n(self, monkeypatch):
-        """At L=4096 a forward scores two sequences at a time: on one CPU a warm
-        forward of 32 peaked at 8.4 MB, as one of 4 did. Forwards of 64 sequences
+        """At L=4096 a forward scores one sequence at a time: on one CPU a warm
+        forward of 32 peaked at 4.2 MB, as one of 4 did. Forwards of 64 sequences
         peaked at 134 MB against 16.8 MB, 8.0 times."""
         mdl = model.init_model(4, 16, 64, 10, dropout_rate=0.0, seed=55)
         x = np.random.default_rng(55).standard_normal((32, 4096, 4))
@@ -390,14 +390,14 @@ class TestForward:
         np.testing.assert_array_equal(logits, native)
 
     @pytest.mark.parametrize("length, batch_size, size", [
-        (8, None, 512), (256, None, 16), (4096, None, 2), (50_000, None, 2),
-        (16, 256, 128), (256, 256, 16), (256, 10, 5), (256, 3, 2), (256, 2, 2), (256, 1, 1),
-        (4096, 256, 2), (4096, 1, 1),
+        (8, None, 512), (256, None, 16), (4096, None, 1), (50_000, None, 1),
+        (16, 256, 128), (256, 256, 16), (256, 10, 5), (256, 3, 1), (256, 2, 1), (256, 1, 1),
+        (4096, 256, 1), (4096, 1, 1),
     ])
     def test_score_size(self, length, batch_size, size):
-        """About SCORE_ROWS rows, at most half of a batch_size and at least two, or one
-        when a batch_size of one is scored. A batch_size of None stands for one too
-        large to bind, so that SCORE_ROWS alone sets the size."""
+        """About SCORE_ROWS rows and at most half of a batch_size, but at least one. A
+        batch_size of None stands for one too large to bind, so that SCORE_ROWS alone
+        sets the size."""
         batch_size = sys.maxsize if batch_size is None else batch_size
         assert model.score_size(length, batch_size) == size
 
@@ -407,30 +407,6 @@ class TestForward:
             for n in (2, 0):
                 with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
                     score(np.zeros((n, 0, 3)), mdl)
-
-    def test_a_lone_sequence_rounds_differently_only_in_the_head(self, monkeypatch):
-        """Why no forward of a batch of two or more scores one sequence, and why `ms4
-        eval` keeps forward boundaries. A sequence's activations and pooled features
-        are the same bits in a forward of any size. But the one-row product
-        `pooled @ w3` takes another BLAS path, and its logits differ in the last bits.
-        With 3 classes from 16 hidden units, the second product also rounds the rows
-        of a 2-row forward unlike those of a 16-row one. If numpy ever rounds them
-        alike, the remainder rule of `model._slices` has no reason left."""
-        mdl = model.init_model(3, 16, 8, 3, dropout_rate=0.0, seed=56)
-        x = np.random.default_rng(56).standard_normal((16, 256, 3))  # one forward_t each
-        seen, inner = [], model.classify_t
-        monkeypatch.setattr(model, "classify_t",
-                            lambda g, *head: seen.append(g.data) or inner(g, *head))
-        logits = {b: model.forward(x[:b], mdl) for b in (16, 2, 1)}
-        assert seen[1].tobytes() == seen[0][:2].tobytes()
-        assert seen[2].tobytes() == seen[0][:1].tobytes()
-        pooled = seen[0].mean(axis=-2)
-        assert seen[2].mean(axis=-2).tobytes() == pooled[:1].tobytes()
-        w3 = mdl.params["w3"]
-        assert (pooled[:1] @ w3).tobytes() != (pooled @ w3)[:1].tobytes()
-        for b in (2, 1):
-            assert logits[b].tobytes() != logits[16][:b].tobytes()
-            np.testing.assert_allclose(logits[b], logits[16][:b], rtol=0, atol=1e-15)
 
     def test_empty_batch(self):
         mdl = tiny_model(seed=49)
@@ -594,11 +570,8 @@ class TestBatchLogits:
 
     @pytest.mark.parametrize("rows", [model.SCORE_ROWS, 1024, 2])
     def test_logits_independent_of_batch_size_and_score_rows(self, monkeypatch, rows):
-        """At L=256, 37 sequences leave a lone one over forwards of 2 and of 4 (a
-        `rows` of 1024). It joins the forward before it, so no forward holds one
-        sequence, and with this head, whose products round a row of two or more
-        alike in any forward, every forward size scores the same bits. Not every
-        head does: see `test_a_lone_sequence_rounds_differently_only_in_the_head`."""
+        """At L=256, 37 sequences run in forwards of one sequence up to 16 of them,
+        and every forward size scores the same bits."""
         mdl = tiny_model(n_layers=2, seed=38)
         x = np.random.default_rng(38).standard_normal((37, 256, 3))
         expected = model.batch_logits(x, mdl)
@@ -606,20 +579,28 @@ class TestBatchLogits:
         calls = self.record_forwards(monkeypatch)
         for batch_size in (2, 3, 10, 256):
             assert model.batch_logits(x, mdl, batch_size).tobytes() == expected.tobytes()
-        assert min(size for _, size in calls) >= 2
-        assert {size for _, size in calls} >= {2, 3}
+        assert min(size for _, size in calls) == 1
 
-    def test_forward_of_a_batch_never_scores_one_sequence(self, monkeypatch):
-        mdl = tiny_model(seed=39)
-        sizes, inner = [], model.forward_t
-        monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
-            len(xb.data)) or inner(xb, leaves, **kw))
-        for length in (1, 8, 2049, 5000):
-            step = model.score_size(length, model.SCORE_BATCH)
-            for n in (2, 3, step + 1, 2 * step + 1):
-                sizes.clear()
-                model.forward(np.zeros((n, length, 3)), mdl)
-                assert sum(sizes) == n and min(sizes) >= 2, (length, n, sizes)
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.sampled_from([1, 7, 256, 4096]), n=st.integers(2, 6),
+           batch_size=st.sampled_from([1, 2, 3, 10, 256]),
+           rows=st.sampled_from([model.SCORE_ROWS, 1024, 64, 2]),
+           cpus=st.sampled_from([1, 4]), seed=st.integers(0, 2**16))
+    def test_a_samples_logits_depend_only_on_the_sample(self, length, n, batch_size, rows,
+                                                         cpus, seed):
+        """A sample scored in a batch has the bits it has scored alone, whatever the
+        forward sizes, remainders and CPU count: the head takes one product per
+        sample. A 2-D head product rounds a row of a 16-unit, 3-class model by the
+        rows beside it."""
+        mdl = model.init_model(3, 16, 8, 3, dropout_rate=0.0, seed=56)
+        x = np.random.default_rng(seed).standard_normal((n, length, 3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "SCORE_ROWS", rows)
+            patch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            logits = model.batch_logits(x, mdl, batch_size)
+            for i in range(n):
+                alone = model.batch_logits(x[i : i + 1], mdl, batch_size)[0]
+                assert logits[i].tobytes() == alone.tobytes(), i
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_logits_independent_of_cpu_count(self, monkeypatch, cpus):
