@@ -435,12 +435,13 @@ def predict(x, model, batch_size=SCORE_BATCH):
 def stream_logits(model, x):
     """Classify one (L, F) sequence with O(H*N) recurrent state per block.
 
-    The sequence is read in chunks of `ssm.STREAM_CHUNK` steps, so working
-    memory is O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK)) whatever L is. Each
-    block runs a chunk through `ssm.chunk_scan` with its scan arrays, from one
-    `memo` lookup, and the state carried from the previous chunk, then applies
-    GELU and `channel_mix_t` exactly as `forward_t` does. A running sum over
-    time replaces pooling and feeds the shared head `classify_t`.
+    The sequence is read in chunks of `ssm.STREAM_CHUNK` steps, so working memory
+    is O(STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is. Each block
+    runs a chunk through `ssm.chunk_scan` with its scan arrays, from one `memo`
+    lookup, and the state carried from the previous chunk, then applies GELU and
+    `channel_mix_t` exactly as `forward_t` does. A running sum over time replaces
+    pooling and feeds the shared head `classify_t`. BLAS is held at one thread:
+    the scan's products are small, and a pool thread woken by the mix slowed them.
 
     Equals the batch `forward` in eval mode up to roundoff.
     """
@@ -449,17 +450,18 @@ def stream_logits(model, x):
         raise ValueError(f"expected (L, {model.n_features}) input, got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("sequence length must be >= 1")
-    scans = memo(memo_key(model.params), None)
-    states = [np.zeros_like(a_bar) for a_bar, *_ in scans]
-    total = np.zeros(model.n_hidden)
-    for start in range(0, x.shape[0], ssm.STREAM_CHUNK):
-        h = x[start : start + ssm.STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
-        for i, scan in enumerate(scans):
-            states[i], y = ssm.chunk_scan(scan, states[i], h)
-            h = channel_mix_t(ad.gelu(ad.Tensor(y)), model.params, i).data
-        total += h.sum(axis=0)
-    mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
-    return classify_t(mean, *(model.params[k] for k in ("w3", "b3", "w4", "b4"))).data[0]
+    with _one_blas_thread():
+        scans = memo(memo_key(model.params), None)
+        states = [np.zeros_like(a_bar) for a_bar, *_ in scans]
+        total = np.zeros(model.n_hidden)
+        for start in range(0, x.shape[0], ssm.STREAM_CHUNK):
+            h = x[start : start + ssm.STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
+            for i, scan in enumerate(scans):
+                states[i], y = ssm.chunk_scan(scan, states[i], h)
+                h = channel_mix_t(ad.gelu(ad.Tensor(y)), model.params, i).data
+            total += h.sum(axis=0)
+        mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
+        return classify_t(mean, *(model.params[k] for k in ("w3", "b3", "w4", "b4"))).data[0]
 
 
 # -- complexity accounting -----------------------------------------------------

@@ -13,15 +13,13 @@ The layer has two equivalent execution forms:
 * recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
   time with state of size H x N/2 regardless of sequence length.
 
-Streaming mixes the two (`chunk_scan`): a chunk of t <= T = STREAM_CHUNK
-steps entered with carried state h0 is the convolution with K[:t] plus the
-feedthrough plus the carried term 2*Re(sum_n C A_bar^(k+1) h0), and leaves
-the state A_bar^t h0 + sum_j A_bar^(t-1-j) B_bar x_j. The powers A_bar^k are
-never tabled: like the kernel, the carry and the input sum split k = q*c + r
-with c = isqrt(T) and take exp(rate*r) and exp(rate*q*c) from two
-O(H N sqrt(T)) arrays, so a chunk costs one convolution and a few small
-batched products, and memory is O(T*H + H*N*sqrt(T)) whatever the sequence
-length. The state is a plain (H, N/2) complex array.
+Streaming mixes the two (`chunk_scan`) as block matmuls: a chunk of at most
+STREAM_CHUNK steps, entered with carried state h, is cut into blocks of
+T = SCAN_BLOCK steps. A block's output is its input times the (T, T) Toeplitz
+of K[:T] plus D, plus its entry state times a (N, T) map to 2*Re(C A_bar^(k+1) h);
+a block's state leaves as A_bar^T h plus its input times a (T, N) map. Memory
+is O(STREAM_CHUNK*H + H*T*(T+N)) whatever the sequence length; the state is a
+plain (H, N/2) complex array.
 
 The module keeps no state: outside a training graph, the stage and the scan
 take a core's `kernel_spectrum` and `scan_arrays` from their caller, which
@@ -264,21 +262,27 @@ def recurrent_step(h, x_k, a_bar, b_bar, c, d):
     return h, y
 
 
-STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(STREAM_CHUNK*H + H*N*sqrt(STREAM_CHUNK))
+STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(STREAM_CHUNK*H + H*T*(T+N))
+SCAN_BLOCK = 32  # T: steps per block of `chunk_scan`'s matmuls
 
 
 def scan_arrays(core):
-    """What `chunk_scan` reads: A_bar, B_bar, C, D, `_powers`' unweighted baby and giant
-    steps, K[:STREAM_CHUNK] (`kernel_t`'s bits, from their weighted `_power_sum`) and its rfft."""
+    """What `chunk_scan` reads, for blocks of T = SCAN_BLOCK steps: A_bar; the (H, T, T)
+    upper Toeplitz of K[:T] with D added on its diagonal; the (H, T, N) input-to-state map
+    B_bar A_bar^(T-1-i) and the (H, N, T) state-to-output map 2 C A_bar^(k+1), both as real
+    (re, im) pairs, since numpy's complex @ real product runs no BLAS; and A_bar^T."""
     a_bar, b_bar, rate = (v.data for v in discretize_t(core))
-    c = core["c_re"] + 1j * core["c_im"]
-    baby, giant = (v.data for v in _powers(rate, STREAM_CHUNK))
-    kernel = 2.0 * _power_sum(giant, baby * (c * b_bar)[:, :, None], STREAM_CHUNK).real.T
-    spectrum = np.fft.rfft(kernel, n=fft_length(STREAM_CHUNK), axis=0)
+    c, real = core["c_re"] + 1j * core["c_im"], rate.real.dtype
+    powers = np.exp(rate[:, None, :] * np.arange(SCAN_BLOCK + 1, dtype=real)[:, None])  # A_bar^0..T
+    kernel = 2.0 * (powers[:, :SCAN_BLOCK] @ (c * b_bar)[:, :, None]).real[..., 0]
+    lag = np.arange(SCAN_BLOCK) - np.arange(SCAN_BLOCK)[:, None]
+    toeplitz = np.where(lag >= 0, kernel[:, lag.clip(0)], 0) + core["d"][:, None, None] * (lag == 0)
+    into = (b_bar[:, None, :] * powers[:, SCAN_BLOCK - 1 :: -1]).view(real)
+    out = (2.0 * c[:, None, :] * powers[:, 1:]).conj().view(real).swapaxes(1, 2)
     # Copied last, so the kept arrays sit above the build's freed temporaries
     # in the malloc heap; kept below them, they left the heap top free, and
     # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    return (a_bar, b_bar, c, core["d"]) + tuple(a.copy() for a in (baby, giant, kernel, spectrum))
+    return tuple(v.copy() for v in (a_bar, toeplitz, into, out, powers[:, SCAN_BLOCK]))
 
 
 def chunk_scan(scan, h, x):
@@ -286,35 +290,29 @@ def chunk_scan(scan, h, x):
 
     `scan` is a core's `scan_arrays` and h the (H, N/2) state in its complex dtype,
     zeros at a sequence's start; the result equals t calls of `recurrent_step` up to
-    roundoff. A chunk on the full chunk's padded length convolves with the kept spectrum
-    of K[:STREAM_CHUNK] (two transforms), a shorter one with K[:t]. The carry
-    2*Re(sum_n (C h A_bar)_n A_bar^k) is the `_power_sum` of the giant steps
-    weighted by C h A_bar and the baby steps (the first t of them if t < c);
-    the input sum sum_i A_bar^i x[t-1-i] is the baby steps times the reversed
-    chunk folded to (H, c, nq), weighted by the giant steps; and the state
-    decays by A_bar^t, a giant step times a baby step times A_bar.
+    roundoff. The chunk, zero-padded to whole blocks of T steps, takes three batched products
+    per channel: with the Toeplitz; with the input-to-state map (its last r rows for a short
+    last block of r steps); and, once a loop has carried the state by A_bar^T (or A_bar^r)
+    from block to block, of the blocks' entry states with the state-to-output map.
     """
-    a_bar, b_bar, c, d, baby, giant, kernel, spectrum = scan
+    a_bar, toeplitz, into, out, decay = scan
     t = x.shape[0]
     if h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= STREAM_CHUNK:
-        raise ValueError(
-            f"state {h.shape} / input {x.shape} inconsistent with "
-            f"A_bar {a_bar.shape} and chunk {STREAM_CHUNK}"
-        )
-    n_channels, n_baby = baby.shape[0], baby.shape[-1]
-    r = min(t, n_baby)  # a chunk shorter than c steps needs only its first t baby steps
-    nq = -(-t // r)
-    steps = baby[:, :, :r]
-    k = spectrum if fft_length(t) == fft_length(STREAM_CHUNK) else kernel[:t]
-    y = causal_conv_t(x, k).data + d * x
-    y += 2.0 * _power_sum(giant[:, :nq] * (c * h * a_bar)[:, None, :], steps, t).real.T
-    # Complex, since numpy's complex @ real product runs no BLAS.
-    folded = np.zeros((n_channels, nq * r), np.result_type(x.dtype, baby.dtype))
-    folded[:, :t] = x[::-1].T
-    inputs = ((steps @ folded.reshape(n_channels, nq, r).swapaxes(1, 2))
-              * giant[:, :nq].swapaxes(1, 2)).sum(axis=-1)
-    decay = giant[:, (t - 1) // n_baby] * baby[:, :, (t - 1) % n_baby] * a_bar  # A_bar^t
-    return decay * h + b_bar * inputs, y
+        raise ValueError(f"state {h.shape} / input {x.shape} inconsistent with "
+                         f"A_bar {a_bar.shape} and chunk {STREAM_CHUNK}")
+    n_channels, (full, r) = a_bar.shape[0], divmod(t, SCAN_BLOCK)
+    u = np.zeros((n_channels, -(-t // SCAN_BLOCK), SCAN_BLOCK), x.dtype)
+    u.reshape(n_channels, -1)[:, :t] = x.T
+    inputs = u[:, :full] @ into
+    if r:
+        inputs = np.concatenate([inputs, u[:, full:, :r] @ into[:, SCAN_BLOCK - r :]], axis=1)
+    inputs = inputs.view(np.result_type(inputs, 1j))  # the (re, im) pairs as complex
+    starts = np.empty_like(inputs)
+    for b in range(u.shape[1]):
+        starts[:, b] = h
+        h = (decay if b < full else a_bar**r) * h + inputs[:, b]
+    y = u @ toeplitz + starts.view(starts.real.dtype) @ out
+    return h, y.reshape(n_channels, -1)[:, :t].T
 
 
 def stream_sequence(params, x):

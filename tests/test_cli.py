@@ -335,8 +335,10 @@ class TestMalformedInputs:
         assert "huge.csv:4: sample 2" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
-    def test_near_overflow_row_fails_both_paths(self, capsys, tmp_path):
-        """A finite row of 1e308 overflows the batch and the streaming path alike."""
+    def test_near_overflow_row_fails_eval_and_streams_as_the_recurrence(self, capsys, tmp_path):
+        """A finite row of 1e308 overflows the batch path, so eval fails and names the
+        row. The block scan's partial sums stay finite on it: stream's logits are the
+        per-step recurrence's, and `stream --check` fails on its non-finite reference."""
         huge, ckpt = tmp_path / "huge.csv", tmp_path / "small.ckpt"
         assert cli.main(["gen", "--n", "20", "--len", "16", "--out", str(huge)]) == 0
         assert cli.main(["train", "--data", str(huge), "--hidden", "4", "--state", "4",
@@ -346,10 +348,21 @@ class TestMalformedInputs:
         lines[1] = ",".join([label] + ["1e308"] * len(values)) + "\n"
         huge.write_text("".join(lines))
         capsys.readouterr()
-        for verb in ("eval", "stream"):
-            code, out, err = run(capsys, verb, "--model", str(ckpt), "--data", str(huge))
-            assert (code, out) == (3, ""), verb
-            assert "huge.csv:2: sample 0" in err
+        code, out, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(huge))
+        assert (code, out) == (3, "")
+        assert "huge.csv:2: sample 0" in err
+        mdl, x = model.load_checkpoint(ckpt), data.load_dataset(huge).x[0]
+        h = x @ mdl.params["w1"] + mdl.params["b1"]
+        for i in range(mdl.n_layers):
+            y = ssm.stream_sequence(model.block_core(mdl.params, i), h)
+            h = model.channel_mix_t(ad.gelu(ad.Tensor(y)), mdl.params, i).data
+        mean = ad.Tensor(h.sum(axis=0).reshape(1, 1, -1) / len(x))
+        expected = model.classify_t(mean, *(mdl.params[k] for k in ("w3", "b3", "w4", "b4")))
+        assert np.isfinite(expected.data).all()
+        np.testing.assert_allclose(model.stream_logits(mdl, x), expected.data[0],
+                                   rtol=0, atol=1e-12)
+        code, _, err = run(capsys, "stream", "--model", str(ckpt), "--data", str(huge), "--check")
+        assert code == 3, err
 
     @pytest.mark.parametrize("text", [b"[1, 2]", b"[" * 100_000, b'{"hyper": "\xff"}'],
                              ids=["top-level-list", "deep-nesting", "non-utf8"])

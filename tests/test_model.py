@@ -1087,33 +1087,53 @@ class TestStreaming:
         monkeypatch.setattr(ssm, "recurrent_step", refuse)
         self.assert_stream_matches_forward(tiny_model(seed=11), 3 * ssm.STREAM_CHUNK + 7)
 
+    @staticmethod
+    def record_scan_builds(monkeypatch):
+        """A list that gets one entry per `ssm.scan_arrays` build from now on."""
+        builds, build = [], ssm.scan_arrays
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(1) or build(p))
+        return builds
+
     def test_scanner_built_once_per_core(self, monkeypatch):
-        """Later sequences take each block's scan arrays, with its kernel, from the memo:
-        one discretization and one build of STREAM_CHUNK steps' powers per core."""
+        """Later sequences take each block's scan arrays from the memo:
+        one discretization and one `ssm.scan_arrays` build per core."""
         mdl = tiny_model(normalized=False, n_layers=2, seed=13)
-        powers, maps = [], []
-        build, discretize = ssm._powers, ssm.discretize_t
-        monkeypatch.setattr(ssm, "_powers", lambda r, n, *w: powers.append(n) or build(r, n, *w))
+        maps, discretize = [], ssm.discretize_t
+        builds = self.record_scan_builds(monkeypatch)
         monkeypatch.setattr(ssm, "discretize_t", lambda p: maps.append(1) or discretize(p))
         for x in np.random.default_rng(13).standard_normal((3, 2 * ssm.STREAM_CHUNK + 5, 3)):
             model.stream_logits(mdl, x)
-        assert powers == [ssm.STREAM_CHUNK] * 2
+        assert len(builds) == 2
         assert len(maps) == 2
 
     def test_one_scanner_serves_every_length(self, monkeypatch):
-        """Short sequences of varied lengths share each core's STREAM_CHUNK scan arrays."""
+        """Short sequences of varied lengths share each core's scan arrays."""
         mdl = tiny_model(normalized=False, n_layers=2, seed=15)
-        builds, build = [], ssm._powers
-
-        def powers(rate, n, *weight):
-            if not weight:  # the scan's build; a kernel's powers are weighted by C*B_bar
-                builds.append(n)
-            return build(rate, n, *weight)
-
-        monkeypatch.setattr(ssm, "_powers", powers)
+        builds = self.record_scan_builds(monkeypatch)
         for length in (5, 17, 300):
             self.assert_stream_matches_forward(mdl, length)
-        assert builds == [ssm.STREAM_CHUNK] * 2
+        assert len(builds) == 2
+
+    def test_stream_holds_blas_at_one_thread(self, monkeypatch):
+        """Every chunk is scanned on one BLAS thread; the old count returns after
+        the call, also when the call raises."""
+        blas = BlasRecorder(3)
+        monkeypatch.setattr(model, "_blas_threads", lambda: (blas.get, blas.put))
+        seen, scan = [], ssm.chunk_scan
+        monkeypatch.setattr(ssm, "chunk_scan", lambda *a: seen.append(blas.count) or scan(*a))
+        mdl = tiny_model(n_layers=2, seed=17)
+        x = np.random.default_rng(17).standard_normal((ssm.STREAM_CHUNK + 5, 3))
+        model.stream_logits(mdl, x)
+        assert seen == [1] * 4  # two chunks through two blocks
+        assert blas.calls == [1, 3] and blas.count == 3
+
+        def fail(*args):
+            raise RuntimeError("scan")
+
+        monkeypatch.setattr(ssm, "chunk_scan", fail)
+        with pytest.raises(RuntimeError, match="scan"):
+            model.stream_logits(mdl, x)
+        assert blas.calls == [1, 3, 1, 3] and blas.count == 3
 
     def test_cold_and_warm_calls_give_identical_bits(self):
         mdl = tiny_model(normalized=False, n_layers=2, seed=16)

@@ -1,7 +1,6 @@
 """SSM layer tests: initialization, discretization, kernel, convolution, and
 the convolution/recurrence duality, each against an independent oracle."""
 
-import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -262,7 +261,7 @@ class TestRecurrence:
         np.testing.assert_allclose(streamed, batch, rtol=0, atol=1e-9)
 
 
-CHUNK = ssm.STREAM_CHUNK
+CHUNK, BLOCK = ssm.STREAM_CHUNK, ssm.SCAN_BLOCK
 
 
 def stepwise(params, h, x):
@@ -304,9 +303,9 @@ class TestChunkScanner:
 
     @pytest.mark.parametrize("length", [1, 5, 22, 23, 74, 2 * CHUNK + 74])
     def test_matches_recurrent_steps_at_a_chunk_that_is_not_a_square(self, length):
-        """isqrt(512) = 22, so the 24 giant steps overrun the chunk, and
-        chunks end at, just past and inside a baby-step block."""
-        assert (math.isqrt(CHUNK), -(-CHUNK // math.isqrt(CHUNK))) == (22, 24)
+        """Lengths that are no multiple of SCAN_BLOCK, so each ends in a short last
+        block, which reads the last rows of the input-to-state map and decays by A_bar^r."""
+        assert length % BLOCK
         rng = np.random.default_rng(200 + length)
         params = helpers.random_ssm_params(rng, 4, 8)
         self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
@@ -343,14 +342,12 @@ class TestChunkScanner:
         _, expected = stepwise(params64, np.zeros((4, 4), complex), x.astype(float))
         np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-4)
 
-    def test_a_short_chunk_is_transformed_at_its_own_length(self, monkeypatch):
-        """Only chunks that need the full chunk's FFT length use the kept spectrum."""
-        lengths, conv = [], ad.causal_conv
-        monkeypatch.setattr(ad, "causal_conv", lambda x, k, n: lengths.append(n) or conv(x, k, n))
-        scan = ssm.scan_arrays(ssm.init_s4d_params(3, 4, seed=0))
-        for t in (5, 256, 257, 512):
-            ssm.chunk_scan(scan, np.zeros((3, 2), complex), np.zeros((t, 3)))
-        assert lengths == [16, 512, 1024, 1024]
+    @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, CHUNK])
+    def test_one_chunk_from_a_carried_state(self, length):
+        """A single chunk ending inside, at and just past a block's edge."""
+        rng = np.random.default_rng(400 + length)
+        params = helpers.random_ssm_params(rng, 4, 8)
+        self.assert_matches_stepwise(params, rng.standard_normal((length, 4)), rng)
 
     def test_building_a_scanner_keeps_no_power_table(self):
         """At H = N = 64 a table of A_bar^0..A_bar^512 alone would be 16.8 MB."""
