@@ -163,7 +163,6 @@ def init_model(
 
 
 LN_EPS = 1e-5  # LayerNorm's variance floor
-MIX_ROWS = 1024  # rows per pass of the eval channel mix; a pass's (rows, 2H) product stays in L2
 
 
 def glu_t(y, w2, b2):
@@ -191,40 +190,13 @@ def channel_mix_t(h, leaves, i):
     """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N).
 
     When an operand requires a gradient the mix is one tape node; see `_mix_node`.
-    Otherwise every time step is mixed on its own, so an input of more than
-    MIX_ROWS + 1 steps runs in slices of its (B*L, H) rows, each written into
-    one output; a shorter input, or one of single-step sequences, is one call.
     """
     names = [f"block{i}.{name}" for name in ("w2", "b2", "gamma", "beta")]
     params = [ad.as_tensor(leaves[name]) for name in names if name in leaves]
     if h.requires_grad or any(t.requires_grad for t in params):
         return _mix_node(h, params)
-    n_rows = h.data.size // h.shape[-1]
-    if h.shape[-2] == 1 or n_rows <= MIX_ROWS + 1:
-        return _mix(h, params)
-    rows = h.data.reshape(n_rows, -1)
-    out = np.empty(rows.shape, np.result_type(rows.dtype, *(t.dtype for t in params)))
-    for part in _slices(n_rows, MIX_ROWS):
-        out[part] = _mix(ad.Tensor(rows[part]), params).data
-    return ad.Tensor(out.reshape(h.shape))
-
-
-def _mix(h, params):
     h = glu_t(h, *params[:2])
     return h if len(params) == 2 else layer_norm_t(h, *params[2:])
-
-
-def _slices(n, size):
-    """Slices of range(n) of `size` each, a remainder of one joined to the slice before it.
-
-    numpy sends a one-row matmul down another BLAS path, which rounds
-    differently. Without one-row slices, the sliced mix is bit-identical to
-    one call over an input whose sequences have two steps or more. A size of
-    one gives one-long slices.
-    """
-    last = n - 1 if n > 1 and size > 1 else n  # a slice starting at n - 1 would hold one row
-    bounds = [*range(0, last, size), n]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _mix_node(h, params):
@@ -273,20 +245,41 @@ def _mix_node(h, params):
 
 
 def forward_t(x, leaves, keeps=None):
-    """Logits for a (B, L, F) batch given leaf Tensors; the training graph.
+    """Logits for a (B, L, F) batch given leaf Tensors.
 
     The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
     multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
-    When nothing requires a gradient, the stages read their spectra from `memo`.
+    When an operand requires a gradient this is the training graph, which runs
+    each block's convolution stage `ssm.s4d_apply` over the whole sequence.
+    Otherwise it is the scan form: the batch is read in chunks of
+    `ssm.STREAM_CHUNK` steps, and each is projected and run through every
+    block's `ssm.chunk_scan`, from the state the chunk before left and the scan
+    arrays of one `memo` lookup, then GELU and `channel_mix_t`. A running sum
+    over time feeds `classify_t` its mean. So working memory is
+    O(B*STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is.
+    BLAS is held at one thread: the scan's products are small, and a pool
+    thread woken by the mix slowed them.
     """
     n = block_count(leaves)
-    graph = x.requires_grad or any(t.requires_grad for t in leaves.values())
-    spectra = [None] * n if graph else memo(memo_key(leaves), x.shape[-2])
-    h = ad.affine(x, leaves["w1"], leaves["b1"])
-    for i in range(n):
-        h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i], spectra[i])
-        h = channel_mix_t(h, leaves, i)  # an eval forward frees the stage's input first
-    return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
+    if x.requires_grad or any(t.requires_grad for t in leaves.values()):
+        h = ad.affine(x, leaves["w1"], leaves["b1"])
+        for i in range(n):
+            h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i])
+            h = channel_mix_t(h, leaves, i)
+        return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
+    scans, total = memo(memo_key(leaves)), 0.0
+    states = [np.zeros((x.shape[0], *powers[:, 0].shape), powers.dtype) for powers, *_ in scans]
+    with _one_blas_thread():
+        for lo in range(0, x.shape[-2], ssm.STREAM_CHUNK):
+            part = slice(lo, lo + ssm.STREAM_CHUNK)
+            h = ad.affine(x.data[:, part], leaves["w1"], leaves["b1"])
+            for i, scan in enumerate(scans):
+                states[i], y = ssm.chunk_scan(scan, states[i], h.data)
+                y = ad.gelu(y) if keeps is None else ad.gelu(y) * keeps[i][:, part]
+                h = channel_mix_t(y, leaves, i)
+            total = total + h.data.sum(axis=-2)
+        mean = ad.Tensor(total[:, None] / x.shape[-2])  # (B, 1, H): one step per sequence
+        return classify_t(mean, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
 
 
 def memo_key(leaves):
@@ -296,17 +289,15 @@ def memo_key(leaves):
 
 
 @functools.lru_cache(maxsize=2)
-def memo(key, length):
-    """Every block's `ssm.kernel_spectrum` at `length`, or, if it is None, its `ssm.scan_arrays`.
+def memo(key):
+    """Every block's `ssm.scan_arrays`, which serve every sequence length.
 
     The cores are rebuilt read-only from `key` (a `memo_key`), so a model edited in
-    place is another key. Two entries hold a model's scan arrays and one length's
-    spectra, as a stream checked against forwards needs. Racing misses build twice.
+    place is another key. It holds two models' arrays. Racing misses build twice.
     """
     leaves = {k: np.frombuffer(data, dtype).reshape(shape) for k, dtype, shape, data in key}
-    cores = [block_core(leaves, i) for i in range(len(leaves) // len(ssm.SSM_LEAF_NAMES))]
-    return [ssm.scan_arrays(core) if length is None else ssm.kernel_spectrum(core, length)
-            for core in cores]
+    return [ssm.scan_arrays(block_core(leaves, i))
+            for i in range(len(leaves) // len(ssm.SSM_LEAF_NAMES))]
 
 
 def forward(x, model):
@@ -317,19 +308,20 @@ def forward(x, model):
     return batch_logits(x[None], model)[0] if x.ndim == 2 else batch_logits(x, model)
 
 
-SCORE_ROWS = 4096  # (sequence, step) rows per scoring forward; bounds its working memory
+SCORE_ROWS = 1024  # (sequence, step) rows of one chunk of a scoring forward; bounds its memory
 SCORE_BATCH = 256  # sequences scored at once by default: batch_logits, ms4 eval and stream
 
 
 def score_size(length, batch_size):
     """Sequences per scoring forward at `length` steps, `batch_size` of them scored at once.
 
-    SCORE_ROWS // length and at most half of `batch_size`, so that two forwards
-    can run at once, but at least one.
+    As many as fill SCORE_ROWS rows of one chunk, min(length, ssm.STREAM_CHUNK)
+    steps each, and at most half of `batch_size`, so that two forwards can run
+    at once, but at least one.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    return max(1, min(SCORE_ROWS // length, batch_size // 2))
+    return max(1, min(SCORE_ROWS // min(length, ssm.STREAM_CHUNK), batch_size // 2))
 
 
 TRAIN_SHARD = 32  # sequences per training graph; a batch's shards run on the CPUs at once
@@ -401,11 +393,11 @@ def cpu_map(fn, items, max_workers=None):
 def batch_logits(x, model, batch_size=SCORE_BATCH):
     """Eval-mode logits for an (n, L, F) batch, scored on the CPUs of this process.
 
-    Its `forward_t` calls score the `_slices` of `score_size(L, batch_size)`
-    sequences, a size that depends on neither the machine nor n, so the logits
-    are the same on any CPU count and a forward's memory does not grow with n.
-    They run on `cpu_map`, about `batch_size` sequences in flight; when there are
-    two or more, `memo` is filled first. Input not (n, L, F) raises ValueError.
+    Its `forward_t` calls score slices of `score_size(L, batch_size)` sequences,
+    and one of what is left. A sample's logits depend on the sample alone, and a
+    forward's memory on neither the machine nor n. The forwards run on `cpu_map`,
+    about `batch_size` sequences in flight; when there are two or more, `memo` is
+    filled first. Input not (n, L, F) raises ValueError.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -415,9 +407,9 @@ def batch_logits(x, model, batch_size=SCORE_BATCH):
     step = score_size(x.shape[1], batch_size)  # raises ValueError for L < 1, also when n = 0
     if not x.shape[0]:
         return np.empty((0, model.n_classes))
-    parts = _slices(x.shape[0], step)
+    parts = [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
     if len(parts) > 1:  # built here, so that no two workers build them
-        memo(memo_key(model.params), x.shape[1])
+        memo(memo_key(model.params))
     leaves = {k: ad.Tensor(v) for k, v in model.leaves().items()}
     chunks = cpu_map(lambda part: forward_t(ad.Tensor(x[part]), leaves).data, parts,
                      batch_size // step)
@@ -435,33 +427,16 @@ def predict(x, model, batch_size=SCORE_BATCH):
 def stream_logits(model, x):
     """Classify one (L, F) sequence with O(H*N) recurrent state per block.
 
-    The sequence is read in chunks of `ssm.STREAM_CHUNK` steps, so working memory
-    is O(STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is. Each block
-    runs a chunk through `ssm.chunk_scan` with its scan arrays, from one `memo`
-    lookup, and the state carried from the previous chunk, then applies GELU and
-    `channel_mix_t` exactly as `forward_t` does. A running sum over time replaces
-    pooling and feeds the shared head `classify_t`. BLAS is held at one thread:
-    the scan's products are small, and a pool thread woken by the mix slowed them.
-
-    Equals the batch `forward` in eval mode up to roundoff.
+    This is `forward_t`'s scan on x as a batch of one, so working memory is
+    O(STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is, and the
+    logits are those of `forward` and `batch_logits` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"expected (L, {model.n_features}) input, got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("sequence length must be >= 1")
-    with _one_blas_thread():
-        scans = memo(memo_key(model.params), None)
-        states = [np.zeros_like(a_bar) for a_bar, *_ in scans]
-        total = np.zeros(model.n_hidden)
-        for start in range(0, x.shape[0], ssm.STREAM_CHUNK):
-            h = x[start : start + ssm.STREAM_CHUNK] @ model.params["w1"] + model.params["b1"]
-            for i, scan in enumerate(scans):
-                states[i], y = ssm.chunk_scan(scan, states[i], h)
-                h = channel_mix_t(ad.gelu(ad.Tensor(y)), model.params, i).data
-            total += h.sum(axis=0)
-        mean = ad.Tensor(total.reshape(1, 1, -1) / x.shape[0])  # one sequence of one step
-        return classify_t(mean, *(model.params[k] for k in ("w3", "b3", "w4", "b4"))).data[0]
+    return forward_t(ad.Tensor(x[None]), {k: ad.Tensor(v) for k, v in model.params.items()}).data[0]
 
 
 # -- complexity accounting -----------------------------------------------------
@@ -482,10 +457,10 @@ def mac_breakdown(model, length):
     length P plus four per pointwise complex product; these are the only
     terms not proportional to L. The head and pooling costs are L-independent
     constants. Transcendental evaluations (GELU, sigmoid, exp) are not
-    counted as MACs. The `ssm_kernel` and `ssm_fft` counts are those of a
-    cold forward, which computes each kernel and makes three transforms per
-    channel: an eval-mode forward whose kernel spectra `memo` holds
-    computes no kernel and makes two.
+    counted as MACs. The `ssm_kernel` and `ssm_fft` counts are those of the
+    training forward, whose convolution stage computes each kernel and makes
+    three transforms per channel; an eval forward runs `ssm.chunk_scan`
+    instead and makes neither.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")

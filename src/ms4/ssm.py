@@ -9,25 +9,24 @@ lambda = -exp(log_a_real) + i*a_imag, which keeps Re(lambda) < 0 (and hence
 The layer has two equivalent execution forms:
 
 * convolution: materialize the impulse response K[k] = 2*Re(C A_bar^k B_bar)
-  and convolve causally via padded real FFTs (training / batch scoring), and
+  and convolve causally via padded real FFTs; only training's graph runs it, and
 * recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
   time with state of size H x N/2 regardless of sequence length.
 
-Streaming mixes the two (`chunk_scan`) as block matmuls: a chunk of at most
-STREAM_CHUNK steps, entered with carried state h, is cut into blocks of
-T = SCAN_BLOCK steps. A block's output is its input times the (T, T) Toeplitz
-of K[:T] plus D, plus its entry state times a (N, T) map to 2*Re(C A_bar^(k+1) h);
-a block's state leaves as A_bar^T h plus its input times a (T, N) map. Memory
-is O(STREAM_CHUNK*H + H*T*(T+N)) whatever the sequence length; the state is a
-plain (H, N/2) complex array.
+Every eval forward runs the recurrence as block matmuls (`chunk_scan`): a
+(B, t, H) chunk of at most STREAM_CHUNK steps, entered with carried state h,
+is cut into blocks of T = SCAN_BLOCK steps. A block's output is its input
+times the (T, T) Toeplitz of K[:T] plus D, plus its entry state times a (N, T)
+map to 2*Re(C A_bar^(k+1) h); a block's state leaves as A_bar^T h plus its
+input times a (T, N) map. Memory is O(B*STREAM_CHUNK*H + H*T*(T+N)) whatever
+the sequence length; the state is a plain (B, H, N/2) complex array.
 
-The module keeps no state: outside a training graph, the stage and the scan
-take a core's `kernel_spectrum` and `scan_arrays` from their caller, which
-may keep them (`model.memo`). Since the H channels are independent, the
-stage runs in slices of at most CHANNEL_BLOCK channels, and of fewer when
-the sequence is long (BLOCK_BINS), so their FFT spectra stay in cache. In
-a training graph the stage is one tape node that saves GELU's slope and
-recomputes the spectra in its VJP.
+The module keeps no state: the scan takes a core's `scan_arrays` from its
+caller, which may keep them (`model.memo`). The convolution stage is one tape
+node that saves GELU's slope and recomputes the spectra in its VJP. Since the
+H channels are independent, it runs in slices of at most CHANNEL_BLOCK
+channels, and of fewer when the sequence is long (BLOCK_BINS), so their FFT
+spectra stay in cache.
 """
 
 from __future__ import annotations
@@ -141,22 +140,17 @@ def causal_conv_t(x, kernel):
     return ad.causal_conv(x, kernel, fft_length(x.shape[-2]))
 
 
-def s4d_apply(x, p, keep=None, spectrum=None):
+def s4d_apply(x, p, keep=None):
     """Full S4D stage on a projected input: conv + feedthrough, GELU, then dropout.
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
     dropout runs. The stage runs on at most CHANNEL_BLOCK channels at a time,
     and each channel's arithmetic is that of `_stage` on the whole width, so the
-    output is bit-identical to it. When no operand requires a gradient, it reads
-    `spectrum`, or builds the core's `kernel_spectrum`; otherwise see `_stage_node`.
+    output is bit-identical to it; see `_stage_node`, which tapes nothing when no
+    operand requires a gradient.
     """
-    d = ad.as_tensor(p["d"])
-    if x.requires_grad or any(ad.as_tensor(v).requires_grad for v in p.values()):
-        return _stage_node(x, kernel_t(p, x.shape[-2]), d, keep)
-    spectrum = kernel_spectrum(p, x.shape[-2]) if spectrum is None else spectrum
-    y = ad.Tensor(_blocks(x.data, spectrum, d.data))
-    return y if keep is None else y * keep
+    return _stage_node(x, kernel_t(p, x.shape[-2]), ad.as_tensor(p["d"]), keep)
 
 
 def _stage_node(x, kernel, d, keep):
@@ -195,28 +189,20 @@ def _channel_blocks(width, bins):
     return [slice(lo, lo + step) for lo in range(0, width, step)]
 
 
-def _blocks(x, spectrum, d, slope=None):
-    """`_stage` on `_channel_blocks` of plain arrays, one at a time; with `slope`, each
-    block's input is a short tape's leaf, and GELU's derivative is written to `slope`."""
+def _blocks(x, spectrum, d, slope):
+    """`_stage` on `_channel_blocks` of plain arrays, one at a time; each block's input
+    is a short tape's leaf, and GELU's derivative is written to `slope`."""
     y = np.empty(x.shape, np.result_type(x.dtype, spectrum.real.dtype, d.dtype))
     for part in _channel_blocks(x.shape[-1], spectrum.shape[0]):
-        part_x = ad.Tensor(x[..., part], requires_grad=slope is not None)
-        act = _stage(part_x, spectrum[:, part], d[part])
+        act = _stage(ad.Tensor(x[..., part], requires_grad=True), spectrum[:, part], d[part])
         y[..., part] = act.data
-        if slope is not None:
-            (slope[..., part],) = ad.partials(act)
+        (slope[..., part],) = ad.partials(act)
     return y
 
 
 def _stage(x, kernel, d):
-    """Convolution plus feedthrough, then GELU: the stage's maths, for every path."""
+    """Convolution plus feedthrough, then GELU: the convolution stage's maths."""
     return ad.gelu(causal_conv_t(x, kernel) + x * d)
-
-
-def kernel_spectrum(p, n):
-    """The rfft of `kernel_t(p, n)` on the stage's padded length: all an eval-mode
-    convolution reads, so a stage given it makes two transforms per channel, not three."""
-    return np.fft.rfft(kernel_t(p, n).data, n=fft_length(n), axis=0)
 
 
 def fft_length(length):
@@ -262,16 +248,17 @@ def recurrent_step(h, x_k, a_bar, b_bar, c, d):
     return h, y
 
 
-STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(STREAM_CHUNK*H + H*T*(T+N))
+STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(B*STREAM_CHUNK*H + H*T*(T+N))
 SCAN_BLOCK = 32  # T: steps per block of `chunk_scan`'s matmuls
 
 
 def scan_arrays(core):
-    """What `chunk_scan` reads, for blocks of T = SCAN_BLOCK steps: A_bar; the (H, T, T)
-    upper Toeplitz of K[:T] with D added on its diagonal; the (H, T, N) input-to-state map
-    B_bar A_bar^(T-1-i) and the (H, N, T) state-to-output map 2 C A_bar^(k+1), both as real
-    (re, im) pairs, since numpy's complex @ real product runs no BLAS; and A_bar^T."""
-    a_bar, b_bar, rate = (v.data for v in discretize_t(core))
+    """What `chunk_scan` reads, for blocks of T = SCAN_BLOCK steps: the (H, T+1, N/2) powers
+    A_bar^0..T; the (H, T, T) upper Toeplitz of K[:T] with D added on its diagonal; and the
+    (H, T, N) input-to-state map B_bar A_bar^(T-1-i) and the (H, N, T) state-to-output map
+    2 C A_bar^(k+1), both as real (re, im) pairs, since numpy's complex @ real product runs
+    no BLAS."""
+    _, b_bar, rate = (v.data for v in discretize_t(core))
     c, real = core["c_re"] + 1j * core["c_im"], rate.real.dtype
     powers = np.exp(rate[:, None, :] * np.arange(SCAN_BLOCK + 1, dtype=real)[:, None])  # A_bar^0..T
     kernel = 2.0 * (powers[:, :SCAN_BLOCK] @ (c * b_bar)[:, :, None]).real[..., 0]
@@ -282,37 +269,46 @@ def scan_arrays(core):
     # Copied last, so the kept arrays sit above the build's freed temporaries
     # in the malloc heap; kept below them, they left the heap top free, and
     # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    return tuple(v.copy() for v in (a_bar, toeplitz, into, out, powers[:, SCAN_BLOCK]))
+    return tuple(v.copy() for v in (powers, toeplitz, into, out))
 
 
 def chunk_scan(scan, h, x):
-    """Stream a (t, H) chunk, 1 <= t <= STREAM_CHUNK, from carried state h; returns (h, y).
+    """Stream a (B, t, H) chunk, 1 <= t <= STREAM_CHUNK, from carried state h; returns (h, y).
 
-    `scan` is a core's `scan_arrays` and h the (H, N/2) state in its complex dtype,
-    zeros at a sequence's start; the result equals t calls of `recurrent_step` up to
-    roundoff. The chunk, zero-padded to whole blocks of T steps, takes three batched products
-    per channel: with the Toeplitz; with the input-to-state map (its last r rows for a short
-    last block of r steps); and, once a loop has carried the state by A_bar^T (or A_bar^r)
-    from block to block, of the blocks' entry states with the state-to-output map.
+    `scan` is a core's `scan_arrays` and h the (B, H, N/2) state in its complex dtype,
+    zeros at a sequence's start; each sample's result equals t calls of `recurrent_step`
+    up to roundoff. The chunk, zero-padded to whole blocks of T steps, takes its products
+    per sample and channel, each stacked over that sample's blocks alone, so a sample's
+    bits do not depend on the others: with the Toeplitz; with the input-to-state map,
+    whose products a loop turns in place into the state after each block by adding
+    A_bar^T times the state before; and of each block's entry state with the
+    state-to-output map. A short last block of r steps adds only to the state that
+    leaves: the last r rows of the input-to-state map, plus A_bar^r times its entry state.
     """
-    a_bar, toeplitz, into, out, decay = scan
-    t = x.shape[0]
-    if h.shape != a_bar.shape or x.shape[1:] != (a_bar.shape[0],) or not 1 <= t <= STREAM_CHUNK:
+    powers, toeplitz, into, out = scan
+    a_bar = powers[:, 1]
+    if (x.ndim != 3 or h.shape != (len(x), *a_bar.shape) or x.shape[2] != a_bar.shape[0]
+            or not 1 <= x.shape[1] <= STREAM_CHUNK):
         raise ValueError(f"state {h.shape} / input {x.shape} inconsistent with "
                          f"A_bar {a_bar.shape} and chunk {STREAM_CHUNK}")
-    n_channels, (full, r) = a_bar.shape[0], divmod(t, SCAN_BLOCK)
-    u = np.zeros((n_channels, -(-t // SCAN_BLOCK), SCAN_BLOCK), x.dtype)
-    u.reshape(n_channels, -1)[:, :t] = x.T
-    inputs = u[:, :full] @ into
+    (batch, t, width), (full, r) = x.shape, divmod(x.shape[1], SCAN_BLOCK)
+    u = np.zeros((width, batch, -(-t // SCAN_BLOCK), SCAN_BLOCK), x.dtype)
+    u.reshape(width, batch, -1)[..., :t] = x.transpose(2, 0, 1)
+    h = h.swapaxes(0, 1)  # (H, B, N/2), as the products are stacked
+    states = u[:, :, :full] @ into[:, None]
+    states = states.view(np.result_type(states, 1j))  # the (re, im) pairs as complex
+    for b in range(full):
+        states[:, :, b] += powers[:, SCAN_BLOCK, None] * (states[:, :, b - 1] if b else h)
+    y = u @ toeplitz[:, None]
+    y[:, :, :1] += h.view(h.real.dtype)[:, :, None] @ out[:, None]
+    if u.shape[2] > 1:
+        y[:, :, 1:] += states.view(states.real.dtype)[:, :, : u.shape[2] - 1] @ out[:, None]
+    if full:
+        h = states[:, :, full - 1]
     if r:
-        inputs = np.concatenate([inputs, u[:, full:, :r] @ into[:, SCAN_BLOCK - r :]], axis=1)
-    inputs = inputs.view(np.result_type(inputs, 1j))  # the (re, im) pairs as complex
-    starts = np.empty_like(inputs)
-    for b in range(u.shape[1]):
-        starts[:, b] = h
-        h = (decay if b < full else a_bar**r) * h + inputs[:, b]
-    y = u @ toeplitz + starts.view(starts.real.dtype) @ out
-    return h, y.reshape(n_channels, -1)[:, :t].T
+        h = powers[:, r, None] * h + (u[:, :, full, None, :r] @ into[:, None, SCAN_BLOCK - r :]
+                                      ).view(h.dtype)[:, :, 0]
+    return h.swapaxes(0, 1).copy(), y.reshape(width, batch, -1)[..., :t].transpose(1, 2, 0).copy()
 
 
 def stream_sequence(params, x):

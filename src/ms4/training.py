@@ -109,15 +109,13 @@ def train(mdl, dataset, config):
     Each batch's gradient is the sum over shards of `model.TRAIN_SHARD`
     sequences, each its own tape with its loss scaled by shard/batch, run on
     `model.cpu_map`; the sums are taken in shard order, so the result does
-    not depend on the CPU count. A run starts by emptying `model.memo`: the
-    parameters change every step, so no kernel spectrum of a validation
-    forward is used twice, and a run does the same work however many runs
-    with the same seed came before it.
+    not depend on the CPU count. Each validation pass's scan arrays leave
+    `model.memo` after it: the parameters change every step, so none is used
+    twice, and a run leaves none behind.
     """
     config.validate()
     if dataset.n_classes < 2 or np.unique(dataset.y).size < 2:
         raise ValueError("training requires at least two classes present in the data")
-    model_mod.memo.cache_clear()
     train_set, val_set = data_mod.split(dataset, config.val_fraction, config.seed)
 
     leaves = {k: v.copy() for k, v in mdl.leaves().items()}
@@ -174,6 +172,7 @@ def train(mdl, dataset, config):
             raise NumericError(f"|A_bar| >= 1 after epoch {epoch}: max {radii.max()}")
 
         val_loss, val_err = evaluate(replace(mdl, params=leaves), val_set)
+        model_mod.memo.cache_clear()
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.train_loss.append(loss_sum / train_set.n_samples)

@@ -106,7 +106,7 @@ def test_criterion_6_linear_scaling_in_length():
     rng = np.random.default_rng(106)
     inputs = {length: rng.standard_normal((length, 4)) for length in (4096, 8192)}
     for x in inputs.values():
-        model.forward(x, mdl)  # warm-up outside the timed repeats; both spectra stay in the memo
+        model.forward(x, mdl)  # warm-up outside the timed repeats; one scan entry serves both
     samples = {length: [] for length in inputs}
     for _ in range(20):  # alternated, so drift on a shared host reaches both lengths alike
         for length, x in inputs.items():

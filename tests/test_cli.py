@@ -242,8 +242,8 @@ class TestStreamVerb:
         assert float(out.strip()) <= 1e-4
 
     def test_check_scores_in_bounded_forwards(self, capsys, workdir, tmp_path, monkeypatch):
-        """The --check reference is scored in forwards of `score_size(8, 256)` samples
-        and one of what is left."""
+        """Both forms are scored in forwards of `score_size(8, 256)` samples, and one of
+        what is left: the recurrence, then the convolution reference on the same block."""
         step = model.score_size(8, 256)
         many = tmp_path / "many.csv"
         assert cli.main(["gen", "--n", str(2 * step + 2), "--len", "8",
@@ -259,7 +259,7 @@ class TestStreamVerb:
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
                            "--data", str(many), "--check")
         assert code == 0 and float(out) <= 1e-4
-        assert sizes == [step, step, 2]
+        assert sizes == [step, step, step, step, 2, 2]
 
     def test_without_check_prints_error_rate(self, capsys, workdir):
         code, out, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
@@ -268,9 +268,12 @@ class TestStreamVerb:
         assert 0.0 <= float(out.strip()) <= 1.0
 
     def test_impossible_tolerance_is_numeric_failure(self, capsys, workdir):
-        code, _, _ = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
-                         "--data", str(workdir / "d.csv"), "--check", "--tol", "0")
-        assert code == 3
+        """The two forms round differently, so no deviation is within a tolerance of 0;
+        the failure prints no number."""
+        code, out, err = run(capsys, "stream", "--model", str(workdir / "model.ckpt"),
+                             "--data", str(workdir / "d.csv"), "--check", "--tol", "0")
+        assert (code, out) == (3, "")
+        assert "the recurrence and convolution forms deviate by" in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tolerance_is_usage_error(self, capsys, workdir, tol):
@@ -336,21 +339,19 @@ class TestMalformedInputs:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_near_overflow_row_fails_eval_and_streams_as_the_recurrence(self, capsys, tmp_path):
-        """A finite row of 1e308 overflows the batch path, so eval fails and names the
-        row. The block scan's partial sums stay finite on it: stream's logits are the
-        per-step recurrence's, and `stream --check` fails on its non-finite reference."""
+        """A finite row of 1e308 overflows the convolution form, but not the block scan's
+        partial sums: eval and stream score it as the per-step recurrence does, and
+        `stream --check` fails on its non-finite reference with no number printed. With
+        a projection that overflows on the row, eval and stream fail and name its line."""
         huge, ckpt = tmp_path / "huge.csv", tmp_path / "small.ckpt"
         assert cli.main(["gen", "--n", "20", "--len", "16", "--out", str(huge)]) == 0
         assert cli.main(["train", "--data", str(huge), "--hidden", "4", "--state", "4",
                          "--epochs", "3", "--out", str(ckpt)]) == 0
         lines = huge.read_text().splitlines(keepends=True)
         label, *values = lines[1].rstrip("\n").split(",")
-        lines[1] = ",".join([label] + ["1e308"] * len(values)) + "\n"
-        huge.write_text("".join(lines))
+        row = ",".join([label] + ["1e308"] * len(values))
+        huge.write_text(lines[0].replace("n=20", "n=1") + row + "\n")  # the header and that row
         capsys.readouterr()
-        code, out, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(huge))
-        assert (code, out) == (3, "")
-        assert "huge.csv:2: sample 0" in err
         mdl, x = model.load_checkpoint(ckpt), data.load_dataset(huge).x[0]
         h = x @ mdl.params["w1"] + mdl.params["b1"]
         for i in range(mdl.n_layers):
@@ -359,10 +360,25 @@ class TestMalformedInputs:
         mean = ad.Tensor(h.sum(axis=0).reshape(1, 1, -1) / len(x))
         expected = model.classify_t(mean, *(mdl.params[k] for k in ("w3", "b3", "w4", "b4")))
         assert np.isfinite(expected.data).all()
+        np.testing.assert_allclose(model.batch_logits(x[None], mdl), expected.data,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.stream_logits(mdl, x), expected.data[0],
                                    rtol=0, atol=1e-12)
-        code, _, err = run(capsys, "stream", "--model", str(ckpt), "--data", str(huge), "--check")
-        assert code == 3, err
+        for verb in ("eval", "stream"):
+            code, out, err = run(capsys, verb, "--model", str(ckpt), "--data", str(huge))
+            assert code == 0 and 0.0 <= float(out) <= 1.0, err
+        code, out, err = run(capsys, "stream", "--model", str(ckpt), "--data", str(huge),
+                             "--check")
+        assert (code, out) == (3, ""), err
+        assert "deviate by nan" in err
+        # a model whose projection of the row overflows
+        wide = model.ModelParams({**mdl.params, "w1": 4.0 * mdl.params["w1"]}, mdl.dropout_rate)
+        assert not np.isfinite(x @ wide.params["w1"]).all()
+        model.save_checkpoint(wide, ckpt)
+        for verb in ("eval", "stream"):
+            code, out, err = run(capsys, verb, "--model", str(ckpt), "--data", str(huge))
+            assert (code, out) == (3, "")
+            assert "huge.csv:2: sample 0" in err
 
     @pytest.mark.parametrize("text", [b"[1, 2]", b"[" * 100_000, b'{"hyper": "\xff"}'],
                              ids=["top-level-list", "deep-nesting", "non-utf8"])
@@ -546,15 +562,17 @@ class TestScoringInBlocks:
         ds, mdl = data.load_dataset(long_csv), model.load_checkpoint(workdir / "model.ckpt")
         streamed = np.stack([model.stream_logits(mdl, xi) for xi in ds.x])
         if check:
-            expected = float(np.abs(streamed - model.batch_logits(ds.x, mdl)).max())
+            leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+            convolved = model.forward_t(ad.Tensor(ds.x), leaves).data
+            expected = float(np.abs(streamed - convolved).max())
         else:
             expected = evaluate.misclassification_error(np.argmax(streamed, axis=-1), ds.y)
         assert out == f"{expected!r}\n"
 
     def test_stream_check_reference_scores_a_lone_last_sample_alone(self, capsys, workdir,
                                                                     odd_csv, monkeypatch):
-        """The --check reference scores the bits of the whole file's `batch_logits`,
-        the last sample in a forward of its own."""
+        """--check scores the bits of the whole file's `batch_logits`, the last sample
+        in a forward of its own."""
         ds, mdl = data.load_dataset(odd_csv), model.load_checkpoint(workdir / "model.ckpt")
         whole = model.batch_logits(ds.x, mdl)
         recorded = self.recorded_batch_logits(monkeypatch)

@@ -208,7 +208,8 @@ class TestForward:
                 if norm:
                     h = model.layer_norm_t(h, t[f"block{i}.gamma"], t[f"block{i}.beta"])
             expected = model.classify_t(h, t["w3"], t["b3"], t["w4"], t["b4"]).data
-            np.testing.assert_array_equal(model.forward_t(ad.Tensor(x), t).data, expected)
+            taped = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+            np.testing.assert_array_equal(model.forward_t(ad.Tensor(x), taped).data, expected)
             mdl = model.ModelParams(params, 0.0)
             assert (mdl.normalized, mdl.n_layers) == (norm, 2)
             np.testing.assert_allclose(model.forward(x[0], mdl), expected[0], atol=1e-12)
@@ -244,28 +245,24 @@ class TestForward:
     @pytest.mark.parametrize("length", [1, 37, 4097])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocked_eval_stage_equals_taped(self, monkeypatch, dtype, length):
-        """H=20 is one full CHANNEL_BLOCK and a partial one, in each of two blocks; past
-        L=4096 a block holds fewer channels, so that it holds at most BLOCK_BINS bins."""
+        """The convolution stage on constants, which tapes nothing, runs in channel blocks
+        and has the taped stage's bits. H=20 is one full CHANNEL_BLOCK and a partial one;
+        past L=4096 a block holds fewer channels, so that it holds at most BLOCK_BINS bins."""
         assert (ssm.CHANNEL_BLOCK, ssm.BLOCK_BINS) == (16, 16 * 4097)
         widths = [8, 8, 4] if length > 4096 else [16, 4]
-        mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=41)
-        x = np.random.default_rng(41).standard_normal((2, length, 3)).astype(dtype)
-        arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
-        taped = model.forward_t(
-            ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        )
+        mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=41)
+        h = np.random.default_rng(41).standard_normal((2, length, 20)).astype(dtype)
+        core = {k: v.astype(dtype) for k, v in model.block_core(mdl.params, 0).items()}
+        taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
         convs, inner = [], ssm.causal_conv_t
         monkeypatch.setattr(ssm, "causal_conv_t", lambda u, k: convs.append(k.shape) or inner(u, k))
-        blocked = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
-        bins = ssm.fft_length(length) // 2 + 1  # the kernel's spectrum, from the memo
-        assert convs == [(bins, width) for width in widths] * 2
-        assert taped.requires_grad and blocked.dtype == dtype
-        np.testing.assert_array_equal(blocked, taped.data)
-        constants = {k: ad.Tensor(v) for k, v in arrays.items()}
-        whole = TestFusedPrimitives.unfused(ad.Tensor(x), constants)  # one block of all channels
-        np.testing.assert_array_equal(blocked, whole.data)
-        if dtype == np.float64:
-            np.testing.assert_array_equal(model.forward(x, mdl), taped.data)
+        blocked = ssm.s4d_apply(ad.Tensor(h), core)
+        bins = ssm.fft_length(length) // 2 + 1  # the kernel's spectrum
+        assert convs == [(bins, width) for width in widths]
+        assert taped.requires_grad and not blocked.requires_grad and blocked.dtype == dtype
+        np.testing.assert_array_equal(blocked.data, taped.data)
+        whole = ssm._stage(ad.Tensor(h), ssm.kernel_t(core, length), core["d"])  # all channels
+        np.testing.assert_array_equal(blocked.data, whole.data)
 
     def test_in_place_edit_misses_the_memo(self):
         """A memo keyed on array identity would return the kernel of the old values."""
@@ -283,18 +280,21 @@ class TestForward:
         np.testing.assert_allclose(model.stream_logits(mdl, x[0]), expected[0], rtol=0, atol=1e-9)
 
     def test_memo_stays_bounded(self):
-        mdl = tiny_model(n_layers=2, seed=43)
         rng = np.random.default_rng(43)
-        for length in range(1, 6):
-            x = rng.standard_normal((length, 3))
-            model.forward(x, mdl)
-            model.stream_logits(mdl, x)
-            assert model.memo.cache_info().currsize <= 2
+        for seed in (43, 44, 45):
+            mdl = tiny_model(n_layers=2, seed=seed)
+            for length in range(1, 6):
+                x = rng.standard_normal((length, 3))
+                model.forward(x, mdl)
+                model.stream_logits(mdl, x)
+                assert model.memo.cache_info().currsize <= 2
         assert model.memo.cache_info().currsize == 2
 
     def test_long_forward_peak_memory(self):
-        """One L=4096, H=N=64 forward, cold and then warm. The whole-width stage peaked
-        at 21 MB cold; an unsliced mix peaked at 10.6 MB warm (5 activations)."""
+        """One L=4096, H=N=64 forward, cold and then warm: the scan peaked at 7.7 MB
+        cold, when the scan arrays are built, and 2.0 MB warm. The convolution form
+        peaked at 12.3 and 7.9 MB, and before its stage and mix were sliced, at 21 MB
+        cold and 10.6 MB warm."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=44)
         x = np.random.default_rng(44).standard_normal((4096, 4))
         model.memo.cache_clear()
@@ -302,9 +302,9 @@ class TestForward:
         assert forward_peak(x, mdl) <= 9e6
 
     def test_batch_forward_peak_memory(self, monkeypatch):
-        """A warm forward of 256 sequences on one CPU runs as sixteen of
-        `score_size(256, 256)` in turn, and peaked at 7.9 MB; four of 64 peaked at
-        31.5 MB, and one forward_t over all of them at 169 MB."""
+        """A warm forward of 256 sequences on one CPU runs as 64 of
+        `score_size(256, 256)` in turn, and peaked at 3.5 MB; the convolution form
+        peaked at 7.9 MB in sixteen forwards, 31.5 MB in four and 169 MB in one."""
         mdl = model.init_model(4, 64, 64, 10, dropout_rate=0.0, seed=45)
         x = np.random.default_rng(45).standard_normal((256, 256, 4))
         model.forward(x[:1], mdl)
@@ -320,51 +320,62 @@ class TestForward:
         assert forward_peak(x, mdl) <= 2 * 10e6
 
     def test_long_batch_forward_peak_memory_does_not_grow_with_n(self, monkeypatch):
-        """At L=4096 a forward scores one sequence at a time: on one CPU a warm
-        forward of 32 peaked at 4.2 MB, as one of 4 did. Forwards of 64 sequences
-        peaked at 134 MB against 16.8 MB, 8.0 times."""
+        """At L=4096 a forward scores two sequences: on one CPU a warm forward of 32
+        peaked at 1.1 MB, as one of 4 did. Forwards of 64 sequences of the convolution
+        form peaked at 134 MB against 16.8 MB, 8.0 times."""
         mdl = model.init_model(4, 16, 64, 10, dropout_rate=0.0, seed=55)
         x = np.random.default_rng(55).standard_normal((32, 4096, 4))
         model.forward(x[:2], mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         assert forward_peak(x, mdl) <= 1.25 * forward_peak(x[:4], mdl)
 
+    ROWS = 2 * ssm.STREAM_CHUNK
+
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
-        "batch, length, calls",
+        "batch, length, rows",
         [
-            (model.MIX_ROWS + 2, 1, [model.MIX_ROWS + 2]),
-            (1, model.MIX_ROWS + 1, [model.MIX_ROWS + 1]),
-            (5, (model.MIX_ROWS + 1) // 5, [5 * ((model.MIX_ROWS + 1) // 5)]),
-            (2, model.MIX_ROWS + 1, [model.MIX_ROWS, model.MIX_ROWS, 2]),
-            (1, 2 * model.MIX_ROWS + 1, [model.MIX_ROWS, model.MIX_ROWS + 1]),
-            (3, model.MIX_ROWS // 2 + 1, [model.MIX_ROWS, model.MIX_ROWS // 2 + 3]),
+            (ROWS + 2, 1, [ROWS + 2]),
+            (1, ROWS + 1, [ROWS // 2, ROWS // 2, 1]),
+            (5, (ROWS + 1) // 5, [5 * ((ROWS + 1) // 5)]),
+            (2, ROWS + 1, [ROWS, ROWS, 2]),
+            (1, 2 * ROWS + 1, [ROWS // 2] * 4 + [1]),
+            (3, ROWS // 2 + 1, [3 * ROWS // 2, 3]),
         ],
         ids=["L=1", "L=rows+1", "BL=rows+1", "two-seqs", "one-row-left", "across-seqs"],
     )
-    def test_sliced_eval_mix_equals_taped(self, monkeypatch, batch, length, calls, dtype,
+    def test_sliced_eval_mix_equals_taped(self, monkeypatch, batch, length, rows, dtype,
                                           n_layers):
-        """No slice of the eval mix has one row, so its BLAS calls round as the taped
-        mix's do; H=20 also leaves a partial CHANNEL_BLOCK."""
+        """The eval forward mixes each chunk of STREAM_CHUNK steps once per block, one step
+        left over included, with the taped mix's bits on the same input; H=20 leaves a
+        partial CHANNEL_BLOCK in the taped stage. The logits are the taped forward's."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=n_layers, dropout_rate=0.0, seed=46)
         x = np.random.default_rng(46).standard_normal((batch, length, 3)).astype(dtype)
         arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
-        taped = model.forward_t(
-            ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        )
-        rows, inner = [], model.glu_t
-        monkeypatch.setattr(model, "glu_t", lambda y, w2, b2: rows.append(
-            y.data.size // y.shape[-1]) or inner(y, w2, b2))
-        sliced = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
-        assert rows == calls * n_layers
-        assert taped.requires_grad and sliced.dtype == dtype
-        np.testing.assert_array_equal(sliced, taped.data)
+        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        taped = model.forward_t(ad.Tensor(x), tensors)
+        mixes, inner = [], model.channel_mix_t
+
+        def recording(y, leaves, i):
+            mixes.append((y.data, i, inner(y, leaves, i)))
+            return mixes[-1][2]
+
+        monkeypatch.setattr(model, "channel_mix_t", recording)
+        scanned = model.forward_t(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
+        assert [y.size // 20 for y, _, _ in mixes] == [r for r in rows for _ in range(n_layers)]
+        for y, i, mixed in mixes:
+            expected = inner(ad.Tensor(y, requires_grad=True), tensors, i)
+            assert expected.requires_grad and not mixed.requires_grad
+            np.testing.assert_array_equal(mixed.data, expected.data)
+        assert scanned.dtype == dtype
+        tol = 1e-5 if dtype == np.float32 else 1e-9
+        np.testing.assert_allclose(scanned, taped.data, rtol=0, atol=tol)
 
     def test_short_mix_input_is_one_call_without_copy(self, monkeypatch):
         mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=47)
         leaves = {k: ad.Tensor(v) for k, v in mdl.params.items()}
-        h = ad.Tensor(np.random.default_rng(47).standard_normal((1, model.MIX_ROWS + 1, 20)))
+        h = ad.Tensor(np.random.default_rng(47).standard_normal((1, self.ROWS + 1, 20)))
         seen, inner = [], model.glu_t
         monkeypatch.setattr(model, "glu_t", lambda y, w2, b2: seen.append(y) or inner(y, w2, b2))
         model.channel_mix_t(h, leaves, 0)
@@ -372,11 +383,11 @@ class TestForward:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_forward_scores_score_chunks_in_turn(self, monkeypatch, cpus):
-        """Forwards of `score_size(L, SCORE_BATCH)` sequences, the lone one left joining
-        the last; on four CPUs they run at once."""
+        """Forwards of `score_size(L, SCORE_BATCH)` sequences, and one of the lone one
+        left; on four CPUs they run at once."""
         mdl = tiny_model(seed=48)
         size = model.score_size(8, model.SCORE_BATCH)
-        assert size == model.SCORE_BATCH // 2  # SCORE_ROWS // 8 would be 512
+        assert size == model.SCORE_BATCH // 2 == model.SCORE_ROWS // 8
         x = np.random.default_rng(48).standard_normal((2 * size + 1, 8, 3))
         native = model.forward(x, mdl)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -384,20 +395,20 @@ class TestForward:
         monkeypatch.setattr(model, "forward_t", lambda xb, leaves, **kw: sizes.append(
             len(xb.data)) or inner(xb, leaves, **kw))
         logits = model.forward(x, mdl)
-        assert sorted(sizes) == [size, size + 1]
+        assert sorted(sizes) == [1, size, size]
         parts = [model.forward(x[:size], mdl), model.forward(x[size:], mdl)]
         np.testing.assert_array_equal(logits, np.concatenate(parts))
         np.testing.assert_array_equal(logits, native)
 
     @pytest.mark.parametrize("length, batch_size, size", [
-        (8, None, 512), (256, None, 16), (4096, None, 1), (50_000, None, 1),
-        (16, 256, 128), (256, 256, 16), (256, 10, 5), (256, 3, 1), (256, 2, 1), (256, 1, 1),
-        (4096, 256, 1), (4096, 1, 1),
+        (8, None, 128), (256, None, 4), (512, None, 2), (4096, None, 2), (50_000, None, 2),
+        (16, 256, 64), (256, 256, 4), (256, 10, 4), (256, 3, 1), (256, 2, 1), (256, 1, 1),
+        (4096, 256, 2), (4096, 1, 1),
     ])
     def test_score_size(self, length, batch_size, size):
-        """About SCORE_ROWS rows and at most half of a batch_size, but at least one. A
-        batch_size of None stands for one too large to bind, so that SCORE_ROWS alone
-        sets the size."""
+        """SCORE_ROWS rows of one chunk, min(L, STREAM_CHUNK) steps a sequence, and at
+        most half of a batch_size, but at least one. A batch_size of None stands for one
+        too large to bind, so that SCORE_ROWS alone sets the size."""
         batch_size = sys.maxsize if batch_size is None else batch_size
         assert model.score_size(length, batch_size) == size
 
@@ -418,8 +429,8 @@ class TestForward:
         """Neither eval path nor the taped one writes over an array its caller passed."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=50)
         rng = np.random.default_rng(50)
-        x = rng.standard_normal((2, model.MIX_ROWS, 3))
-        h = rng.standard_normal((2, model.MIX_ROWS, 20))
+        x = rng.standard_normal((2, self.ROWS, 3))
+        h = rng.standard_normal((2, self.ROWS, 20))
         originals = {k: v.copy() for k, v in mdl.params.items()}
         copies = x.copy(), h.copy()
         leaves = {k: ad.Tensor(v, requires_grad=taped) for k, v in mdl.params.items()}
@@ -482,7 +493,8 @@ class TestFusedPrimitives:
         for forward in (model.forward_t, self.unfused):
             t = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
             loss = training.cross_entropy_t(forward(ad.Tensor(x), t, keeps), labels)
-            logits = forward(ad.Tensor(x), {k: ad.Tensor(v) for k, v in arrays.items()}).data
+            undropped = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+            logits = forward(ad.Tensor(x), undropped).data
             runs.append((loss.data, logits, ad.gradients(loss, t)))
         (loss, logits, grads), (loss_ref, logits_ref, grads_ref) = runs
         np.testing.assert_array_equal(loss, loss_ref)
@@ -566,9 +578,9 @@ class TestBatchLogits:
         sizes, step = [size for _, size in calls], model.score_size(8, batch_size)
         assert sum(sizes) == n
         assert all(size == step for size in sizes[:-1])
-        assert all(size <= step + 1 for size in sizes[-1:])  # a lone one left joins it
+        assert all(size <= step for size in sizes[-1:])
 
-    @pytest.mark.parametrize("rows", [model.SCORE_ROWS, 1024, 2])
+    @pytest.mark.parametrize("rows", [4096, 1024, 2])
     def test_logits_independent_of_batch_size_and_score_rows(self, monkeypatch, rows):
         """At L=256, 37 sequences run in forwards of one sequence up to 16 of them,
         and every forward size scores the same bits."""
@@ -588,10 +600,11 @@ class TestBatchLogits:
            cpus=st.sampled_from([1, 4]), seed=st.integers(0, 2**16))
     def test_a_samples_logits_depend_only_on_the_sample(self, length, n, batch_size, rows,
                                                          cpus, seed):
-        """A sample scored in a batch has the bits it has scored alone, whatever the
-        forward sizes, remainders and CPU count: the head takes one product per
-        sample. A 2-D head product rounds a row of a 16-unit, 3-class model by the
-        rows beside it."""
+        """A sample scored in a batch has the bits it has scored alone, and streamed,
+        whatever the forward sizes, remainders and CPU count: the scan and the head take
+        their products per sample. A 2-D head product rounds a row of a 16-unit, 3-class
+        model by the rows beside it, and one scan product over a batch's blocks a
+        sample's steps by the samples beside it."""
         mdl = model.init_model(3, 16, 8, 3, dropout_rate=0.0, seed=56)
         x = np.random.default_rng(seed).standard_normal((n, length, 3))
         with pytest.MonkeyPatch.context() as patch:
@@ -601,6 +614,21 @@ class TestBatchLogits:
             for i in range(n):
                 alone = model.batch_logits(x[i : i + 1], mdl, batch_size)[0]
                 assert logits[i].tobytes() == alone.tobytes(), i
+                assert logits[i].tobytes() == model.stream_logits(mdl, x[i]).tobytes(), i
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 512, 513, 4096])
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_scan_equals_the_taped_convolution(self, n_layers, normalized, length):
+        """The two forms of the layer, scored on the same batch: eval's block scan, at
+        lengths inside, at and across SCAN_BLOCK and STREAM_CHUNK edges, against the
+        training graph's FFT convolution (leaves that require gradients)."""
+        mdl = tiny_model(normalized=normalized, n_layers=n_layers, seed=59)
+        x = np.random.default_rng(length).standard_normal((3, length, 3))
+        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+        taped = model.forward_t(ad.Tensor(x), leaves)
+        assert taped.requires_grad
+        np.testing.assert_allclose(model.batch_logits(x, mdl), taped.data, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_logits_independent_of_cpu_count(self, monkeypatch, cpus):
@@ -619,16 +647,15 @@ class TestBatchLogits:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_cold_memo_logits_independent_of_cpu_count(self, monkeypatch, cpus):
-        """A cold call builds each block's kernel spectrum once, before its workers start,
+        """A cold call builds each block's scan arrays once, before its workers start,
         and scores as one CPU does."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, seed=36)
-        x = np.random.default_rng(36).standard_normal((256, 16, 3))  # two forwards
+        x = np.random.default_rng(36).standard_normal((256, 16, 3))  # four forwards
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0})
         single = model.batch_logits(x, mdl)
         model.memo.cache_clear()
-        built, spectrum = [], ssm.kernel_spectrum
-        monkeypatch.setattr(ssm, "kernel_spectrum",
-                            lambda p, n: built.append(p["d"]) or spectrum(p, n))
+        built, scan = [], ssm.scan_arrays
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: built.append(p["d"]) or scan(p))
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -665,7 +692,7 @@ class TestBatchLogits:
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
         before = threading.active_count()
         calls = self.record_forwards(monkeypatch)
-        model.batch_logits(x[: step + 1], mdl)
+        model.batch_logits(x[:step], mdl)
         assert {ident for ident, _ in calls} == {threading.get_ident()}
         model.batch_logits(x, mdl)
         assert threading.active_count() == before
@@ -695,24 +722,23 @@ class TestBatchLogits:
         assert model.forward(x, mdl).tobytes() == model.batch_logits(x, mdl).tobytes()
         assert model.forward(x[0], mdl).tobytes() == model.batch_logits(x[:1], mdl)[0].tobytes()
 
-    @pytest.mark.parametrize("shape", [(64, 3), (1, 64, 3), (129, 8, 3)])
+    @pytest.mark.parametrize("shape", [(64, 3), (1, 64, 3), (128, 8, 3)])
     def test_one_forward_call_looks_up_the_memo_once_and_starts_no_thread(self, monkeypatch,
                                                                           shape):
-        """A sequence, or a batch that is one forward (128 sequences and a lone one
-        joined at L=8), is scored inline with the memo lookup of its `forward_t`."""
+        """A sequence, or a batch that is one forward (128 sequences at L=8), is scored
+        inline with the memo lookup of its `forward_t`."""
         mdl = tiny_model(seed=60)
         x = np.random.default_rng(60).standard_normal(shape)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)))
         lookups, memo = [], model.memo
-        monkeypatch.setattr(model, "memo", lambda key, length: lookups.append(length)
-                            or memo(key, length))
+        monkeypatch.setattr(model, "memo", lambda key: lookups.append(key) or memo(key))
         starts, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
         calls = self.record_forwards(monkeypatch)
         for score in [model.forward] if len(shape) == 2 else [model.forward, model.batch_logits]:
             lookups.clear()
             score(x, mdl)
-            assert lookups == [shape[-2]]
+            assert lookups == [model.memo_key(mdl.params)]
         assert starts == [] and {ident for ident, _ in calls} == {threading.get_ident()}
 
     def test_empty_input(self):
@@ -1159,14 +1185,13 @@ class TestStreaming:
 
 class TestMemoUse:
     """Each call looks `model.memo` up once, and a model's arrays stay warm whatever
-    its block count, also when streams and forwards alternate."""
+    its block count and whatever lengths are scored."""
 
     @staticmethod
     def record_builds(monkeypatch):
-        """The lengths `ssm.kernel_spectrum` is built at from now on; None for `ssm.scan_arrays`."""
-        builds, spectrum, scan = [], ssm.kernel_spectrum, ssm.scan_arrays
-        monkeypatch.setattr(ssm, "kernel_spectrum", lambda p, n: builds.append(n) or spectrum(p, n))
-        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(None) or scan(p))
+        """A list that gets one entry per `ssm.scan_arrays` build from now on."""
+        builds, scan = [], ssm.scan_arrays
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(p["d"]) or scan(p))
         return builds
 
     def test_a_second_call_of_nine_blocks_builds_nothing(self, monkeypatch):
@@ -1187,7 +1212,19 @@ class TestMemoUse:
         for _ in range(4):
             model.stream_logits(mdl, x)
             model.forward(x, mdl)
-        assert builds == [None] * 5 + [64] * 5
+        assert len(builds) == 5
+
+    def test_lengths_scored_in_turn_build_once_per_block(self, monkeypatch):
+        """Kernel spectra were kept per length, so three lengths in turn rebuilt them on
+        every call; scan arrays serve every length."""
+        mdl = model.init_model(3, 8, 8, 3, n_layers=2, dropout_rate=0.0, seed=55)
+        rng = np.random.default_rng(55)
+        builds = self.record_builds(monkeypatch)
+        for _ in range(2):
+            for length in (1024, 2048, 4096):
+                model.forward(rng.standard_normal((length, 3)), mdl)
+        assert [d.tobytes() for d in builds] == [mdl.params[f"block{i}.ssm.d"].tobytes()
+                                                 for i in range(2)]
 
     def test_forward_looks_up_once_per_scoring_chunk_and_a_graph_never(self):
         """Two forwards: the memo is filled before they start, then each looks it up."""
@@ -1204,9 +1241,11 @@ class TestMemoUse:
         assert model.memo.cache_info() == info
 
     def test_cold_forward_builds_its_spectra_inside_forward_t(self, monkeypatch):
-        """So a trace nests every kernel build of an eval forward in a `forward_t` span."""
+        """So a trace nests every build in a `forward_t` span: the kernels, and so the
+        spectra, of a training forward, and the scan arrays of an eval forward."""
         mdl = tiny_model(n_layers=2, seed=54)
-        depth, inside, forward_t, kernel_t = [0], [], model.forward_t, ssm.kernel_t
+        depth, inside, forward_t = [0], [], model.forward_t
+        kernel_t, scan = ssm.kernel_t, ssm.scan_arrays
 
         def traced(*args, **kwargs):
             depth[0] += 1
@@ -1216,9 +1255,17 @@ class TestMemoUse:
                 depth[0] -= 1
 
         monkeypatch.setattr(model, "forward_t", traced)
-        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: inside.append(depth[0]) or kernel_t(p, n))
-        model.forward(np.random.default_rng(54).standard_normal((16, 3)), mdl)
-        assert inside == [1, 1]
+        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: inside.append(("kernel", depth[0]))
+                            or kernel_t(p, n))
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: inside.append(("scan", depth[0]))
+                            or scan(p))
+        x = np.random.default_rng(54).standard_normal((2, 16, 3))
+        model.forward_t(ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True)
+                                       for k, v in mdl.params.items()})
+        assert inside == [("kernel", 1)] * 2
+        inside.clear()
+        model.forward(x[0], mdl)
+        assert inside == [("scan", 1)] * 2
 
     def test_stream_looks_up_once(self):
         mdl = tiny_model(n_layers=2, seed=52)

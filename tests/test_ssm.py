@@ -275,25 +275,29 @@ def stepwise(params, h, x):
 
 
 def scan_chunks(params, h, x):
-    """`chunk_scan` over x in chunks of STREAM_CHUNK steps; the last may be shorter."""
+    """`chunk_scan` over a (B, L, H) x in chunks of STREAM_CHUNK steps; the last may be
+    shorter."""
     outputs, scan = [], ssm.scan_arrays(params)
-    for start in range(0, x.shape[0], CHUNK):
-        h, y = ssm.chunk_scan(scan, h, x[start : start + CHUNK])
+    for start in range(0, x.shape[1], CHUNK):
+        h, y = ssm.chunk_scan(scan, h, x[:, start : start + CHUNK])
         outputs.append(y)
-    return h, np.concatenate(outputs)
+    return h, np.concatenate(outputs, axis=1)
 
 
 class TestChunkScanner:
     """`chunk_scan`: chunked carried-state streaming against the per-step recurrence."""
 
-    def assert_matches_stepwise(self, params, x, rng):
-        shape = params["c_re"].shape
+    def assert_matches_stepwise(self, params, x, rng, batch=2):
+        """Each of `batch` samples, x and a random state apiece, against its own steps."""
+        shape = (batch, *params["c_re"].shape)
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected_h, expected = stepwise(params, h, x)
+        x = np.stack([x] + [rng.standard_normal(x.shape) for _ in range(batch - 1)])
         with np.errstate(invalid="raise", divide="raise", over="raise"):
-            h, y = scan_chunks(params, h, x)
-        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h, expected_h, rtol=0, atol=1e-12)
+            scanned_h, y = scan_chunks(params, h, x)
+        for i in range(batch):
+            expected_h, expected = stepwise(params, h[i], x[i])
+            np.testing.assert_allclose(y[i], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(scanned_h[i], expected_h, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("length", [1, 15, 16, 53, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
     def test_matches_recurrent_steps(self, length):
@@ -304,7 +308,8 @@ class TestChunkScanner:
     @pytest.mark.parametrize("length", [1, 5, 22, 23, 74, 2 * CHUNK + 74])
     def test_matches_recurrent_steps_at_a_chunk_that_is_not_a_square(self, length):
         """Lengths that are no multiple of SCAN_BLOCK, so each ends in a short last
-        block, which reads the last rows of the input-to-state map and decays by A_bar^r."""
+        block, which reads the last rows of the input-to-state map and decays by the
+        kept power A_bar^r."""
         assert length % BLOCK
         rng = np.random.default_rng(200 + length)
         params = helpers.random_ssm_params(rng, 4, 8)
@@ -333,13 +338,13 @@ class TestChunkScanner:
         rng = np.random.default_rng(23)
         params64 = helpers.random_ssm_params(rng, 4, 8)
         params = {name: v.astype(np.float32) for name, v in params64.items()}
-        x = rng.standard_normal((2 * CHUNK + 5, 4)).astype(np.float32)
-        h, outputs, scan = np.zeros((4, 4), np.complex64), [], ssm.scan_arrays(params)
-        for start in range(0, x.shape[0], CHUNK):
-            h, y = ssm.chunk_scan(scan, h, x[start : start + CHUNK])
+        x = rng.standard_normal((1, 2 * CHUNK + 5, 4)).astype(np.float32)
+        h, outputs, scan = np.zeros((1, 4, 4), np.complex64), [], ssm.scan_arrays(params)
+        for start in range(0, x.shape[1], CHUNK):
+            h, y = ssm.chunk_scan(scan, h, x[:, start : start + CHUNK])
             assert h.dtype == np.complex64 and y.dtype == np.float32
-            outputs.append(y)
-        _, expected = stepwise(params64, np.zeros((4, 4), complex), x.astype(float))
+            outputs.append(y[0])
+        _, expected = stepwise(params64, np.zeros((4, 4), complex), x[0].astype(float))
         np.testing.assert_allclose(np.concatenate(outputs), expected, rtol=0, atol=1e-4)
 
     @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, CHUNK])
@@ -354,7 +359,8 @@ class TestChunkScanner:
         core = ssm.init_s4d_params(64, 64, seed=0)
         tracemalloc.start()
         try:
-            ssm.chunk_scan(ssm.scan_arrays(core), np.zeros((64, 32), complex), np.zeros((1, 64)))
+            ssm.chunk_scan(ssm.scan_arrays(core), np.zeros((1, 64, 32), complex),
+                           np.zeros((1, 1, 64)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -362,12 +368,28 @@ class TestChunkScanner:
 
     def test_rejects_bad_chunks(self):
         scan = ssm.scan_arrays(ssm.init_s4d_params(3, 4, seed=0))
-        h = np.zeros((3, 2), complex)
-        for x in (np.zeros((0, 3)), np.zeros((CHUNK + 1, 3)), np.zeros((4, 2))):
+        h = np.zeros((1, 3, 2), complex)
+        for x in (np.zeros((1, 0, 3)), np.zeros((1, CHUNK + 1, 3)), np.zeros((1, 4, 2)),
+                  np.zeros((4, 3)), np.zeros((2, 4, 3))):
             with pytest.raises(ValueError):
                 ssm.chunk_scan(scan, h, x)
-        with pytest.raises(ValueError):
-            ssm.chunk_scan(scan, np.zeros((3, 3), complex), np.zeros((4, 3)))
+        for state in (np.zeros((1, 3, 3), complex), np.zeros((3, 2), complex)):
+            with pytest.raises(ValueError):
+                ssm.chunk_scan(scan, state, np.zeros((1, 4, 3)))
+
+    def test_a_samples_scan_does_not_depend_on_the_batch(self):
+        """Each product is stacked over one sample's blocks, so a sample scanned beside
+        others has the bits it has scanned alone."""
+        rng = np.random.default_rng(24)
+        scan = ssm.scan_arrays(helpers.random_ssm_params(rng, 4, 8))
+        for length in (1, BLOCK + 3, CHUNK):
+            x = rng.standard_normal((5, length, 4))
+            h = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+            h_all, y_all = ssm.chunk_scan(scan, h, x)
+            for i in range(5):
+                h_one, y_one = ssm.chunk_scan(scan, h[i : i + 1], x[i : i + 1])
+                assert y_one.tobytes() == y_all[i : i + 1].tobytes()
+                assert h_one.tobytes() == np.ascontiguousarray(h_all[i : i + 1]).tobytes()
 
 
 class TestDuality:
@@ -397,17 +419,23 @@ class TestDuality:
 
 
 class TestMemo:
-    """`model.memo`: every block's kernel spectra at one length, or its scan arrays,
-    keyed on the content of a model's S4D leaves; it holds two entries."""
+    """`model.memo`: every block's scan arrays, keyed on the content of a model's S4D
+    leaves; it holds two models' entries."""
+
+    @staticmethod
+    def keys(n):
+        """The memo keys of n models that differ in their S4D leaves."""
+        return [model.memo_key(model.init_model(2, 2, 4, 2, seed=seed).params)
+                for seed in range(n)]
 
     def test_key_is_content_shape_and_dtype(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(ssm, "kernel_spectrum", lambda p, n: builds.append(p) or np.zeros(n))
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(p) or ())
         mdl = model.init_model(3, 4, 8, 2, n_layers=2, seed=0)
-        first = model.memo(model.memo_key(mdl.params), 5)
+        first = model.memo(model.memo_key(mdl.params))
         copied = {name: v.copy() for name, v in mdl.params.items()}
         copied["w1"] += 1.0  # not an S4D leaf
-        assert model.memo(model.memo_key(copied), 5) is first
+        assert model.memo(model.memo_key(copied)) is first
         assert model.memo.cache_info().hits == 1
         # each build sees its block's values, rebuilt from the key as read-only arrays
         assert len(builds) == 2
@@ -417,56 +445,43 @@ class TestMemo:
                 assert built[name].dtype == v.dtype and not built[name].flags.writeable
         # an in-place edit, and the same bytes as another dtype or shape, are other keys
         copied["block1.ssm.d"][0] += 1.0
-        model.memo(model.memo_key(copied), 5)
+        model.memo(model.memo_key(copied))
         viewed = {name: v.view(np.int64) for name, v in mdl.params.items()}
-        model.memo(model.memo_key(viewed), 5)
+        model.memo(model.memo_key(viewed))
         flattened = {name: v.reshape(-1) for name, v in mdl.params.items()}
-        model.memo(model.memo_key(flattened), 5)
+        model.memo(model.memo_key(flattened))
         assert model.memo.cache_info().misses == 4
         assert builds[3]["d"][0] == mdl.params["block1.ssm.d"][0] + 1.0
         assert builds[4]["a_imag"].dtype == np.int64 and builds[6]["a_imag"].shape == (16,)
-        model.memo(model.memo_key(mdl.params), None)  # scan arrays are another entry
-        assert model.memo.cache_info().misses == 5
 
     def test_bounded_and_drops_the_least_recently_used(self):
-        key = model.memo_key(model.init_model(2, 2, 4, 2, seed=0).params)
-        for n in (1, 2, 1, 3):  # 1 is the most recent when 3 comes, so 2 goes
-            model.memo(key, n)
+        one, two, three = self.keys(3)
+        for key in (one, two, one, three):  # one is the most recent when three comes, so two goes
+            model.memo(key)
         info = model.memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
-        model.memo(key, 1)
+        model.memo(one)
         assert model.memo.cache_info().hits == 2
-        model.memo(key, 2)
+        model.memo(two)
         assert model.memo.cache_info().misses == 4
 
-    def test_kernels_and_scanners_share_the_bound(self):
-        key = model.memo_key(model.init_model(2, 2, 4, 2, seed=0).params)
-        for n in (None, 1, 2):  # the spectra at length 2 drop the scan arrays
-            model.memo(key, n)
-        model.memo(key, 1)
-        model.memo(key, None)  # drops the spectra at length 2
-        model.memo(key, 1)
-        info = model.memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
-
     def test_threads_keep_the_bound_and_get_their_own_values(self):
-        mdl = model.init_model(2, 2, 4, 2, n_layers=2, seed=0)
-        key = model.memo_key(mdl.params)
-        lengths = 4
-        expected = [[ssm.kernel_spectrum(model.block_core(mdl.params, i), n) for i in range(2)]
-                    for n in range(1, lengths + 1)]
+        models = [model.init_model(2, 2, 4, 2, n_layers=2, seed=seed) for seed in range(4)]
+        keys = [model.memo_key(mdl.params) for mdl in models]
+        expected = [[ssm.scan_arrays(model.block_core(mdl.params, i)) for i in range(2)]
+                    for mdl in models]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda i: model.memo(key, i % lengths + 1),
-                                    range(50 * lengths)))
+                got = list(pool.map(lambda i: model.memo(keys[i % 4]), range(200)))
         finally:
             sys.setswitchinterval(interval)
-        for i, spectra in enumerate(got):
-            assert len(spectra) == 2
-            for spectrum, want in zip(spectra, expected[i % lengths]):
-                np.testing.assert_array_equal(spectrum, want)
+        for i, scans in enumerate(got):
+            assert len(scans) == 2
+            for arrays, want in zip(scans, expected[i % 4]):
+                for a, b in zip(arrays, want, strict=True):
+                    np.testing.assert_array_equal(a, b)
         assert model.memo.cache_info().currsize == 2
 
     def test_eval_stage_misses_after_an_in_place_edit(self):
@@ -478,34 +493,34 @@ class TestMemo:
         after = model.forward(x, mdl)
         assert not np.array_equal(after, before)
         assert model.memo.cache_info().misses == 2
-        # the edited stage, on the memo's spectrum, against a reference that shares no code path
-        (spectrum,) = model.memo(model.memo_key(mdl.params), 33)
+        # the edited scan, on the memo's arrays, against a reference that shares no code path
+        (scan,) = model.memo(model.memo_key(mdl.params))
         assert model.memo.cache_info().hits == 1
         p, h = model.block_core(mdl.params, 0), rng.standard_normal((2, 33, 20))
-        stage = ssm.s4d_apply(ad.Tensor(h), p, spectrum=spectrum).data
+        _, y = ssm.chunk_scan(scan, np.zeros((2, 20, 4), complex), h)
         kernel = ssm.compute_kernel(p, 33)
-        expected = ad.gelu(ad.Tensor(ssm.fft_causal_conv(h, kernel) + h * p["d"])).data
-        np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y, ssm.fft_causal_conv(h, kernel) + h * p["d"],
+                                   rtol=0, atol=1e-12)
 
     def test_scanner_misses_after_an_in_place_edit_and_keeps_its_own_arrays(self):
         rng = np.random.default_rng(22)
         mdl = model.init_model(3, 4, 8, 2, seed=22)
         original = {name: v.copy() for name, v in mdl.params.items()}
-        (scan,) = model.memo(model.memo_key(mdl.params), None)
+        (scan,) = model.memo(model.memo_key(mdl.params))
         kept = [a.copy() for a in scan]
         mdl.params["block0.ssm.c_re"] *= -2.0
         mdl.params["block0.ssm.d"] += 1.0
-        (edited,) = model.memo(model.memo_key(mdl.params), None)
-        assert model.memo(model.memo_key(original), None)[0] is scan
+        (edited,) = model.memo(model.memo_key(mdl.params))
+        assert model.memo(model.memo_key(original))[0] is scan
         for a, b in zip(scan, kept):  # the edit reached none of the kept arrays
             np.testing.assert_array_equal(a, b)
         info = model.memo.cache_info()
         assert (info.hits, info.misses) == (1, 2)
         x, h = rng.standard_normal((CHUNK, 4)), np.zeros((4, 4), complex)
         for arrays, params in ((scan, original), (edited, mdl.params)):
-            _, y = ssm.chunk_scan(arrays, h, x)
+            _, y = ssm.chunk_scan(arrays, h[None], x[None])
             core = model.block_core(params, 0)
-            np.testing.assert_allclose(y, stepwise(core, h, x)[1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(y[0], stepwise(core, h, x)[1], rtol=0, atol=1e-12)
 
 
 class TestS4dForward:
