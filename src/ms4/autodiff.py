@@ -393,33 +393,26 @@ def make_complex(re, im):
 def causal_conv(x, kernel, n):
     """Causal convolution y[k] = sum_{j<=k} K[j] x[k-j] along axis -2.
 
-    x is (..., L, H) and zero-padded to n >= 2L-1 points of a real FFT, so the
-    circular product has no wraparound. The kernel is the real (L, H) K, or its
-    complex (n/2 + 1, H) spectrum rfft(K, n), which saves one transform and
-    takes no gradient. The adjoints are the matching correlations, computed
-    from the saved spectra; the kernel's is summed over the broadcast leading
-    axes of x.
+    x is (..., L, H) and the kernel K is (L, H); both are zero-padded to
+    n >= 2L-1 points of a real FFT, so the circular product has no wraparound.
+    The adjoints are the matching correlations, computed from the saved
+    spectra; the kernel's is summed over the broadcast leading axes of x.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     length = x.shape[-2]
     if n < 2 * length - 1:
         raise ValueError(f"FFT length {n} is below 2L-1 = {2 * length - 1}")
     xf = np.fft.rfft(x.data, n=n, axis=-2)
-    if np.iscomplexobj(kernel.data):
-        kf, parents = kernel.data, (x,)
-    else:
-        kf, parents = np.fft.rfft(kernel.data, n=n, axis=-2), (x, kernel)
+    kf = np.fft.rfft(kernel.data, n=n, axis=-2)
     out = np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
 
     def vjp(g):
         gf = np.fft.rfft(g, n=n, axis=-2)
         gx = np.fft.irfft(gf * np.conj(kf), n=n, axis=-2)[..., :length, :]
-        if len(parents) == 1:
-            return (gx,)
         gk = np.fft.irfft(_unbroadcast(gf * np.conj(xf), kf.shape), n=n, axis=-2)[:length]
         return gx, gk
 
-    return node(out, parents, vjp)
+    return node(out, (x, kernel), vjp)
 
 
 # -- backward pass ------------------------------------------------------------
@@ -486,7 +479,9 @@ def finite_diff_errors(loss_fn, params, epsilon=1e-5, analytic=None):
 
     `loss_fn` maps a dict of Tensors to a scalar Tensor and must be
     deterministic. Every real coordinate (real and imaginary parts counted
-    separately for complex arrays) is perturbed by +/- epsilon. The relative
+    separately for complex arrays) is perturbed by +/- epsilon on leaves that
+    require a gradient, so `loss_fn` runs the code path that the analytic
+    gradient differentiates (a model's training graph, say). The relative
     error denominator is max(|analytic|, |numeric|, 1e-12); a non-finite
     error counts as inf, so NaN never passes a tolerance. Pass `analytic`
     to check an externally supplied gradient bundle instead.
@@ -497,7 +492,7 @@ def finite_diff_errors(loss_fn, params, epsilon=1e-5, analytic=None):
         analytic = gradients(loss_fn(leaves), leaves)
 
     def eval_at(values):
-        out = loss_fn({k: Tensor(v) for k, v in values.items()})
+        out = loss_fn({k: Tensor(v, requires_grad=True) for k, v in values.items()})
         return float(np.real(out.data))
 
     errors = {}

@@ -25,8 +25,7 @@ The module keeps no state: the scan takes a core's `scan_arrays` from its
 caller, which may keep them (`model.memo`). The convolution stage is one tape
 node that saves GELU's slope and recomputes the spectra in its VJP. Since the
 H channels are independent, it runs in slices of at most CHANNEL_BLOCK
-channels, and of fewer when the sequence is long (BLOCK_BINS), so their FFT
-spectra stay in cache.
+channels, so their FFT spectra stay in cache.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from . import autodiff as ad
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
 
 CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
-BLOCK_BINS = 16 * 4097  # most spectrum bins per sequence and pass (1 MB): 16 channels up to L=4096
 DT_MIN, DT_MAX = 1e-3, 1e-1  # an initial step size delta is log-uniform in [DT_MIN, DT_MAX)
 
 
@@ -94,47 +92,29 @@ def discretize_t(p):
 def kernel_t(p, length):
     """Materialized convolution kernel K[k, h] = 2*Re(sum_n C A_bar^k B_bar).
 
-    The `_power_sum` of `_powers(rate, length, C*B_bar)`; no (L, H, N/2)
-    power table is formed.
+    With c = isqrt(length) and nq*c >= length, the baby steps are
+    C*B_bar*exp(rate*r), (H, N/2, c), and the giant steps exp(rate*q*c),
+    (H, nq, N/2), so that C*B_bar*A_bar^k = giant[q] * baby[r] for every
+    k = q*c + r < length. The sum over modes is one (nq, N/2) @ (N/2, c)
+    product per channel, and no (L, H, N/2) power table is formed.
     """
     _, b_bar, rate = discretize_t(p)
     weight = ad.make_complex(p["c_re"], p["c_im"]) * b_bar
-    baby, giant = _powers(rate, length, weight)
-    return 2.0 * ad.real(_power_sum(giant, baby, length)).swapaxes(0, 1)
-
-
-def _powers(rate, length, weight=None):
-    """Baby steps exp(rate*r), (H, N/2, c), times `weight` if one is given,
-    and giant steps exp(rate*q*c), (H, nq, N/2), with c = isqrt(length) and
-    nq*c >= length, so that weight * A_bar^k = giant[q] * baby[r] for every
-    k = q*c + r < length.
-    """
     h, m = rate.shape
     c = math.isqrt(length)
     nq = -(-length // c)
-    rdtype = ad.as_tensor(rate).data.real.dtype
-    baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype))
-    if weight is not None:
-        baby = baby * weight.reshape(h, m, 1)
+    rdtype = rate.data.real.dtype
+    baby = ad.exp(rate.reshape(h, m, 1) * np.arange(c, dtype=rdtype)) * weight.reshape(h, m, 1)
     giant = ad.exp(rate.reshape(h, 1, m) * np.arange(0, nq * c, c, dtype=rdtype).reshape(-1, 1))
-    return baby, giant
-
-
-def _power_sum(giant, baby, length):
-    """sum_n weight[h, n] A_bar[h, n]^k for k < length, as (H, length), from
-    `_powers`: one (rows, N/2) @ (N/2, c) product per channel. `giant` needs
-    only its first ceil(length / c) rows.
-    """
-    h, _, c = baby.shape
-    return (giant @ baby).reshape(h, giant.shape[1] * c)[:, :length]
+    power_sum = (giant @ baby).reshape(h, nq * c)[:, :length]
+    return 2.0 * ad.real(power_sum).swapaxes(0, 1)
 
 
 def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
-    x is (..., L, H) and the kernel (L, H), or its spectrum on the padded
-    length `fft_length(L)` (see `ad.causal_conv`); that padding rules out
-    circular wraparound, so the first L outputs equal the direct sum
+    x is (..., L, H) and the kernel (L, H); the padded length `fft_length(L)`
+    rules out circular wraparound, so the first L outputs equal the direct sum
     y[k] = sum_{j<=k} K[j] x[k-j].
     """
     return ad.causal_conv(x, kernel, fft_length(x.shape[-2]))
@@ -144,11 +124,10 @@ def s4d_apply(x, p, keep=None):
     """Full S4D stage on a projected input: conv + feedthrough, GELU, then dropout.
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
-    is dropped and 1/(1 - rate) where it is kept. Without it (eval) no
-    dropout runs. The stage runs on at most CHANNEL_BLOCK channels at a time,
-    and each channel's arithmetic is that of `_stage` on the whole width, so the
-    output is bit-identical to it; see `_stage_node`, which tapes nothing when no
-    operand requires a gradient.
+    is dropped and 1/(1 - rate) where it is kept. Without it no dropout runs.
+    The stage runs on at most CHANNEL_BLOCK channels at a time, and each
+    channel's arithmetic is that of `_stage` on the whole width, so the output
+    is bit-identical to it; see `_stage_node`.
     """
     return _stage_node(x, kernel_t(p, x.shape[-2]), ad.as_tensor(p["d"]), keep)
 
@@ -161,7 +140,7 @@ def _stage_node(x, kernel, d, keep):
     """
     n = fft_length(x.shape[-2])
     slope = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
-    out = _blocks(x.data, np.fft.rfft(kernel.data, n=n, axis=0), d.data, slope)
+    out = _blocks(x.data, kernel.data, d.data, slope)
     if keep is not None:
         out = out * keep
 
@@ -169,7 +148,7 @@ def _stage_node(x, kernel, d, keep):
         u = (g if keep is None else g * keep) * slope  # the adjoint of conv + d*x
         length, lead = x.shape[-2], tuple(range(x.ndim - 2))
         gx, gk, gd = (np.empty(shape, u.dtype) for shape in (x.shape, kernel.shape, d.shape))
-        for part in _channel_blocks(x.shape[-1], n // 2 + 1):
+        for part in _channel_blocks(x.shape[-1]):
             uf = np.fft.rfft(u[..., part], n=n, axis=-2)
             kf = np.fft.rfft(kernel.data[:, part], n=n, axis=0)
             xf = np.fft.rfft(x.data[..., part], n=n, axis=-2)
@@ -182,19 +161,17 @@ def _stage_node(x, kernel, d, keep):
     return ad.node(out, (x, kernel, d), vjp)
 
 
-def _channel_blocks(width, bins):
-    """Slices of CHANNEL_BLOCK channels, or of fewer, so that a block holds at most
-    BLOCK_BINS of each sequence's spectrum bins; past L=4096 16 channels overflow L2."""
-    step = max(1, min(CHANNEL_BLOCK, BLOCK_BINS // bins))
-    return [slice(lo, lo + step) for lo in range(0, width, step)]
+def _channel_blocks(width):
+    """Slices of CHANNEL_BLOCK channels over `width`; the last may be narrower."""
+    return [slice(lo, lo + CHANNEL_BLOCK) for lo in range(0, width, CHANNEL_BLOCK)]
 
 
-def _blocks(x, spectrum, d, slope):
+def _blocks(x, kernel, d, slope):
     """`_stage` on `_channel_blocks` of plain arrays, one at a time; each block's input
     is a short tape's leaf, and GELU's derivative is written to `slope`."""
-    y = np.empty(x.shape, np.result_type(x.dtype, spectrum.real.dtype, d.dtype))
-    for part in _channel_blocks(x.shape[-1], spectrum.shape[0]):
-        act = _stage(ad.Tensor(x[..., part], requires_grad=True), spectrum[:, part], d[part])
+    y = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
+    for part in _channel_blocks(x.shape[-1]):
+        act = _stage(ad.Tensor(x[..., part], requires_grad=True), kernel[:, part], d[part])
         y[..., part] = act.data
         (slope[..., part],) = ad.partials(act)
     return y

@@ -175,20 +175,6 @@ class TestAffine:
             ad.affine(np.ones(3), np.ones((3, 2)), np.ones(2))
 
 
-class TestSpectrumKernel:
-    def test_spectrum_equals_kernel_and_takes_no_gradient(self):
-        rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
-        k = rng.standard_normal((6, 3))
-        out = ad.causal_conv(x, k, 16)
-        spectral = ad.causal_conv(x, np.fft.rfft(k, n=16, axis=0), 16)
-        np.testing.assert_array_equal(spectral.data, out.data)
-        assert spectral._parents == (x,)
-        probe = rng.standard_normal(out.shape)
-        grads = [ad.gradients((y * probe).sum(), {"x": x})["x"] for y in (out, spectral)]
-        np.testing.assert_array_equal(grads[1], grads[0])
-
-
 class TestBackwardContract:
     def test_second_call_on_a_graph_raises(self):
         x = ad.Tensor(np.arange(3.0), requires_grad=True)

@@ -242,27 +242,24 @@ class TestForward:
 
         assert non_projection_params(1) == non_projection_params(23)
 
-    @pytest.mark.parametrize("length", [1, 37, 4097])
+    @pytest.mark.parametrize("length", [1, 37, 4097, 8193])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocked_eval_stage_equals_taped(self, monkeypatch, dtype, length):
-        """The convolution stage on constants, which tapes nothing, runs in channel blocks
-        and has the taped stage's bits. H=20 is one full CHANNEL_BLOCK and a partial one;
-        past L=4096 a block holds fewer channels, so that it holds at most BLOCK_BINS bins."""
-        assert (ssm.CHANNEL_BLOCK, ssm.BLOCK_BINS) == (16, 16 * 4097)
-        widths = [8, 8, 4] if length > 4096 else [16, 4]
+        """The taped convolution stage runs in CHANNEL_BLOCK-wide channel blocks at every
+        L, each convolved with its real kernel columns, and has the bits of `_stage` over
+        the whole width. H=20 is one full block and a partial one."""
+        assert ssm.CHANNEL_BLOCK == 16
         mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=41)
         h = np.random.default_rng(41).standard_normal((2, length, 20)).astype(dtype)
         core = {k: v.astype(dtype) for k, v in model.block_core(mdl.params, 0).items()}
-        taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
-        convs, inner = [], ssm.causal_conv_t
-        monkeypatch.setattr(ssm, "causal_conv_t", lambda u, k: convs.append(k.shape) or inner(u, k))
-        blocked = ssm.s4d_apply(ad.Tensor(h), core)
-        bins = ssm.fft_length(length) // 2 + 1  # the kernel's spectrum
-        assert convs == [(bins, width) for width in widths]
-        assert taped.requires_grad and not blocked.requires_grad and blocked.dtype == dtype
-        np.testing.assert_array_equal(blocked.data, taped.data)
         whole = ssm._stage(ad.Tensor(h), ssm.kernel_t(core, length), core["d"])  # all channels
-        np.testing.assert_array_equal(blocked.data, whole.data)
+        convs, inner = [], ssm.causal_conv_t
+        monkeypatch.setattr(ssm, "causal_conv_t",
+                            lambda u, k: convs.append((k.shape, k.dtype)) or inner(u, k))
+        taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
+        assert convs == [((length, 16), dtype), ((length, 4), dtype)]
+        assert taped.requires_grad and taped.dtype == dtype
+        np.testing.assert_array_equal(taped.data, whole.data)
 
     def test_in_place_edit_misses_the_memo(self):
         """A memo keyed on array identity would return the kernel of the old values."""
@@ -442,7 +439,10 @@ class TestForward:
         for name, value in originals.items():
             np.testing.assert_array_equal(mdl.params[name], value, err_msg=name)
 
-    def test_gradient_vs_finite_differences_tiny(self):
+    def test_gradient_vs_finite_differences_tiny(self, monkeypatch):
+        """The perturbed losses run the taped convolution that the analytic gradient
+        differentiates, not the eval scan, whose arrays each S4D leaf's perturbation
+        would rebuild."""
         mdl = tiny_model(seed=6)
         rng = np.random.default_rng(17)
         x = rng.standard_normal((2, 16, 3))
@@ -452,8 +452,11 @@ class TestForward:
             logits = model.forward_t(ad.Tensor(x), leaves)
             return training.cross_entropy_t(logits, labels)
 
+        builds, scan = [], ssm.scan_arrays
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: builds.append(1) or scan(p))
         errors = ad.finite_diff_errors(loss_fn, mdl.leaves(), epsilon=1e-4)
         assert max(errors.values()) <= 1e-4
+        assert builds == []
 
 
 class TestFusedPrimitives:
