@@ -166,7 +166,8 @@ LN_EPS = 1e-5  # LayerNorm's variance floor
 
 
 def glu_t(y, w2, b2):
-    """Gated channel mixing: expand H -> 2H, split, a * sigmoid(b)."""
+    """Gated channel mixing: expand H -> 2H, split, a * sigmoid(b). With `layer_norm_t`,
+    the generic-op reference that `_mix_node`'s bits are tested against."""
     y2 = ad.affine(y, w2, b2)
     half = y2.shape[-1] // 2
     return y2[..., :half] * ad.sigmoid(y2[..., half:])
@@ -189,39 +190,37 @@ def classify_t(g, w3, b3, w4, b4):
 def channel_mix_t(h, leaves, i):
     """Block i after its S4D stage: GLU channel mixing, then LayerNorm if it has one (MS4N).
 
-    When an operand requires a gradient the mix is one tape node; see `_mix_node`.
+    Eval and training run the same node, `_mix_node`; on constants it tapes nothing.
     """
     names = [f"block{i}.{name}" for name in ("w2", "b2", "gamma", "beta")]
-    params = [ad.as_tensor(leaves[name]) for name in names if name in leaves]
-    if h.requires_grad or any(t.requires_grad for t in params):
-        return _mix_node(h, params)
-    h = glu_t(h, *params[:2])
-    return h if len(params) == 2 else layer_norm_t(h, *params[2:])
+    return _mix_node(h, [ad.as_tensor(leaves[name]) for name in names if name in leaves])
 
 
 def _mix_node(h, params):
-    """The taped channel mix as one node with parents h, w2, b2 and, with LayerNorm, gamma, beta.
+    """The channel mix as one node with parents h, w2, b2 and, with LayerNorm, gamma, beta.
 
-    Its output is that of `glu_t` and `layer_norm_t`, run on a short tape. It
-    saves the GLU's linear half a and its sigmoid gate (two arrays shaped like
-    h) and LayerNorm's per-step mean and deviation; its VJP recomputes the
-    GLU output a * gate and its standardized form from those. The VJP takes
-    the generic ops' steps in their order, so its gradients are theirs.
+    Its forward takes `glu_t` and `layer_norm_t`'s steps in their order on plain
+    arrays, in place where that order allows, so its output is theirs bit for bit.
+    It saves the GLU's linear half a and its sigmoid gate (two contiguous arrays
+    shaped like h) and LayerNorm's per-step mean and deviation; its VJP recomputes
+    a * gate and its standardized form from those, in the generic ops' order, so
+    its gradients are theirs.
     """
     w2, b2, *norm = (t.data for t in params)
-    # glu_t is a * sigmoid(b): its partial derivatives are the gate and a
-    glu = glu_t(ad.Tensor(h.data, requires_grad=True), ad.Tensor(w2), ad.Tensor(b2))
-    g, (gate, a) = glu.data, ad.partials(glu)
-    del glu  # the short tape, y2 included, goes before LayerNorm's temporaries come
-    out = g
-    if norm:
-        out = layer_norm_t(ad.Tensor(g), *map(ad.Tensor, norm)).data
-        # the statistics as layer_norm_t forms them, in g's precision
-        width = g.shape[-1]
-        mu = g.sum(axis=-1, keepdims=True) * (1.0 / width)
-        centered = g - mu
-        std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width) + LN_EPS)
-        del centered
+    y2 = ad.affine(h.data, w2, b2).data
+    half = y2.shape[-1] // 2
+    gate = ad.sigmoid(y2[..., half:]).data
+    a = y2[..., :half].copy()
+    del y2  # before the output is allocated, so the forward holds at most 4 activations
+    out = a * gate
+    if norm:  # layer_norm_t's mean, variance and sqrt(var + eps), then its affine steps
+        width = out.shape[-1]
+        mu = out.sum(axis=-1, keepdims=True) * (1.0 / width)
+        out -= mu
+        std = np.sqrt((out * out).sum(axis=-1, keepdims=True) * (1.0 / width) + LN_EPS)
+        out /= std
+        out *= norm[0]
+        out += norm[1]
     lead = tuple(range(h.ndim - 1))
 
     def vjp(grad):
@@ -254,9 +253,10 @@ def forward_t(x, leaves, keeps=None):
     Otherwise it is the scan form: the batch is read in chunks of
     `ssm.STREAM_CHUNK` steps, and each is projected and run through every
     block's `ssm.chunk_scan`, from the state the chunk before left and the scan
-    arrays of one `memo` lookup, then GELU and `channel_mix_t`. A running sum
-    over time feeds `classify_t` its mean. So working memory is
-    O(B*STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is.
+    arrays of one `memo` lookup, then GELU and `channel_mix_t`, whose node the
+    training graph runs too. A running sum over time feeds `classify_t` its
+    mean. So working memory is O(B*STREAM_CHUNK*H + H*T*(T+N)),
+    T = `ssm.SCAN_BLOCK`, whatever L is.
     BLAS is held at one thread: the scan's products are small, and a pool
     thread woken by the mix slowed them.
     """

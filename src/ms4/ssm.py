@@ -257,10 +257,12 @@ def chunk_scan(scan, h, x):
     up to roundoff. The chunk, zero-padded to whole blocks of T steps, takes its products
     per sample and channel, each stacked over that sample's blocks alone, so a sample's
     bits do not depend on the others: with the Toeplitz; with the input-to-state map,
-    whose products a loop turns in place into the state after each block by adding
-    A_bar^T times the state before; and of each block's entry state with the
-    state-to-output map. A short last block of r steps adds only to the state that
-    leaves: the last r rows of the input-to-state map, plus A_bar^r times its entry state.
+    written after the carried h into one block-major (whole blocks + 1, H, B, N/2) array
+    whose slab k a loop over the contiguous slabs turns in place into the state after k
+    whole blocks, by adding A_bar^T times slab k-1; and of every block's entry state,
+    read off that array, with the state-to-output map, as one product. A short last
+    block of r steps adds only to the state that leaves: the last r rows of the
+    input-to-state map, plus A_bar^r times its entry state.
     """
     powers, toeplitz, into, out = scan
     a_bar = powers[:, 1]
@@ -271,17 +273,16 @@ def chunk_scan(scan, h, x):
     (batch, t, width), (full, r) = x.shape, divmod(x.shape[1], SCAN_BLOCK)
     u = np.zeros((width, batch, -(-t // SCAN_BLOCK), SCAN_BLOCK), x.dtype)
     u.reshape(width, batch, -1)[..., :t] = x.transpose(2, 0, 1)
-    h = h.swapaxes(0, 1)  # (H, B, N/2), as the products are stacked
-    states = u[:, :, :full] @ into[:, None]
-    states = states.view(np.result_type(states, 1j))  # the (re, im) pairs as complex
-    for b in range(full):
-        states[:, :, b] += powers[:, SCAN_BLOCK, None] * (states[:, :, b - 1] if b else h)
+    entry = np.empty((full + 1, width, batch, h.shape[-1]), np.result_type(h, x, into))
+    entry[0] = h.swapaxes(0, 1)
+    pairs = entry.view(entry.real.dtype)  # the states as (re, im) pairs, (full + 1, H, B, N)
+    np.matmul(u[:, :, :full], into[:, None], out=pairs[1:].transpose(1, 2, 0, 3))
+    step, carried = powers[:, SCAN_BLOCK, None], np.empty_like(entry[0])
+    for k in range(1, full + 1):
+        entry[k] += np.multiply(step, entry[k - 1], out=carried)
     y = u @ toeplitz[:, None]
-    y[:, :, :1] += h.view(h.real.dtype)[:, :, None] @ out[:, None]
-    if u.shape[2] > 1:
-        y[:, :, 1:] += states.view(states.real.dtype)[:, :, : u.shape[2] - 1] @ out[:, None]
-    if full:
-        h = states[:, :, full - 1]
+    y += pairs[: u.shape[2]].transpose(1, 2, 0, 3) @ out[:, None]
+    h = entry[full]
     if r:
         h = powers[:, r, None] * h + (u[:, :, full, None, :r] @ into[:, None, SCAN_BLOCK - r :]
                                       ).view(h.dtype)[:, :, 0]

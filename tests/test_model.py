@@ -373,8 +373,8 @@ class TestForward:
         mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=47)
         leaves = {k: ad.Tensor(v) for k, v in mdl.params.items()}
         h = ad.Tensor(np.random.default_rng(47).standard_normal((1, self.ROWS + 1, 20)))
-        seen, inner = [], model.glu_t
-        monkeypatch.setattr(model, "glu_t", lambda y, w2, b2: seen.append(y) or inner(y, w2, b2))
+        seen, inner = [], model._mix_node
+        monkeypatch.setattr(model, "_mix_node", lambda y, params: seen.append(y) or inner(y, params))
         model.channel_mix_t(h, leaves, 0)
         assert len(seen) == 1 and seen[0] is h
 
@@ -529,13 +529,33 @@ class TestFusedPrimitives:
         names = ("w2", "b2", "gamma", "beta")
         assert mix._parents == (stage, *(t[f"block0.{name}"] for name in names))
 
+    def test_taped_mix_forward_memory(self):
+        """The mix's forward on a B=8, L=512, H=N=64 MS4N input whose leaves require
+        gradients peaks within 4.5 (B, L, H) float64 activations, and its node keeps 3.1:
+        the output, the GLU's linear half and its gate. Run on a short tape, with the
+        partials copied off it, it peaked at 6.06."""
+        batch, length, hidden = 8, 512, 64
+        mdl = model.init_model(1, hidden, hidden, 2, dropout_rate=0.0, seed=55)
+        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+        h = ad.Tensor(np.random.default_rng(55).standard_normal((batch, length, hidden)))
+        tracemalloc.start()
+        try:
+            mix = model.channel_mix_t(h, leaves, 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation = batch * length * hidden * 8
+        assert mix.requires_grad
+        assert peak <= 4.5 * activation
+        assert kept <= 3.1 * activation
+
     def test_long_training_step_peak_memory(self):
         """One B=8, L=4096, H=N=64 MS4N step, dropout 0.1, as one shard: the mask draw,
         forward_t, the loss and gradients, within 14 (B, L, H) float64 activations
         (235 MB). The generic-op tape kept every intermediate and peaked at 514 MB; a
-        projection that kept both x @ w1 and its sum with b1 peaked at 14.09.
-        Still open: 12 activations (201 MB), which needs the channel mix to hold less,
-        both while its forward's short tape is alive and in its VJP."""
+        projection that kept both x @ w1 and its sum with b1 peaked at 14.09. The peak,
+        13.09 activations, sits in the backward. Still open: 12 activations (201 MB),
+        which needs the channel mix to hold less in its VJP."""
         batch, length, hidden = 8, 4096, 64
         mdl = model.init_model(1, hidden, hidden, 2, dropout_rate=0.1, seed=53)
         rng = np.random.default_rng(53)
