@@ -40,7 +40,6 @@ __all__ = [
     "gelu",
     "real",
     "make_complex",
-    "causal_conv",
     "affine",
     "finite_diff_errors",
 ]
@@ -152,7 +151,7 @@ class Tensor:
 
         def vjp(g):
             buf = np.zeros(shape, dtype=dtype if np.iscomplexobj(g) else g.dtype)
-            buf[idx] += g
+            np.add.at(buf, idx, g)  # `buf[idx] += g` adds a repeated index once
             return (buf,)
 
         return node(out, (self,), vjp)
@@ -388,31 +387,6 @@ def make_complex(re, im):
     re, im = as_tensor(re), as_tensor(im)
     out = re.data + 1j * im.data
     return node(out, (re, im), lambda g: (g.real, g.imag))
-
-
-def causal_conv(x, kernel, n):
-    """Causal convolution y[k] = sum_{j<=k} K[j] x[k-j] along axis -2.
-
-    x is (..., L, H) and the kernel K is (L, H); both are zero-padded to
-    n >= 2L-1 points of a real FFT, so the circular product has no wraparound.
-    The adjoints are the matching correlations, computed from the saved
-    spectra; the kernel's is summed over the broadcast leading axes of x.
-    """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    length = x.shape[-2]
-    if n < 2 * length - 1:
-        raise ValueError(f"FFT length {n} is below 2L-1 = {2 * length - 1}")
-    xf = np.fft.rfft(x.data, n=n, axis=-2)
-    kf = np.fft.rfft(kernel.data, n=n, axis=-2)
-    out = np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
-
-    def vjp(g):
-        gf = np.fft.rfft(g, n=n, axis=-2)
-        gx = np.fft.irfft(gf * np.conj(kf), n=n, axis=-2)[..., :length, :]
-        gk = np.fft.irfft(_unbroadcast(gf * np.conj(xf), kf.shape), n=n, axis=-2)[:length]
-        return gx, gk
-
-    return node(out, (x, kernel), vjp)
 
 
 # -- backward pass ------------------------------------------------------------

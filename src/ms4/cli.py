@@ -9,8 +9,8 @@ error or a file that cannot be read or written, 3 numeric failure.
 The tolerance gates of `stream --check` and `gradcheck` fail closed: a NaN
 or negative --tol is a usage error, and a NaN deviation or error is a
 numeric failure, as is a non-finite logit in `eval` or `stream`. Both score
-with the recurrence, O(H*N) state per block and sequence; `stream --check`
-compares it with the convolution form. No verb mutates its input files.
+with the block scan, O(H*N) state per block and sequence; `stream --check`
+compares it with the per-step recurrence. No verb mutates its input files.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--check", action="store_true",
-                   help="compare with the convolution form and print the max abs deviation")
+                   help="compare with the per-step recurrence and print the max abs deviation")
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient engine")
@@ -224,10 +224,7 @@ def _cmd_stream(args):
     def streamed(mdl, x):
         logits = model_mod.batch_logits(x, mdl)
         if args.check and np.isfinite(logits).all():
-            # the convolution form: `forward_t` on the taped stage
-            leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
-            reference = model_mod.forward_t(ad.Tensor(x), leaves).data
-            deviations.append(np.abs(logits - reference).max())
+            deviations.append(np.abs(logits - _recurrence_logits(mdl, x)).max())
         return logits
 
     # a block of one forward: stream memory is bounded by SCORE_ROWS rows too
@@ -239,10 +236,24 @@ def _cmd_stream(args):
     deviation = float(np.max(deviations))
     if not (deviation <= args.tol):
         raise NumericError(
-            f"the recurrence and convolution forms deviate by {deviation} > tol {args.tol}"
+            f"the block scan and the per-step recurrence deviate by {deviation} > tol {args.tol}"
         )
     print(repr(deviation))
     return 0
+
+
+def _recurrence_logits(mdl, x):
+    """Logits of (n, L, F) sequences through the per-step recurrence: `ssm.stream_sequence`
+    for each block, then `forward_t`'s GELU, mix and head."""
+    p, logits = mdl.params, []
+    for seq in x:
+        h = seq @ p["w1"] + p["b1"]
+        for i in range(mdl.n_layers):
+            y = ssm_mod.stream_sequence(model_mod.block_core(p, i), h)
+            h = model_mod.channel_mix_t(ad.gelu(y), p, i).data
+        mean = ad.Tensor(h.sum(axis=0).reshape(1, 1, -1) / len(seq))
+        logits.append(model_mod.classify_t(mean, p["w3"], p["b3"], p["w4"], p["b4"]).data[0])
+    return np.array(logits)
 
 
 def _cmd_gradcheck(args):

@@ -248,17 +248,17 @@ def forward_t(x, leaves, keeps=None):
 
     The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
     multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
-    When an operand requires a gradient this is the training graph, which runs
-    each block's convolution stage `ssm.s4d_apply` over the whole sequence.
-    Otherwise it is the scan form: the batch is read in chunks of
-    `ssm.STREAM_CHUNK` steps, and each is projected and run through every
-    block's `ssm.chunk_scan`, from the state the chunk before left and the scan
-    arrays of one `memo` lookup, then GELU and `channel_mix_t`, whose node the
-    training graph runs too. A running sum over time feeds `classify_t` its
-    mean. So working memory is O(B*STREAM_CHUNK*H + H*T*(T+N)),
-    T = `ssm.SCAN_BLOCK`, whatever L is.
-    BLAS is held at one thread: the scan's products are small, and a pool
-    thread woken by the mix slowed them.
+    When an operand requires a gradient this is the training graph, whose
+    blocks are each two nodes over the whole sequence: `ssm.s4d_apply`, which
+    runs `ssm.chunk_scan` chunk by chunk on maps built from the leaves, and
+    `channel_mix_t`. Otherwise it is the eval forward: the batch is read in
+    chunks of `ssm.STREAM_CHUNK` steps, and each is projected and run through
+    every block's `ssm.chunk_scan`, from the state the chunk before left and
+    the scan arrays of one `memo` lookup, then GELU and `channel_mix_t`. A
+    running sum over time feeds `classify_t` its mean, so working memory is
+    O(B*STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is. BLAS
+    is held at one thread: the scan's products are small, and a pool thread
+    woken by the mix slowed them.
     """
     n = block_count(leaves)
     if x.requires_grad or any(t.requires_grad for t in leaves.values()):
@@ -441,7 +441,6 @@ def stream_logits(model, x):
 
 # -- complexity accounting -----------------------------------------------------
 
-KERNEL_MACS_PER_ENTRY = 6  # 2 to form k*delta*lambda, 4 for the complex multiply-accumulate
 NORM_MACS_PER_ENTRY = 4  # mean, variance, scale, affine passes
 
 
@@ -453,26 +452,25 @@ def count_params(model):
 def mac_breakdown(model, length):
     """Analytic multiply-accumulate counts per stage for one forward pass.
 
-    FFT stages are charged 5*P*log2(P) real MACs per transform at padded
-    length P plus four per pointwise complex product; these are the only
-    terms not proportional to L. The head and pooling costs are L-independent
-    constants. Transcendental evaluations (GELU, sigmoid, exp) are not
-    counted as MACs. The `ssm_kernel` and `ssm_fft` counts are those of the
-    training forward, whose convolution stage computes each kernel and makes
-    three transforms per channel; an eval forward runs `ssm.chunk_scan`
-    instead and makes neither.
+    Every forward runs `ssm.chunk_scan` over blocks of T = `ssm.SCAN_BLOCK` steps,
+    the last zero-padded. `ssm_kernel` builds the scan's arrays, whatever L is:
+    per mode, two MACs to form k*delta*lambda for each power A_bar^k, k <= T, and
+    four per complex entry of K[:T] and of the two maps. `ssm_fft` is the scan per
+    block and channel: the (T, T) Toeplitz, (T, N) input-to-state and (N, T)
+    state-to-output products, and the carry, one complex product per mode. D sits
+    on the Toeplitz's diagonal, so `feedthrough` is 0. The head and pooling are
+    L-independent; GELU, sigmoid and exp are not counted.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    hidden = model.n_hidden
-    modes = model.n_state // 2
-    padded = ssm.fft_length(length)
-    fft_per_channel = 3 * 5 * padded * int(np.log2(padded)) + 4 * padded
+    hidden, state, block = model.n_hidden, model.n_state, ssm.SCAN_BLOCK
+    build = (state // 2) * (2 * (block + 1) + 3 * 4 * block)
+    scan = -(-length // block) * (block * block + 2 * block * state + 2 * state)
     counts = {
         "projection": length * model.n_features * hidden,
-        "ssm_kernel": model.n_layers * length * hidden * modes * KERNEL_MACS_PER_ENTRY,
-        "ssm_fft": model.n_layers * hidden * fft_per_channel,
-        "feedthrough": model.n_layers * length * hidden,
+        "ssm_kernel": model.n_layers * hidden * build,
+        "ssm_fft": model.n_layers * hidden * scan,
+        "feedthrough": 0,
         "mixer": model.n_layers * (length * hidden * 2 * hidden + length * hidden),
         "norm": model.n_layers * NORM_MACS_PER_ENTRY * length * hidden if model.normalized else 0,
         "pooling": length * hidden,

@@ -6,27 +6,21 @@ recovered as 2*Re(sum over modes). Eigenvalues are stored as
 lambda = -exp(log_a_real) + i*a_imag, which keeps Re(lambda) < 0 (and hence
 |exp(delta*lambda)| < 1) for every parameter value an optimizer can reach.
 
-The layer has two equivalent execution forms:
+The layer has two equivalent forms: the convolution with the impulse
+response K[k] = 2*Re(C A_bar^k B_bar) via padded real FFTs
+(`compute_kernel`, `fft_causal_conv`), against which the scan is checked,
+and the recurrence h' = A_bar h + B_bar x, y = 2*Re(C h') + D x.
 
-* convolution: materialize the impulse response K[k] = 2*Re(C A_bar^k B_bar)
-  and convolve causally via padded real FFTs; only training's graph runs it, and
-* recurrence: h' = A_bar h + B_bar x, y = 2*Re(C h') + D x, one step at a
-  time with state of size H x N/2 regardless of sequence length.
-
-Every eval forward runs the recurrence as block matmuls (`chunk_scan`): a
-(B, t, H) chunk of at most STREAM_CHUNK steps, entered with carried state h,
-is cut into blocks of T = SCAN_BLOCK steps. A block's output is its input
-times the (T, T) Toeplitz of K[:T] plus D, plus its entry state times a (N, T)
-map to 2*Re(C A_bar^(k+1) h); a block's state leaves as A_bar^T h plus its
-input times a (T, N) map. Memory is O(B*STREAM_CHUNK*H + H*T*(T+N)) whatever
-the sequence length; the state is a plain (B, H, N/2) complex array.
-
-The module keeps no state: the scan takes a core's `scan_arrays` from its
-caller, which may keep them (`model.memo`). The convolution stage is one tape
-node that saves GELU's slope and recomputes the spectra in its VJP. Since the
-H channels are independent, it runs in slices of at most CHANNEL_BLOCK
-channels, so their FFT spectra stay in cache.
-"""
+Every forward, eval's and training's, runs the recurrence as block matmuls
+(`chunk_scan`): a (B, t, H) chunk of at most STREAM_CHUNK steps, entered with
+carried state h, is cut into blocks of T = SCAN_BLOCK steps. A block's output
+is its input times the (T, T) Toeplitz of K[:T] plus D, plus its entry state
+times a (N, T) map to 2*Re(C A_bar^(k+1) h); a block's state leaves as
+A_bar^T h plus its input times a (T, N) map. Memory is
+O(B*STREAM_CHUNK*H + H*T*(T+N)) whatever the sequence length. The module
+keeps no state: the scan takes a core's `scan_arrays` from its caller, which
+may keep them (`model.memo`). Training's stage, `s4d_apply`, is one tape
+node over the same scan."""
 
 from __future__ import annotations
 
@@ -41,7 +35,6 @@ from . import autodiff as ad
 # the per-channel feedthrough gain d and log step size log_delta, both (H,).
 SSM_LEAF_NAMES = ("log_a_real", "a_imag", "b_re", "b_im", "c_re", "c_im", "d", "log_delta")
 
-CHANNEL_BLOCK = 16  # most channels per pass of the S4D stage and its VJP
 DT_MIN, DT_MAX = 1e-3, 1e-1  # an initial step size delta is log-uniform in [DT_MIN, DT_MAX)
 
 
@@ -113,79 +106,142 @@ def kernel_t(p, length):
 def causal_conv_t(x, kernel):
     """Linear causal convolution per channel via FFTs padded past 2L-1.
 
-    x is (..., L, H) and the kernel (L, H); the padded length `fft_length(L)`
-    rules out circular wraparound, so the first L outputs equal the direct sum
-    y[k] = sum_{j<=k} K[j] x[k-j].
+    x is (..., L, H) and the kernel (L, H), plain arrays; the padded length,
+    the power of two at or above 2L - 1, rules out circular wraparound, so the
+    first L outputs equal the direct sum y[k] = sum_{j<=k} K[j] x[k-j].
     """
-    return ad.causal_conv(x, kernel, fft_length(x.shape[-2]))
+    length = x.shape[-2]
+    n = 1 << (2 * length - 2).bit_length()
+    xf = np.fft.rfft(x, n=n, axis=-2)
+    kf = np.fft.rfft(kernel, n=n, axis=-2)
+    return np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
 
 
 def s4d_apply(x, p, keep=None):
-    """Full S4D stage on a projected input: conv + feedthrough, GELU, then dropout.
+    """Full S4D stage on a projected (..., L, H) input: scan + feedthrough, GELU, then dropout.
 
     `keep` is the dropout multiplier, shaped like the output: 0 where a unit
     is dropped and 1/(1 - rate) where it is kept. Without it no dropout runs.
-    The stage runs on at most CHANNEL_BLOCK channels at a time, and each
-    channel's arithmetic is that of `_stage` on the whole width, so the output
-    is bit-identical to it; see `_stage_node`.
+    One node with parents x, the powers A_bar^0..T, B_bar, C and d. Its forward
+    runs `chunk_scan` from a zero state, as the eval forward does, and saves
+    GELU's slope, `keep` and each chunk's entry state. Its VJP walks the chunks
+    backward: it carries the state adjoint back over the blocks,
+    leaving[k] = conj(A_bar^T) leaving[k+1] + gy_(k+1) @ out^T, then forward,
+    recomputing each block's entry state, with products over at least T rows.
     """
-    return _stage_node(x, kernel_t(p, x.shape[-2]), ad.as_tensor(p["d"]), keep)
-
-
-def _stage_node(x, kernel, d, keep):
-    """The taped stage as one node with parents x, the kernel and d.
-
-    It saves GELU's slope (one array shaped like x) and `keep`. Its VJP
-    recomputes the spectra of x and the kernel, one channel block at a time.
-    """
-    n = fft_length(x.shape[-2])
-    slope = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
-    out = _blocks(x.data, kernel.data, d.data, slope)
-    if keep is not None:
-        out = out * keep
+    _, b_bar, rate = discretize_t(p)
+    powers, c, d = powers_t(rate), ad.make_complex(p["c_re"], p["c_im"]), ad.as_tensor(p["d"])
+    xs = x.data.reshape(-1, *x.shape[-2:])  # any leading axes, as one batch axis
+    (batch, length, width), modes, t = xs.shape, powers.shape[-1], SCAN_BLOCK
+    scan = (powers.data, *scan_maps(powers.data, b_bar.data, c.data, d.data))
+    out = np.empty(xs.shape, np.result_type(xs, scan[1]))
+    slope, entries, state = np.empty_like(out), [], np.zeros((batch, width, modes), powers.dtype)
+    for lo in range(0, length, STREAM_CHUNK):
+        part = slice(lo, lo + STREAM_CHUNK)
+        entries.append(state if lo else None)  # the VJP makes the zero state again
+        state, y = chunk_scan(scan, state, xs[:, part])
+        act = ad.gelu(ad.Tensor(y, requires_grad=True))
+        out[:, part], (slope[:, part],) = act.data, ad.partials(act)
+    del state, scan
+    out = out.reshape(x.shape) if keep is None else out.reshape(x.shape) * keep
 
     def vjp(g):
-        u = (g if keep is None else g * keep) * slope  # the adjoint of conv + d*x
-        length, lead = x.shape[-2], tuple(range(x.ndim - 2))
-        gx, gk, gd = (np.empty(shape, u.dtype) for shape in (x.shape, kernel.shape, d.shape))
-        for part in _channel_blocks(x.shape[-1]):
-            uf = np.fft.rfft(u[..., part], n=n, axis=-2)
-            kf = np.fft.rfft(kernel.data[:, part], n=n, axis=0)
-            xf = np.fft.rfft(x.data[..., part], n=n, axis=-2)
-            gx[..., part] = (np.fft.irfft(uf * np.conj(kf), n=n, axis=-2)[..., :length, :]
-                             + u[..., part] * d.data[part])
-            gk[:, part] = np.fft.irfft((uf * np.conj(xf)).sum(axis=lead), n=n, axis=0)[:length]
-            gd[part] = (u[..., part] * x.data[..., part]).sum(axis=lead + (x.ndim - 2,))
-        return gx, gk, gd
+        # the adjoint of scan + d*x, in the slope's buffer unless g or keep widens it
+        u = slope.astype(np.result_type(slope, g, 1.0 if keep is None else keep), copy=False)
+        u = u.reshape(x.shape)
+        u *= g
+        if keep is not None:
+            u *= keep
+        gx = u = u.reshape(xs.shape)  # gx overwrites each chunk of u once it is blocked
+        toeplitz, into, out_map = scan_maps(powers.data, b_bar.data, c.data, d.data)
+        maps = np.concatenate([toeplitz.swapaxes(1, 2), into.swapaxes(1, 2)], axis=1)  # (H, T+N, T)
+        into, back = maps[:, t:].swapaxes(1, 2)[:, None], out_map.swapaxes(1, 2)[:, None]
+        step, group = powers.data[:, t, None], max(1, t // batch)  # A_bar^T; blocks per product
+        del toeplitz
+        g_maps = np.zeros((width, t, maps.shape[1]), u.dtype)  # of [Toeplitz | into]
+        g_out, g_step = np.zeros(out_map.shape, u.dtype), np.zeros((width, modes), powers.dtype)
+        g_state = np.zeros((width, batch, modes), powers.dtype)  # of the state leaving the chunk
+        for lo in reversed(range(0, length, STREAM_CHUNK)):
+            # per block k, (H, blocks, B, T + N): its output adjoint gy_k, then the adjoint
+            # of the state leaving it, leaving[k], as (re, im) pairs
+            adj = _blocked(u[:, lo : lo + STREAM_CHUNK], 2 * modes)
+            leaving, starts = _complex(adj[..., t:]), range(0, adj.shape[1], group)
+            for k in reversed(starts):
+                terms = _complex(adj[:, k : k + group, :, :t] @ back)
+                g_state = _carry(terms, leaving[:, k : k + group], g_state, step.conj(), True)
+            del terms  # not held through the forward walk
+            state = entries[lo // STREAM_CHUNK]
+            state = np.zeros_like(g_state) if state is None else state.swapaxes(0, 1)
+            for k in starts:
+                blocks, at = slice(k, k + group), lo + k * t
+                xb = _blocked(xs[:, at : min(at + group * t, lo + STREAM_CHUNK)], 0)
+                a = adj[:, blocks].reshape(width, -1, adj.shape[-1])
+                gxb = (a @ maps).reshape(xb.shape)  # the input adjoint, (H, group, B, T)
+                for j, lo_j in enumerate(range(at, at + gxb.shape[1] * t, t)):
+                    gx[:, lo_j : lo_j + t] = gxb[:, j, :, : length - lo_j].transpose(1, 2, 0)
+                del gxb  # before the products below
+                g_maps += xb.reshape(width, -1, t).swapaxes(1, 2) @ a
+                # the entry state of each block, conjugated once it has served g_out
+                states = np.empty(leaving[:, blocks].shape, powers.dtype)
+                state = _carry(_complex(xb @ into), states, state, step, False)
+                g_out += _pairs(states).reshape(width, -1, 2 * modes).swapaxes(1, 2) @ a[..., :t]
+                g_step += np.einsum("hkbm,hkbm->hm", leaving[:, blocks], np.conj(states, out=states))
+            del adj, leaving, a  # before the next chunk's are made
+        return (gx.reshape(x.shape), *_core_adjoints(
+            powers.data, b_bar.data, c.data, g_maps[..., :t], g_maps[..., t:], g_out, g_step))
 
-    return ad.node(out, (x, kernel, d), vjp)
+    return ad.node(out, (x, powers, b_bar, c, d), vjp)
 
 
-def _channel_blocks(width):
-    """Slices of CHANNEL_BLOCK channels over `width`; the last may be narrower."""
-    return [slice(lo, lo + CHANNEL_BLOCK) for lo in range(0, width, CHANNEL_BLOCK)]
+def _core_adjoints(powers, b_bar, c, g_toeplitz, g_into, g_out, g_step):
+    """The adjoints of the powers, B_bar, C and d from those of `scan_maps`' three maps
+    and of A_bar^T = powers[:, T], in the real-pair convention of `autodiff`."""
+    t = SCAN_BLOCK
+    g_kernel = np.stack([np.trace(g_toeplitz, lag, 1, 2) for lag in range(t)], axis=-1)
+    g_into = _complex(g_into)  # of B_bar A_bar^(T-1-i), (H, T, N/2)
+    g_out = _complex(np.ascontiguousarray(g_out.swapaxes(1, 2))).conj()  # of 2 C A_bar^(k+1)
+    cb = c * b_bar
+    g_powers = np.empty_like(powers)
+    g_powers[:, t] = g_step
+    g_powers[:, :t] = 2.0 * g_kernel[..., None] * cb.conj()[:, None]
+    g_powers[:, t - 1 :: -1] += g_into * b_bar.conj()[:, None]
+    g_powers[:, 1:] += 2.0 * g_out * c.conj()[:, None]
+    g_cb = 2.0 * (g_kernel[:, None] @ powers[:, :t].conj())[:, 0]
+    g_b = (g_into * powers[:, t - 1 :: -1].conj()).sum(axis=1) + g_cb * c.conj()
+    g_c = 2.0 * (g_out * powers[:, 1:].conj()).sum(axis=1) + g_cb * b_bar.conj()
+    return g_powers, g_b, g_c, g_kernel[:, 0]  # d sits on the Toeplitz's main diagonal
 
 
-def _blocks(x, kernel, d, slope):
-    """`_stage` on `_channel_blocks` of plain arrays, one at a time; each block's input
-    is a short tape's leaf, and GELU's derivative is written to `slope`."""
-    y = np.empty(x.shape, np.result_type(x.dtype, kernel.dtype, d.dtype))
-    for part in _channel_blocks(x.shape[-1]):
-        act = _stage(ad.Tensor(x[..., part], requires_grad=True), kernel[:, part], d[part])
-        y[..., part] = act.data
-        (slope[..., part],) = ad.partials(act)
-    return y
+def _carry(terms, dest, state, step, backward):
+    """Carry the (H, B, N/2) `state` in place over the (H, blocks, B, N/2) `terms`,
+    state <- step * state + terms[:, k], last block first if `backward`, writing to
+    dest[:, k] the state carried into block k. Returns `state`."""
+    for k in reversed(range(terms.shape[1])) if backward else range(terms.shape[1]):
+        dest[:, k] = state
+        state *= step
+        state += terms[:, k]
+    return state
 
 
-def _stage(x, kernel, d):
-    """Convolution plus feedthrough, then GELU: the convolution stage's maths."""
-    return ad.gelu(causal_conv_t(x, kernel) + x * d)
+def _blocked(x, extra):
+    """A (B, t, H) chunk as zero-padded blocks of T = SCAN_BLOCK steps, laid out as
+    (H, blocks, B, T + extra); the last `extra` entries of each row stay zero."""
+    out = np.zeros((x.shape[2], -(-x.shape[1] // SCAN_BLOCK), x.shape[0], SCAN_BLOCK + extra),
+                   x.dtype)
+    for k, at in enumerate(range(0, x.shape[1], SCAN_BLOCK)):
+        part = x[:, at : at + SCAN_BLOCK].transpose(2, 0, 1)
+        out[:, k, :, : part.shape[2]] = part
+    return out
 
 
-def fft_length(length):
-    """The FFT length of a causal convolution over `length` steps: the power of
-    two at or above 2*length - 1, so the padded transform does not wrap around."""
-    return 1 << (2 * int(length) - 2).bit_length()
+def _pairs(z):
+    """A complex array as its real (re, im) pairs along the last axis, a view."""
+    return z.view(z.real.dtype)
+
+
+def _complex(pairs):
+    """Real (re, im) pairs along the last axis as a complex array, a view."""
+    return pairs.view(np.result_type(pairs, 1j))
 
 
 # -- plain-array surface -------------------------------------------------------
@@ -210,7 +266,7 @@ def fft_causal_conv(x, kernel):
     kernel = np.asarray(kernel)
     if x.shape[-2:] != kernel.shape:
         raise ValueError(f"input {x.shape} does not match kernel {kernel.shape}")
-    return causal_conv_t(ad.Tensor(x), ad.Tensor(kernel)).data
+    return causal_conv_t(x, kernel)
 
 
 def recurrent_step(h, x_k, a_bar, b_bar, c, d):
@@ -231,22 +287,34 @@ SCAN_BLOCK = 32  # T: steps per block of `chunk_scan`'s matmuls
 
 def scan_arrays(core):
     """What `chunk_scan` reads, for blocks of T = SCAN_BLOCK steps: the (H, T+1, N/2) powers
-    A_bar^0..T; the (H, T, T) upper Toeplitz of K[:T] with D added on its diagonal; and the
-    (H, T, N) input-to-state map B_bar A_bar^(T-1-i) and the (H, N, T) state-to-output map
-    2 C A_bar^(k+1), both as real (re, im) pairs, since numpy's complex @ real product runs
-    no BLAS."""
-    _, b_bar, rate = (v.data for v in discretize_t(core))
-    c, real = core["c_re"] + 1j * core["c_im"], rate.real.dtype
-    powers = np.exp(rate[:, None, :] * np.arange(SCAN_BLOCK + 1, dtype=real)[:, None])  # A_bar^0..T
-    kernel = 2.0 * (powers[:, :SCAN_BLOCK] @ (c * b_bar)[:, :, None]).real[..., 0]
-    lag = np.arange(SCAN_BLOCK) - np.arange(SCAN_BLOCK)[:, None]
-    toeplitz = np.where(lag >= 0, kernel[:, lag.clip(0)], 0) + core["d"][:, None, None] * (lag == 0)
-    into = (b_bar[:, None, :] * powers[:, SCAN_BLOCK - 1 :: -1]).view(real)
-    out = (2.0 * c[:, None, :] * powers[:, 1:]).conj().view(real).swapaxes(1, 2)
+    A_bar^0..T, then `scan_maps` of them."""
+    _, b_bar, rate = discretize_t(core)
+    powers = powers_t(rate).data
+    maps = scan_maps(powers, b_bar.data, core["c_re"] + 1j * core["c_im"], core["d"])
     # Copied last, so the kept arrays sit above the build's freed temporaries
     # in the malloc heap; kept below them, they left the heap top free, and
     # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    return tuple(v.copy() for v in (powers, toeplitz, into, out))
+    return tuple(v.copy() for v in (powers, *maps))
+
+
+def powers_t(rate):
+    """The (H, T+1, N/2) powers A_bar^0..T = exp(rate * k), k <= T = SCAN_BLOCK."""
+    k = np.arange(SCAN_BLOCK + 1, dtype=rate.data.real.dtype)[:, None]
+    return ad.exp(rate.reshape(rate.shape[0], 1, -1) * k)
+
+
+def scan_maps(powers, b_bar, c, d):
+    """`chunk_scan`'s maps from the (H, T+1, N/2) powers A_bar^0..T, B_bar, C and d: the
+    (H, T, T) upper Toeplitz of K[:T] with d added on its diagonal; and the (H, T, N)
+    input-to-state map B_bar A_bar^(T-1-i) and the (H, N, T) state-to-output map
+    2 C A_bar^(k+1), both as real (re, im) pairs, since numpy's complex @ real product
+    runs no BLAS. Each is C-contiguous: BLAS may round a transposed operand otherwise."""
+    kernel = 2.0 * (powers[:, :SCAN_BLOCK] @ (c * b_bar)[:, :, None]).real[..., 0]
+    lag = np.arange(SCAN_BLOCK) - np.arange(SCAN_BLOCK)[:, None]
+    toeplitz = np.where(lag >= 0, kernel[:, lag.clip(0)], 0) + d[:, None, None] * (lag == 0)
+    into = _pairs(b_bar[:, None, :] * powers[:, SCAN_BLOCK - 1 :: -1])
+    out = _pairs((2.0 * c[:, None, :] * powers[:, 1:]).conj()).swapaxes(1, 2)
+    return toeplitz, into, np.ascontiguousarray(out)
 
 
 def chunk_scan(scan, h, x):
@@ -275,7 +343,7 @@ def chunk_scan(scan, h, x):
     u.reshape(width, batch, -1)[..., :t] = x.transpose(2, 0, 1)
     entry = np.empty((full + 1, width, batch, h.shape[-1]), np.result_type(h, x, into))
     entry[0] = h.swapaxes(0, 1)
-    pairs = entry.view(entry.real.dtype)  # the states as (re, im) pairs, (full + 1, H, B, N)
+    pairs = _pairs(entry)  # the states as (re, im) pairs, (full + 1, H, B, N)
     np.matmul(u[:, :, :full], into[:, None], out=pairs[1:].transpose(1, 2, 0, 3))
     step, carried = powers[:, SCAN_BLOCK, None], np.empty_like(entry[0])
     for k in range(1, full + 1):

@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's FFT/vectorized code paths: the brute
-force convolution is a double loop, its gradient is the hand-derived loop
-sum, and the kernel oracle drives the recurrence with a unit impulse. `piped`
+force convolution is a double loop, and the kernel oracle drives the
+recurrence with a unit impulse. `piped`
 serves a file through a named pipe, which has no size to read.
 """
 
@@ -36,25 +36,6 @@ def direct_causal_conv(x, kernel):
     for k in range(length):
         y[k] = (kernel[: k + 1] * x[k::-1]).sum(axis=0)
     return y
-
-
-def naive_conv_grads(x, kernel, probe):
-    """Gradients of sum(probe * conv(x, kernel)) from the double-loop definition.
-
-    d/dx[i]   = sum_{k >= i} probe[k] K[k-i]
-    d/dK[j]   = sum_{k >= j} probe[k] x[k-j]
-    """
-    x = np.asarray(x, dtype=float)
-    kernel = np.asarray(kernel, dtype=float)
-    probe = np.asarray(probe, dtype=float)
-    length = kernel.shape[0]
-    gx = np.zeros_like(x)
-    gk = np.zeros_like(kernel)
-    for k in range(length):
-        for j in range(k + 1):
-            gx[k - j] += probe[k] * kernel[j]
-            gk[j] += probe[k] * x[k - j]
-    return gx, gk
 
 
 def impulse_kernel_oracle(params, length):

@@ -244,22 +244,19 @@ class TestForward:
 
     @pytest.mark.parametrize("length", [1, 37, 4097, 8193])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_blocked_eval_stage_equals_taped(self, monkeypatch, dtype, length):
-        """The taped convolution stage runs in CHANNEL_BLOCK-wide channel blocks at every
-        L, each convolved with its real kernel columns, and has the bits of `_stage` over
-        the whole width. H=20 is one full block and a partial one."""
-        assert ssm.CHANNEL_BLOCK == 16
+    def test_blocked_eval_stage_equals_taped(self, dtype, length):
+        """The taped stage has the eval forward's bits: `chunk_scan` over chunks of
+        STREAM_CHUNK steps from a zero state, then GELU, chunk by chunk."""
         mdl = model.init_model(3, 20, 8, 3, dropout_rate=0.0, seed=41)
         h = np.random.default_rng(41).standard_normal((2, length, 20)).astype(dtype)
         core = {k: v.astype(dtype) for k, v in model.block_core(mdl.params, 0).items()}
-        whole = ssm._stage(ad.Tensor(h), ssm.kernel_t(core, length), core["d"])  # all channels
-        convs, inner = [], ssm.causal_conv_t
-        monkeypatch.setattr(ssm, "causal_conv_t",
-                            lambda u, k: convs.append((k.shape, k.dtype)) or inner(u, k))
+        scan, state, chunks = ssm.scan_arrays(core), np.zeros((2, 20, 4), np.result_type(dtype, 1j)), []
+        for lo in range(0, length, ssm.STREAM_CHUNK):
+            state, y = ssm.chunk_scan(scan, state, h[:, lo : lo + ssm.STREAM_CHUNK])
+            chunks.append(ad.gelu(y).data)
         taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
-        assert convs == [((length, 16), dtype), ((length, 4), dtype)]
         assert taped.requires_grad and taped.dtype == dtype
-        np.testing.assert_array_equal(taped.data, whole.data)
+        np.testing.assert_array_equal(taped.data, np.concatenate(chunks, axis=1))
 
     def test_in_place_edit_misses_the_memo(self):
         """A memo keyed on array identity would return the kernel of the old values."""
@@ -345,8 +342,8 @@ class TestForward:
     def test_sliced_eval_mix_equals_taped(self, monkeypatch, batch, length, rows, dtype,
                                           n_layers):
         """The eval forward mixes each chunk of STREAM_CHUNK steps once per block, one step
-        left over included, with the taped mix's bits on the same input; H=20 leaves a
-        partial CHANNEL_BLOCK in the taped stage. The logits are the taped forward's."""
+        left over included, with the taped mix's bits on the same input. The logits are
+        the taped forward's."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=n_layers, dropout_rate=0.0, seed=46)
         x = np.random.default_rng(46).standard_normal((batch, length, 3)).astype(dtype)
         arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
@@ -460,16 +457,15 @@ class TestForward:
 
 
 class TestFusedPrimitives:
-    """The taped S4D stage and channel mix are one node each; they must give the
-    generic-op composition's loss and logits exactly and its gradients closely."""
+    """The taped channel mix is one node; it must give the generic-op composition's
+    loss and logits exactly and its gradients closely."""
 
     @staticmethod
     def unfused(x, t, keeps=None):
-        """`forward_t` written with the generic ops: `_stage`, `glu_t` and `layer_norm_t`."""
+        """`forward_t` with the mix written in the generic ops `glu_t` and `layer_norm_t`."""
         h = x @ t["w1"] + t["b1"]
         for i in range(model.block_count(t)):
-            core = model.block_core(t, i)
-            h = ssm._stage(h, ssm.kernel_t(core, h.shape[-2]), core["d"])
+            h = ssm.s4d_apply(h, model.block_core(t, i))
             if keeps is not None:
                 h = h * keeps[i]
             h = model.glu_t(h, t[f"block{i}.w2"], t[f"block{i}.b2"])
@@ -482,7 +478,6 @@ class TestFusedPrimitives:
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_fused_equals_unfused(self, n_layers, normalized, rate, dtype):
-        """H=20 is one full CHANNEL_BLOCK and a partial one."""
         mdl = model.init_model(3, 20, 8, 3, n_layers=n_layers, normalized=normalized,
                                dropout_rate=rate, seed=51)
         arrays = {k: v.astype(dtype) for k, v in mdl.params.items()}
@@ -524,7 +519,10 @@ class TestFusedPrimitives:
         t = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
         h = ad.Tensor(np.random.default_rng(52).standard_normal((2, 9, 20)))
         stage = ssm.s4d_apply(h, model.block_core(t, 0))
-        assert stage._parents[0] is h and stage._parents[2] is t["block0.ssm.d"]
+        x, powers, b_bar, c, d = stage._parents
+        assert x is h and d is t["block0.ssm.d"]
+        assert powers.shape == (20, ssm.SCAN_BLOCK + 1, 4) and b_bar.shape == c.shape == (20, 4)
+        assert all(p.requires_grad and p.dtype == complex for p in (powers, b_bar, c))
         mix = model.channel_mix_t(stage, t, 0)
         names = ("w2", "b2", "gamma", "beta")
         assert mix._parents == (stage, *(t[f"block0.{name}"] for name in names))
@@ -549,14 +547,10 @@ class TestFusedPrimitives:
         assert peak <= 4.5 * activation
         assert kept <= 3.1 * activation
 
-    def test_long_training_step_peak_memory(self):
-        """One B=8, L=4096, H=N=64 MS4N step, dropout 0.1, as one shard: the mask draw,
-        forward_t, the loss and gradients, within 14 (B, L, H) float64 activations
-        (235 MB). The generic-op tape kept every intermediate and peaked at 514 MB; a
-        projection that kept both x @ w1 and its sum with b1 peaked at 14.09. The peak,
-        13.09 activations, sits in the backward. Still open: 12 activations (201 MB),
-        which needs the channel mix to hold less in its VJP."""
-        batch, length, hidden = 8, 4096, 64
+    @staticmethod
+    def step_peak(batch, length, hidden=64):
+        """tracemalloc's peak over one MS4N shard step, dropout 0.1: the mask draw,
+        forward_t, the loss and gradients, in (B, L, H) float64 activations."""
         mdl = model.init_model(1, hidden, hidden, 2, dropout_rate=0.1, seed=53)
         rng = np.random.default_rng(53)
         x = rng.standard_normal((batch, length, 1))
@@ -571,7 +565,39 @@ class TestFusedPrimitives:
         finally:
             tracemalloc.stop()
         assert all(np.isfinite(g).all() for g in grads.values())
-        assert peak <= 14 * batch * length * hidden * 8
+        return peak / (batch * length * hidden * 8)
+
+    def test_shard_training_step_peak_memory(self):
+        """The `train` workload's shard, B=32, L=128, H=N=64, within 15.5 activations. It
+        reads 15.28: the scan's maps and their adjoints are H*T*(T+N) arrays, 1.25
+        activations at this shape, and the VJP holds a chunk's output adjoints and
+        leaving-state adjoints, 3 activations at L <= STREAM_CHUNK. The FFT stage
+        read 13.30."""
+        assert self.step_peak(32, 128) <= 15.5
+
+    def test_long_training_step_peak_memory(self):
+        """One B=8, L=4096, H=N=64 MS4N step, dropout 0.1, as one shard: the mask draw,
+        forward_t, the loss and gradients, within 14 (B, L, H) float64 activations
+        (235 MB). The generic-op tape kept every intermediate and peaked at 514 MB; a
+        projection that kept both x @ w1 and its sum with b1 peaked at 14.09, and the
+        FFT stage at 13.10. The scan stage peaks at 12.33 activations (207 MB): its VJP
+        holds one chunk of STREAM_CHUNK steps at a time."""
+        assert self.step_peak(8, 4096) <= 14
+
+    def test_training_step_runs_no_fft(self, monkeypatch):
+        """One form of the layer: a 2-block training run, its steps and validations,
+        calls nothing in np.fft."""
+
+        class NoFft:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.fft.{name} called")
+
+        ds = data.synth_freq_task(40, 40, seed=57)
+        mdl = model.init_model(1, 8, 8, 2, n_layers=2, dropout_rate=0.1, seed=57)
+        monkeypatch.setattr(np, "fft", NoFft())
+        best, history = training.train(mdl, ds, training.TrainConfig(max_epochs=1, batch_size=16))
+        assert history.n_epochs == 1
+        assert all(np.isfinite(v).all() for v in best.params.values())
 
 
 class TestBatchLogits:
@@ -643,15 +669,23 @@ class TestBatchLogits:
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_scan_equals_the_taped_convolution(self, n_layers, normalized, length):
-        """The two forms of the layer, scored on the same batch: eval's block scan, at
-        lengths inside, at and across SCAN_BLOCK and STREAM_CHUNK edges, against the
-        training graph's FFT convolution (leaves that require gradients)."""
+        """The two forms of the layer, scored on the same batch: the block scan of the eval
+        forward and of the training graph, at lengths inside, at and across SCAN_BLOCK and
+        STREAM_CHUNK edges, against each block's plain FFT convolution plus feedthrough."""
         mdl = tiny_model(normalized=normalized, n_layers=n_layers, seed=59)
         x = np.random.default_rng(length).standard_normal((3, length, 3))
-        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
+        p, h = mdl.params, x @ mdl.params["w1"] + mdl.params["b1"]
+        for i in range(n_layers):
+            core = model.block_core(p, i)
+            y = ssm.fft_causal_conv(h, ssm.compute_kernel(core, length)) + h * core["d"]
+            h = model.channel_mix_t(ad.gelu(ad.Tensor(y)), p, i).data
+        pooled = ad.Tensor(h.mean(axis=1, keepdims=True))
+        expected = model.classify_t(pooled, p["w3"], p["b3"], p["w4"], p["b4"]).data
+        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in p.items()}
         taped = model.forward_t(ad.Tensor(x), leaves)
         assert taped.requires_grad
-        np.testing.assert_allclose(model.batch_logits(x, mdl), taped.data, rtol=0, atol=1e-9)
+        for logits in (model.batch_logits(x, mdl), taped.data):
+            np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_logits_independent_of_cpu_count(self, monkeypatch, cpus):
@@ -874,13 +908,18 @@ class TestCounts:
                 assert b_n[key] == b_p[key]
 
     def test_doubling_length_doubles_linear_terms(self):
-        mdl = model.init_model(4, 16, 8, 5, seed=0)
-        for length in (64, 256):  # powers of two keep the FFT padding aligned
+        """The scan arrays and the head do not depend on L; at whole SCAN_BLOCKs every
+        other count, the scan's included, is linear in L."""
+        mdl = model.init_model(4, 16, 8, 5, n_layers=2, seed=0)
+        for length in (64, 96, 256):
             b1 = model.mac_breakdown(mdl, length)
             b2 = model.mac_breakdown(mdl, 2 * length)
-            linear1 = sum(v for k, v in b1.items() if k not in ("ssm_fft", "head"))
-            linear2 = sum(v for k, v in b2.items() if k not in ("ssm_fft", "head"))
-            assert linear2 == 2 * linear1
+            for key in ("ssm_kernel", "head"):
+                assert b2.pop(key) == b1.pop(key) > 0
+            assert b2 == {k: 2 * v for k, v in b1.items()}
+        block = ssm.SCAN_BLOCK  # a partial block is charged as a whole one
+        assert (model.mac_breakdown(mdl, block + 1)["ssm_fft"]
+                == model.mac_breakdown(mdl, 2 * block)["ssm_fft"])
 
     def test_total_is_breakdown_sum(self):
         mdl = tiny_model()
@@ -1264,11 +1303,11 @@ class TestMemoUse:
         assert model.memo.cache_info() == info
 
     def test_cold_forward_builds_its_spectra_inside_forward_t(self, monkeypatch):
-        """So a trace nests every build in a `forward_t` span: the kernels, and so the
-        spectra, of a training forward, and the scan arrays of an eval forward."""
+        """So a trace nests every build in a `forward_t` span: the scan maps of a training
+        forward, and the scan arrays, and so their maps, of an eval forward."""
         mdl = tiny_model(n_layers=2, seed=54)
         depth, inside, forward_t = [0], [], model.forward_t
-        kernel_t, scan = ssm.kernel_t, ssm.scan_arrays
+        maps, scan = ssm.scan_maps, ssm.scan_arrays
 
         def traced(*args, **kwargs):
             depth[0] += 1
@@ -1278,17 +1317,17 @@ class TestMemoUse:
                 depth[0] -= 1
 
         monkeypatch.setattr(model, "forward_t", traced)
-        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: inside.append(("kernel", depth[0]))
-                            or kernel_t(p, n))
+        monkeypatch.setattr(ssm, "scan_maps", lambda *a: inside.append(("maps", depth[0]))
+                            or maps(*a))
         monkeypatch.setattr(ssm, "scan_arrays", lambda p: inside.append(("scan", depth[0]))
                             or scan(p))
         x = np.random.default_rng(54).standard_normal((2, 16, 3))
         model.forward_t(ad.Tensor(x), {k: ad.Tensor(v, requires_grad=True)
                                        for k, v in mdl.params.items()})
-        assert inside == [("kernel", 1)] * 2
+        assert inside == [("maps", 1)] * 2
         inside.clear()
         model.forward(x[0], mdl)
-        assert inside == [("scan", 1)] * 2
+        assert inside == [("scan", 1), ("maps", 1)] * 2
 
     def test_stream_looks_up_once(self):
         mdl = tiny_model(n_layers=2, seed=52)

@@ -600,6 +600,76 @@ class TestS4dForward:
         )
 
 
+class TestScanStage:
+    """The taped stage `ssm.s4d_apply`, one node over the block scan, against the plain
+    FFT convolution, and its VJP against central differences."""
+
+    @staticmethod
+    def reference(h, p):
+        """GELU of the FFT convolution plus feedthrough, in float64, per sample."""
+        p = {k: np.asarray(v, dtype=float) for k, v in p.items()}
+        kernel = ssm.compute_kernel(p, h.shape[1])
+        pre = ssm.fft_causal_conv(h.astype(float), kernel) + h * p["d"]
+        return ad.gelu(ad.Tensor(pre)).data
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 511, 512, 513, 1029])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-5)])
+    def test_forward_equals_the_fft_convolution(self, length, batch, dtype, tol):
+        """Across SCAN_BLOCK and STREAM_CHUNK edges; float32 against the float64
+        convolution of the same (rounded) values."""
+        rng = np.random.default_rng(length + batch)
+        p = {k: v.astype(dtype) for k, v in helpers.random_ssm_params(rng, 5, 8).items()}
+        h = rng.standard_normal((batch, length, 5)).astype(dtype)
+        core = {k: ad.Tensor(v, requires_grad=True) for k, v in p.items()}
+        out = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
+        assert out.requires_grad and out.dtype == dtype
+        np.testing.assert_allclose(out.data, self.reference(h, p), rtol=0, atol=tol)
+
+    def test_any_leading_axes(self):
+        """An (L, H) input, or one with two leading axes, runs as the same batch."""
+        rng = np.random.default_rng(60)
+        p = helpers.random_ssm_params(rng, 3, 4)
+        h = rng.standard_normal((2, 2, 40, 3))
+        core = {k: ad.Tensor(v, requires_grad=True) for k, v in p.items()}
+        flat = ssm.s4d_apply(ad.Tensor(h.reshape(4, 40, 3)), core).data
+        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h), core).data, flat.reshape(h.shape))
+        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h[0, 0]), core).data, flat[0])
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("length", [1, 3, 4, 5, 8, 9, 13, 17])
+    def test_gradients_across_block_and_chunk_edges(self, monkeypatch, length, dropout):
+        """With T = 4 and chunks of 8 steps, tiny sizes cross every edge the scan has:
+        a partial block, a whole chunk, a carried state and a short last chunk."""
+        monkeypatch.setattr(ssm, "SCAN_BLOCK", 4)
+        monkeypatch.setattr(ssm, "STREAM_CHUNK", 8)
+        rng = np.random.default_rng(length)
+        params = {**helpers.random_ssm_params(rng, 2, 4), "x": rng.standard_normal((2, length, 2))}
+        probe = rng.standard_normal((2, length, 2))
+        keep = (rng.random((2, length, 2)) >= 0.3) / 0.7 if dropout else None
+
+        def loss(t):
+            core = {k: v for k, v in t.items() if k != "x"}
+            return (ssm.s4d_apply(t["x"], core, keep) * probe).sum()
+
+        errors = ad.finite_diff_errors(loss, params, epsilon=1e-4)
+        assert max(errors.values()) <= 2e-5, errors
+
+    def test_gradients_across_a_chunk_edge(self):
+        """The real SCAN_BLOCK and STREAM_CHUNK: 545 steps are a whole chunk, then a
+        whole block and a partial one."""
+        rng = np.random.default_rng(61)
+        params = {**helpers.random_ssm_params(rng, 1, 2), "x": rng.standard_normal((1, 545, 1))}
+        probe = rng.standard_normal((1, 545, 1))
+
+        def loss(t):
+            core = {k: v for k, v in t.items() if k != "x"}
+            return (ssm.s4d_apply(t["x"], core) * probe).sum()
+
+        errors = ad.finite_diff_errors(loss, params, epsilon=1e-4)
+        assert max(errors.values()) <= 2e-5, errors
+
+
 class TestKernelCsv:
     def test_full_precision_roundtrip(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -123,17 +123,22 @@ class TestTrainLoop:
         assert sum(sizes) == data.split(ds, config.val_fraction, config.seed)[0].n_samples
 
     def test_repeated_run_builds_the_same_kernels(self, monkeypatch):
-        """One run's validation kernels must not spare a later run with the same seed its work."""
+        """One run's validation scan arrays must not spare a later run with the same seed
+        its work. A training step builds each block's scan maps in its forward and again
+        in its backward; each validation builds them once."""
         ds = tiny_dataset()
         mdl = tiny_model(ds)
         config = training.TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=3)
-        built, inner = [], ssm.kernel_t
-        monkeypatch.setattr(ssm, "kernel_t", lambda p, n: built.append(n) or inner(p, n))
+        maps, arrays = [], []
+        inner_maps, inner_arrays = ssm.scan_maps, ssm.scan_arrays
+        monkeypatch.setattr(ssm, "scan_maps", lambda *a: maps.append(1) or inner_maps(*a))
+        monkeypatch.setattr(ssm, "scan_arrays", lambda p: arrays.append(1) or inner_arrays(p))
         counts = []
         for _ in range(2):
             training.train(mdl, ds, config)
-            counts.append(len(built))
-        assert counts[1] == 2 * counts[0]
+            counts.append((len(maps), len(arrays)))
+        assert counts[0][1] == 2  # one validation per epoch
+        assert counts[1] == (2 * counts[0][0], 2 * counts[0][1])
 
     def test_float32_model_trains_in_float32(self):
         """Dropout masks and batches take the parameters' dtype, so no leaf is promoted."""
