@@ -606,7 +606,7 @@ class TestScanStage:
 
     @staticmethod
     def reference(h, p):
-        """GELU of the FFT convolution plus feedthrough, in float64, per sample."""
+        """GELU of the FFT convolution plus feedthrough, in float64."""
         p = {k: np.asarray(v, dtype=float) for k, v in p.items()}
         kernel = ssm.compute_kernel(p, h.shape[1])
         pre = ssm.fft_causal_conv(h.astype(float), kernel) + h * p["d"]
