@@ -392,9 +392,12 @@ def make_complex(re, im):
 # -- backward pass ------------------------------------------------------------
 
 
-def gradients(loss, leaves):
+def gradients(loss, leaves, adjoint=None):
     """Gradient bundle keyed by parameter name for a scalar `loss`.
 
+    With `adjoint`, `loss` may have any shape, and the walk starts from that
+    adjoint of it instead of 1: the bundle is then the gradient of
+    sum(adjoint * loss), in the real-pair convention for complex arrays.
     `leaves` maps names to Tensors. The graph rooted at `loss` is the tape:
     it is walked once in reverse topological order, which leaves each leaf's
     adjoint in the walk's dict. Leaves the loss never reached get zeros, so
@@ -402,7 +405,7 @@ def gradients(loss, leaves):
     has run, and with it the arrays it saved, so a graph is differentiated
     once: a second call raises ValueError.
     """
-    if loss.data.size != 1:
+    if adjoint is None and loss.data.size != 1:
         raise ValueError(f"gradient root must be scalar, got shape {loss.shape}")
     adjoints = {}
     if loss.requires_grad:
@@ -424,8 +427,10 @@ def gradients(loss, leaves):
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        seed = loss.dtype if np.issubdtype(loss.dtype, np.inexact) else float
-        adjoints[id(loss)] = np.ones(loss.shape, seed)  # a float32 loss keeps a float32 backward
+        if adjoint is None:  # a float32 loss keeps a float32 backward
+            adjoint = np.ones(loss.shape, loss.dtype if np.issubdtype(loss.dtype, np.inexact)
+                              else float)
+        adjoints[id(loss)] = adjoint
         for t in reversed(order):
             if t._vjp is None:  # a leaf: its adjoint is the result
                 continue

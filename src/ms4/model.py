@@ -203,21 +203,22 @@ def _mix_node(h, params):
     arrays, in place where that order allows, so its output is theirs bit for bit.
     It saves the GLU's linear half a and its sigmoid gate (two contiguous arrays
     shaped like h) and LayerNorm's per-step mean and deviation; its VJP recomputes
-    a * gate and its standardized form from those, in the generic ops' order, so
-    its gradients are theirs.
+    a * gate and its standardized form from those, in the generic ops' order and in
+    place, so its gradients are theirs.
     """
     w2, b2, *norm = (t.data for t in params)
     y2 = ad.affine(h.data, w2, b2).data
     half = y2.shape[-1] // 2
     gate = ad.sigmoid(y2[..., half:]).data
+    # Copied in eval forwards too: a * gate over the strided half took longer
+    # than the copy and a contiguous product together.
     a = y2[..., :half].copy()
     del y2  # before the output is allocated, so the forward holds at most 4 activations
     out = a * gate
     if norm:  # layer_norm_t's mean, variance and sqrt(var + eps), then its affine steps
-        width = out.shape[-1]
-        mu = out.sum(axis=-1, keepdims=True) * (1.0 / width)
+        mu = out.sum(axis=-1, keepdims=True) * (1.0 / half)
         out -= mu
-        std = np.sqrt((out * out).sum(axis=-1, keepdims=True) * (1.0 / width) + LN_EPS)
+        std = np.sqrt((out * out).sum(axis=-1, keepdims=True) * (1.0 / half) + LN_EPS)
         out /= std
         out *= norm[0]
         out += norm[1]
@@ -226,45 +227,60 @@ def _mix_node(h, params):
     def vjp(grad):
         norm_grads = []
         if norm:  # back through layer_norm_t step by step, in the generic ops' order
-            centered = a * gate - mu
-            xhat = centered / std
-            norm_grads = [(grad * xhat).sum(axis=lead), np.sum(grad, axis=lead)]
-            gxhat = grad * norm[0]
-            # var's adjoint, through xhat = centered / std and std = sqrt(var + eps)
-            gvar = (-gxhat * xhat / std).sum(axis=-1, keepdims=True) / (2.0 * std) * (1.0 / width)
+            centered = np.multiply(a, gate)
+            centered -= mu
+            xhat = np.divide(centered, std)
+            gxhat = np.multiply(grad, xhat)
+            norm_grads = [gxhat.sum(axis=lead), np.sum(grad, axis=lead)]
+            grad = np.multiply(grad, norm[0], out=gxhat)
+            # var's adjoint, through xhat = centered / std and std = sqrt(var + eps);
+            # -gxhat * xhat is gxhat * -xhat, bit for bit
+            xhat = np.negative(xhat, out=xhat)
+            xhat *= grad
+            xhat /= std
+            gvar = xhat.sum(axis=-1, keepdims=True) / (2.0 * std) * (1.0 / half)
             # centered feeds xhat and, twice, centered * centered; g feeds centered and mu
-            grad = gxhat / std + gvar * centered + gvar * centered
-            grad = grad + -grad.sum(axis=-1, keepdims=True) * (1.0 / width)
-            del centered, xhat, gxhat
-        gy2 = np.concatenate([grad * gate, grad * a * gate * (1.0 - gate)], axis=-1)
+            grad /= std
+            centered = np.multiply(gvar, centered, out=centered)
+            grad += centered
+            grad += centered
+            grad += -grad.sum(axis=-1, keepdims=True) * (1.0 / half)
+            del centered, xhat
+        gy2 = np.empty((*grad.shape[:-1], 2 * half), np.result_type(grad, gate))
+        np.multiply(grad, gate, out=gy2[..., :half])
+        gb = np.multiply(grad, a, out=gy2[..., half:])
+        gb *= gate
+        gb *= np.subtract(1.0, gate, out=gate)  # the gate's last use
         gw2 = h.data.reshape(-1, h.shape[-1]).T @ gy2.reshape(-1, gy2.shape[-1])
         return (gy2 @ w2.T, gw2, gy2.sum(axis=lead), *norm_grads)
 
     return ad.node(out, (h, *params), vjp)
 
 
-def forward_t(x, leaves, keeps=None):
+def forward_t(x, leaves, keeps=None, scans=None):
     """Logits for a (B, L, F) batch given leaf Tensors.
 
     The blocks are those the leaves name. `keeps` holds one (B, L, H) dropout
     multiplier per block (see `ssm.s4d_apply`); without it no dropout runs.
     When an operand requires a gradient this is the training graph, whose
     blocks are each two nodes over the whole sequence: `ssm.s4d_apply`, which
-    runs `ssm.chunk_scan` chunk by chunk on maps built from the leaves, and
-    `channel_mix_t`. Otherwise it is the eval forward: the batch is read in
-    chunks of `ssm.STREAM_CHUNK` steps, and each is projected and run through
-    every block's `ssm.chunk_scan`, from the state the chunk before left and
-    the scan arrays of one `memo` lookup, then GELU and `channel_mix_t`. A
-    running sum over time feeds `classify_t` its mean, so working memory is
-    O(B*STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`, whatever L is. BLAS
-    is held at one thread: the scan's products are small, and a pool thread
-    woken by the mix slowed them.
+    runs `ssm.chunk_scan` chunk by chunk on the block's `ssm.scan_t`, and
+    `channel_mix_t`. `scans` holds each block's `ssm.scan_t`; without it they
+    are built from the leaves, on the tape. Otherwise it is the eval forward:
+    the batch is read in chunks of `ssm.STREAM_CHUNK` steps, and each is
+    projected and run through every block's `ssm.chunk_scan`, from the state
+    the chunk before left and the scan arrays of one `memo` lookup, then GELU
+    and `channel_mix_t`. A running sum over time feeds `classify_t` its mean,
+    so working memory is O(B*STREAM_CHUNK*H + H*T*(T+N)), T = `ssm.SCAN_BLOCK`,
+    whatever L is. BLAS is held at one thread: the scan's products are small,
+    and a pool thread woken by the mix slowed them.
     """
     n = block_count(leaves)
     if x.requires_grad or any(t.requires_grad for t in leaves.values()):
         h = ad.affine(x, leaves["w1"], leaves["b1"])
         for i in range(n):
-            h = ssm.s4d_apply(h, block_core(leaves, i), None if keeps is None else keeps[i])
+            scan = ssm.scan_t(block_core(leaves, i)) if scans is None else scans[i]
+            h = ssm.s4d_apply(h, scan, None if keeps is None else keeps[i])
             h = channel_mix_t(h, leaves, i)
         return classify_t(h, leaves["w3"], leaves["b3"], leaves["w4"], leaves["b4"])
     scans, total = memo(memo_key(leaves)), 0.0

@@ -20,7 +20,8 @@ A_bar^T h plus its input times a (T, N) map. Memory is
 O(B*STREAM_CHUNK*H + H*T*(T+N)) whatever the sequence length. The module
 keeps no state: the scan takes a core's `scan_arrays` from its caller, which
 may keep them (`model.memo`). Training's stage, `s4d_apply`, is one tape
-node over the same scan."""
+node over the same scan, on the arrays of one `scan_t` node, which a training
+step builds once per block and shares among its shards."""
 
 from __future__ import annotations
 
@@ -117,47 +118,53 @@ def causal_conv_t(x, kernel):
     return np.fft.irfft(xf * kf, n=n, axis=-2)[..., :length, :]
 
 
-def s4d_apply(x, p, keep=None):
+def s4d_apply(x, scan, keep=None):
     """Full S4D stage on a projected (..., L, H) input: scan + feedthrough, GELU, then dropout.
 
-    `keep` is the dropout multiplier, shaped like the output: 0 where a unit
-    is dropped and 1/(1 - rate) where it is kept. Without it no dropout runs.
-    One node with parents x, the powers A_bar^0..T, B_bar, C and d. Its forward
-    runs `chunk_scan` from a zero state, as the eval forward does, and saves
-    GELU's slope, `keep` and each chunk's entry state. Its VJP walks the chunks
-    backward: it carries the state adjoint back over the blocks,
+    `scan` is the core's `scan_t`, and `keep` the dropout multiplier, shaped like the
+    output: 0 where a unit is dropped and 1/(1 - rate) where it is kept. Without it no
+    dropout runs. One node with parents x and `scan`. Its forward runs `chunk_scan` from
+    a zero state, as the eval forward does, over slices of about SLICE_ROWS sequence
+    steps, and saves GELU's slope, `keep` and each chunk's entry state. Its VJP walks
+    the chunks backward: it carries the state adjoint back over the blocks,
     leaving[k] = conj(A_bar^T) leaving[k+1] + gy_(k+1) @ out^T, then forward,
-    recomputing each block's entry state, with products over at least T rows.
+    recomputing each block's entry state, with products over at least T rows. It
+    returns the adjoints of `scan`'s three maps and of A_bar^T, laid out as `scan`.
     """
-    _, b_bar, rate = discretize_t(p)
-    powers, c, d = powers_t(rate), ad.make_complex(p["c_re"], p["c_im"]), ad.as_tensor(p["d"])
+    arrays = _views(scan.data)
+    powers, toeplitz, into, out_map = arrays
     xs = x.data.reshape(-1, *x.shape[-2:])  # any leading axes, as one batch axis
     (batch, length, width), modes, t = xs.shape, powers.shape[-1], SCAN_BLOCK
-    scan = (powers.data, *scan_maps(powers.data, b_bar.data, c.data, d.data))
-    out = np.empty(xs.shape, np.result_type(xs, scan[1]))
-    slope, entries, state = np.empty_like(out), [], np.zeros((batch, width, modes), powers.dtype)
+    if keep is not None:
+        keep = np.reshape(keep, xs.shape)
+    rows = max(1, SLICE_ROWS // min(length, STREAM_CHUNK))  # sequences per slice
+    slope = np.empty(xs.shape, np.result_type(xs, toeplitz))
+    out = np.empty(xs.shape, np.result_type(slope, 1.0 if keep is None else keep))
+    state, entries = np.zeros((batch, width, modes), powers.dtype), []
     for lo in range(0, length, STREAM_CHUNK):
-        part = slice(lo, lo + STREAM_CHUNK)
         entries.append(state if lo else None)  # the VJP makes the zero state again
-        state, y = chunk_scan(scan, state, xs[:, part])
-        act = ad.gelu(ad.Tensor(y, requires_grad=True))
-        out[:, part], (slope[:, part],) = act.data, ad.partials(act)
-    del state, scan
-    out = out.reshape(x.shape) if keep is None else out.reshape(x.shape) * keep
+        leaving = np.empty_like(state)
+        for first in range(0, batch, rows):  # the scan's products are per sample
+            seqs = slice(first, first + rows)
+            part = seqs, slice(lo, lo + STREAM_CHUNK)
+            leaving[seqs], y = chunk_scan(arrays, state[seqs], xs[part])
+            act = ad.gelu(ad.Tensor(y, requires_grad=True))
+            out[part], (slope[part],) = act.data, ad.partials(act)
+            if keep is not None:
+                out[part] *= keep[part]
+        state = leaving
 
     def vjp(g):
         # the adjoint of scan + d*x, in the slope's buffer unless g or keep widens it
         u = slope.astype(np.result_type(slope, g, 1.0 if keep is None else keep), copy=False)
-        u = u.reshape(x.shape)
-        u *= g
+        u *= g.reshape(xs.shape)
+        del g  # no caller holds it: an activation less through the walk below
         if keep is not None:
             u *= keep
-        gx = u = u.reshape(xs.shape)  # gx overwrites each chunk of u once it is blocked
-        toeplitz, into, out_map = scan_maps(powers.data, b_bar.data, c.data, d.data)
-        maps = np.concatenate([toeplitz.swapaxes(1, 2), into.swapaxes(1, 2)], axis=1)  # (H, T+N, T)
-        into, back = maps[:, t:].swapaxes(1, 2)[:, None], out_map.swapaxes(1, 2)[:, None]
-        step, group = powers.data[:, t, None], max(1, t // batch)  # A_bar^T; blocks per product
-        del toeplitz
+        gx = u  # gx overwrites each chunk of u once it is blocked
+        maps = np.concatenate([toeplitz.swapaxes(1, 2), into.swapaxes(1, 2)], axis=1)  # (H,T+N,T)
+        to_state, back = maps[:, t:].swapaxes(1, 2)[:, None], out_map.swapaxes(1, 2)[:, None]
+        step, group = powers[:, t, None], max(1, t // batch)  # A_bar^T; blocks per product
         g_maps = np.zeros((width, t, maps.shape[1]), u.dtype)  # of [Toeplitz | into]
         g_out, g_step = np.zeros(out_map.shape, u.dtype), np.zeros((width, modes), powers.dtype)
         g_state = np.zeros((width, batch, modes), powers.dtype)  # of the state leaving the chunk
@@ -183,27 +190,65 @@ def s4d_apply(x, p, keep=None):
                 g_maps += xb.reshape(width, -1, t).swapaxes(1, 2) @ a
                 # the entry state of each block, conjugated once it has served g_out
                 states = np.empty(leaving[:, blocks].shape, powers.dtype)
-                state = _carry(_complex(xb @ into), states, state, step, False)
+                state = _carry(_complex(xb @ to_state), states, state, step, False)
                 g_out += _pairs(states).reshape(width, -1, 2 * modes).swapaxes(1, 2) @ a[..., :t]
-                g_step += np.einsum("hkbm,hkbm->hm", leaving[:, blocks], np.conj(states, out=states))
+                g_step += np.einsum("hkbm,hkbm->hm", leaving[:, blocks],
+                                    np.conj(states, out=states))
+                del xb, states  # before the next group's are made
             del adj, leaving, a  # before the next chunk's are made
-        return (gx.reshape(x.shape), *_core_adjoints(
-            powers.data, b_bar.data, c.data, g_maps[..., :t], g_maps[..., t:], g_out, g_step))
+        g_scan = np.zeros_like(scan.data)  # laid out as `scan`, made once the walk has ended
+        g_powers, g_toeplitz, g_into, g_out_map = _views(g_scan)
+        g_powers[:, t], g_toeplitz[...], g_into[...], g_out_map[...] = (
+            g_step, g_maps[..., :t], g_maps[..., t:], g_out)
+        return gx.reshape(x.shape), g_scan
 
-    return ad.node(out, (x, powers, b_bar, c, d), vjp)
+    return ad.node(out.reshape(x.shape), (x, scan), vjp)
 
 
-def _core_adjoints(powers, b_bar, c, g_toeplitz, g_into, g_out, g_step):
-    """The adjoints of the powers, B_bar, C and d from those of `scan_maps`' three maps
-    and of A_bar^T = powers[:, T], in the real-pair convention of `autodiff`."""
+def scan_t(p):
+    """A core's `scan_arrays` on the tape: one node with parents the rate delta*lambda,
+    B_bar, C and d, whose data is one real (H, T*T + (3T+1)*N) array. Row h holds channel
+    h's powers A_bar^0..T = exp(rate * k), k <= T, as (re, im) pairs, then its three
+    `scan_maps`; `_views` reads them back. Its VJP maps their adjoints to the parents'
+    with `_core_adjoints`, the powers' to the rate's as sum_k k g_k conj(A_bar^k)."""
+    _, b_bar, rate = discretize_t(p)
+    c, d = ad.make_complex(p["c_re"], p["c_im"]), ad.as_tensor(p["d"])
+    (width, modes), t = rate.shape, SCAN_BLOCK
+    data = np.empty((width, t * t + (3 * t + 1) * 2 * modes), rate.data.real.dtype)
+    powers, *maps = _views(data)
+    k = np.arange(t + 1, dtype=data.dtype)[:, None]
+    np.exp(rate.data.reshape(width, 1, modes) * k, out=powers)
+    for view, value in zip(maps, scan_maps(powers, b_bar.data, c.data, d.data)):
+        view[...] = value
+
+    def vjp(g):
+        g_powers, g_b, g_c, g_d = _core_adjoints(powers, b_bar.data, c.data, *_views(g))
+        return (g_powers * powers.conj() * k).sum(axis=1), g_b, g_c, g_d
+
+    return ad.node(data, (rate, b_bar, c, d), vjp)
+
+
+def _views(scan):
+    """`scan_t`'s rows as views: the (H, T+1, N/2) complex powers A_bar^0..T, then the
+    (H, T, T) Toeplitz, the (H, T, N) input-to-state and the (H, N, T) state-to-output
+    maps of `scan_maps`. Each view's per-channel matrices are C-contiguous."""
+    t, width = SCAN_BLOCK, len(scan)
+    n = (scan.shape[1] - t * t) // (3 * t + 1)  # the state size N
+    powers, toeplitz, into, out = np.split(scan, np.cumsum([(t + 1) * n, t * t, t * n]), axis=1)
+    return (_complex(powers.reshape(width, t + 1, n)), toeplitz.reshape(width, t, t),
+            into.reshape(width, t, n), out.reshape(width, n, t))
+
+
+def _core_adjoints(powers, b_bar, c, g_powers, g_toeplitz, g_into, g_out):
+    """The adjoints of the powers, B_bar, C and d from those of the powers and of
+    `scan_maps`' three maps, in the real-pair convention of `autodiff`."""
     t = SCAN_BLOCK
     g_kernel = np.stack([np.trace(g_toeplitz, lag, 1, 2) for lag in range(t)], axis=-1)
-    g_into = _complex(g_into)  # of B_bar A_bar^(T-1-i), (H, T, N/2)
+    g_into = _complex(np.ascontiguousarray(g_into))  # of B_bar A_bar^(T-1-i), (H, T, N/2)
     g_out = _complex(np.ascontiguousarray(g_out.swapaxes(1, 2))).conj()  # of 2 C A_bar^(k+1)
     cb = c * b_bar
-    g_powers = np.empty_like(powers)
-    g_powers[:, t] = g_step
-    g_powers[:, :t] = 2.0 * g_kernel[..., None] * cb.conj()[:, None]
+    g_powers = g_powers.copy()  # the caller's adjoint is left as it is
+    g_powers[:, :t] += 2.0 * g_kernel[..., None] * cb.conj()[:, None]
     g_powers[:, t - 1 :: -1] += g_into * b_bar.conj()[:, None]
     g_powers[:, 1:] += 2.0 * g_out * c.conj()[:, None]
     g_cb = 2.0 * (g_kernel[:, None] @ powers[:, :t].conj())[:, 0]
@@ -283,24 +328,19 @@ def recurrent_step(h, x_k, a_bar, b_bar, c, d):
 
 STREAM_CHUNK = 512  # most steps per `chunk_scan`; memory O(B*STREAM_CHUNK*H + H*T*(T+N))
 SCAN_BLOCK = 32  # T: steps per block of `chunk_scan`'s matmuls
+SLICE_ROWS = 1024  # (sequence, step) rows per scan and GELU slice of the taped stage's forward
 
 
 def scan_arrays(core):
     """What `chunk_scan` reads, for blocks of T = SCAN_BLOCK steps: the (H, T+1, N/2) powers
-    A_bar^0..T, then `scan_maps` of them."""
-    _, b_bar, rate = discretize_t(core)
-    powers = powers_t(rate).data
-    maps = scan_maps(powers, b_bar.data, core["c_re"] + 1j * core["c_im"], core["d"])
+    A_bar^0..T, then `scan_maps` of them, each copied out of one `scan_t` array."""
     # Copied last, so the kept arrays sit above the build's freed temporaries
     # in the malloc heap; kept below them, they left the heap top free, and
-    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`.
-    return tuple(v.copy() for v in (powers, *maps))
-
-
-def powers_t(rate):
-    """The (H, T+1, N/2) powers A_bar^0..T = exp(rate * k), k <= T = SCAN_BLOCK."""
-    k = np.arange(SCAN_BLOCK + 1, dtype=rate.data.real.dtype)[:, None]
-    return ad.exp(rate.reshape(rate.shape[0], 1, -1) * k)
+    # glibc trimmed and refaulted 8 MB on every later L=4096 `forward`. Four
+    # copies, not one of the packed array: at H=N=64 that was a 3.7 MB block
+    # that glibc mapped on its own, away from the heap the forward's
+    # temporaries share.
+    return tuple(v.copy() for v in _views(scan_t(core).data))
 
 
 def scan_maps(powers, b_bar, c, d):

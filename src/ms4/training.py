@@ -106,10 +106,13 @@ def evaluate(mdl, dataset):
 def train(mdl, dataset, config):
     """Fit a model; returns (model at best validation loss, TrainHistory).
 
-    Each batch's gradient is the sum over shards of `model.TRAIN_SHARD`
-    sequences, each its own tape with its loss scaled by shard/batch, run on
-    `model.cpu_map`; the sums are taken in shard order, so the result does
-    not depend on the CPU count. Each validation pass's scan arrays leave
+    Each batch's gradient is the sum over shards of at most `model.TRAIN_SHARD`
+    sequences, as even as can be, each its own tape with its loss scaled by
+    shard/batch, run on `model.cpu_map`; the sums are taken in shard order, so
+    the result does not depend on the CPU count. Each block's `ssm.scan_t` is
+    built once per step, before the shards start, and every shard's tape ends
+    at it: the sum of the shards' adjoints of its arrays is taken back to the
+    block's leaves once, after them. Each validation pass's scan arrays leave
     `model.memo` after it: the parameters change every step, so none is used
     twice, and a run leaves none behind.
     """
@@ -146,20 +149,29 @@ def train(mdl, dataset, config):
                 keeps = [(rng.random(shape) >= mdl.dropout_rate).astype(dtype) / scale
                          for _ in range(mdl.n_layers)]
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in leaves.items()}
+            cores = [model_mod.block_core(tensors, i) for i in range(mdl.n_layers)]
+            scans = [ssm.scan_t(core) for core in cores]
 
-            def shard_step(lo):
-                """Loss share, logits and gradients of sequences lo:lo+TRAIN_SHARD, one tape."""
-                part = slice(lo, lo + model_mod.TRAIN_SHARD)
-                logits = model_mod.forward_t(
-                    ad.Tensor(xb[part]), tensors, None if keeps is None else [k[part] for k in keeps]
-                )
+            def shard_step(part):
+                """Loss share, logits and gradients of the sequences `part`, one tape that
+                ends at leaves holding the step's scans: their adjoints stand for the cores'."""
+                maps = {f"block{i}.scan": ad.Tensor(s.data, requires_grad=True)
+                        for i, s in enumerate(scans)}
+                shard_keeps = None if keeps is None else [k[part] for k in keeps]
+                logits = model_mod.forward_t(ad.Tensor(xb[part]), tensors, shard_keeps,
+                                             list(maps.values()))
                 loss = cross_entropy_t(logits, yb[part]) * (len(yb[part]) / len(yb))
                 if not np.isfinite(loss.data):
                     raise NumericError(f"non-finite training loss at epoch {epoch}")
-                return float(loss.data), logits.data, ad.gradients(loss, tensors)
+                return float(loss.data), logits.data, ad.gradients(loss, {**tensors, **maps})
 
-            shards = model_mod.cpu_map(shard_step, range(0, len(batch), model_mod.TRAIN_SHARD))
-            grads = {k: sum(g[k] for _, _, g in shards) for k in leaves}
+            count = -(-len(batch) // model_mod.TRAIN_SHARD)  # shards, as even as can be
+            bounds = [len(batch) * k // count for k in range(count + 1)]
+            shards = model_mod.cpu_map(shard_step, map(slice, bounds[:-1], bounds[1:]))
+            grads = {k: sum(g[k] for _, _, g in shards) for k in shards[0][2]}
+            for i, (core, scan) in enumerate(zip(cores, scans)):  # the cores' share, once
+                for k, g in ad.gradients(scan, core, grads.pop(f"block{i}.scan")).items():
+                    grads[f"block{i}.ssm.{k}"] += g
             step += 1
             leaves, moment1, moment2 = adam_step(leaves, grads, moment1, moment2, step, config)
             loss_sum += sum(loss for loss, _, _ in shards) * len(batch)

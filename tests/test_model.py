@@ -204,7 +204,8 @@ class TestForward:
             h = ad.Tensor(x) @ t["w1"] + t["b1"]
             for i in range(2):
                 core = {name: t[f"block{i}.ssm.{name}"] for name in ssm.SSM_LEAF_NAMES}
-                h = model.glu_t(ssm.s4d_apply(h, core), t[f"block{i}.w2"], t[f"block{i}.b2"])
+                h = ssm.s4d_apply(h, ssm.scan_t(core))
+                h = model.glu_t(h, t[f"block{i}.w2"], t[f"block{i}.b2"])
                 if norm:
                     h = model.layer_norm_t(h, t[f"block{i}.gamma"], t[f"block{i}.beta"])
             expected = model.classify_t(h, t["w3"], t["b3"], t["w4"], t["b4"]).data
@@ -254,7 +255,7 @@ class TestForward:
         for lo in range(0, length, ssm.STREAM_CHUNK):
             state, y = ssm.chunk_scan(scan, state, h[:, lo : lo + ssm.STREAM_CHUNK])
             chunks.append(ad.gelu(y).data)
-        taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
+        taped = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), ssm.scan_t(core))
         assert taped.requires_grad and taped.dtype == dtype
         np.testing.assert_array_equal(taped.data, np.concatenate(chunks, axis=1))
 
@@ -429,7 +430,7 @@ class TestForward:
         copies = x.copy(), h.copy()
         leaves = {k: ad.Tensor(v, requires_grad=taped) for k, v in mdl.params.items()}
         model.forward(x, mdl)
-        ssm.s4d_apply(ad.Tensor(h), model.block_core(leaves, 0))
+        ssm.s4d_apply(ad.Tensor(h), ssm.scan_t(model.block_core(leaves, 0)))
         model.channel_mix_t(ad.Tensor(h), leaves, 1)
         np.testing.assert_array_equal(x, copies[0])
         np.testing.assert_array_equal(h, copies[1])
@@ -465,7 +466,7 @@ class TestFusedPrimitives:
         """`forward_t` with the mix written in the generic ops `glu_t` and `layer_norm_t`."""
         h = x @ t["w1"] + t["b1"]
         for i in range(model.block_count(t)):
-            h = ssm.s4d_apply(h, model.block_core(t, i))
+            h = ssm.s4d_apply(h, ssm.scan_t(model.block_core(t, i)))
             if keeps is not None:
                 h = h * keeps[i]
             h = model.glu_t(h, t[f"block{i}.w2"], t[f"block{i}.b2"])
@@ -518,11 +519,14 @@ class TestFusedPrimitives:
         mdl = model.init_model(3, 20, 8, 3, n_layers=2, dropout_rate=0.0, seed=52)
         t = {k: ad.Tensor(v, requires_grad=True) for k, v in mdl.params.items()}
         h = ad.Tensor(np.random.default_rng(52).standard_normal((2, 9, 20)))
-        stage = ssm.s4d_apply(h, model.block_core(t, 0))
-        x, powers, b_bar, c, d = stage._parents
-        assert x is h and d is t["block0.ssm.d"]
-        assert powers.shape == (20, ssm.SCAN_BLOCK + 1, 4) and b_bar.shape == c.shape == (20, 4)
-        assert all(p.requires_grad and p.dtype == complex for p in (powers, b_bar, c))
+        stage = ssm.s4d_apply(h, ssm.scan_t(model.block_core(t, 0)))
+        x, scan = stage._parents
+        block = ssm.SCAN_BLOCK
+        assert x is h and scan.shape == (20, block * block + (3 * block + 1) * 8)
+        rate, b_bar, c, d = scan._parents  # the scan arrays, one node per step and block
+        assert d is t["block0.ssm.d"]
+        assert rate.shape == b_bar.shape == c.shape == (20, 4)
+        assert all(p.requires_grad and p.dtype == complex for p in (rate, b_bar, c))
         mix = model.channel_mix_t(stage, t, 0)
         names = ("w2", "b2", "gamma", "beta")
         assert mix._parents == (stage, *(t[f"block0.{name}"] for name in names))
@@ -569,10 +573,11 @@ class TestFusedPrimitives:
 
     def test_shard_training_step_peak_memory(self):
         """The `train` workload's shard, B=32, L=128, H=N=64, within 15.5 activations. It
-        reads 15.28: the scan's maps and their adjoints are H*T*(T+N) arrays, 1.25
-        activations at this shape, and the VJP holds a chunk's output adjoints and
-        leaving-state adjoints, 3 activations at L <= STREAM_CHUNK. The FFT stage
-        read 13.30."""
+        reads 14.33, in the stage's VJP: the block's scan arrays (1.76 activations at
+        this shape) are held for the whole step, the maps' adjoints are H*T*(T+N)
+        arrays, and the VJP holds a chunk's output adjoints and leaving-state
+        adjoints, 3 activations at L <= STREAM_CHUNK, but not its output's adjoint.
+        It read 15.28 while the VJP rebuilt the maps; the FFT stage read 13.30."""
         assert self.step_peak(32, 128) <= 15.5
 
     def test_long_training_step_peak_memory(self):
@@ -580,8 +585,9 @@ class TestFusedPrimitives:
         forward_t, the loss and gradients, within 14 (B, L, H) float64 activations
         (235 MB). The generic-op tape kept every intermediate and peaked at 514 MB; a
         projection that kept both x @ w1 and its sum with b1 peaked at 14.09, and the
-        FFT stage at 13.10. The scan stage peaks at 12.33 activations (207 MB): its VJP
-        holds one chunk of STREAM_CHUNK steps at a time."""
+        FFT stage at 13.10. The scan stage peaks at 11.40 activations (191 MB): its VJP
+        holds one chunk of STREAM_CHUNK steps at a time, and the mix's VJP works in
+        place (12.33 before)."""
         assert self.step_peak(8, 4096) <= 14
 
     def test_training_step_runs_no_fft(self, monkeypatch):

@@ -535,7 +535,7 @@ class TestS4dForward:
         if seed is not None:
             draw = np.random.default_rng(seed).random(x.shape)
             keep = (draw >= dropout_rate) / (1.0 - dropout_rate)
-        return ssm.s4d_apply(ad.Tensor(x), core, keep).data
+        return ssm.s4d_apply(ad.Tensor(x), ssm.scan_t(core), keep).data
 
     def test_zero_input_zero_output(self):
         p = ssm.init_s4d_params(3, 4, seed=0)
@@ -622,7 +622,7 @@ class TestScanStage:
         p = {k: v.astype(dtype) for k, v in helpers.random_ssm_params(rng, 5, 8).items()}
         h = rng.standard_normal((batch, length, 5)).astype(dtype)
         core = {k: ad.Tensor(v, requires_grad=True) for k, v in p.items()}
-        out = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), core)
+        out = ssm.s4d_apply(ad.Tensor(h, requires_grad=True), ssm.scan_t(core))
         assert out.requires_grad and out.dtype == dtype
         np.testing.assert_allclose(out.data, self.reference(h, p), rtol=0, atol=tol)
 
@@ -631,10 +631,10 @@ class TestScanStage:
         rng = np.random.default_rng(60)
         p = helpers.random_ssm_params(rng, 3, 4)
         h = rng.standard_normal((2, 2, 40, 3))
-        core = {k: ad.Tensor(v, requires_grad=True) for k, v in p.items()}
-        flat = ssm.s4d_apply(ad.Tensor(h.reshape(4, 40, 3)), core).data
-        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h), core).data, flat.reshape(h.shape))
-        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h[0, 0]), core).data, flat[0])
+        scan = ssm.scan_t({k: ad.Tensor(v, requires_grad=True) for k, v in p.items()})
+        flat = ssm.s4d_apply(ad.Tensor(h.reshape(4, 40, 3)), scan).data
+        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h), scan).data, flat.reshape(h.shape))
+        np.testing.assert_array_equal(ssm.s4d_apply(ad.Tensor(h[0, 0]), scan).data, flat[0])
 
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("length", [1, 3, 4, 5, 8, 9, 13, 17])
@@ -650,7 +650,7 @@ class TestScanStage:
 
         def loss(t):
             core = {k: v for k, v in t.items() if k != "x"}
-            return (ssm.s4d_apply(t["x"], core, keep) * probe).sum()
+            return (ssm.s4d_apply(t["x"], ssm.scan_t(core), keep) * probe).sum()
 
         errors = ad.finite_diff_errors(loss, params, epsilon=1e-4)
         assert max(errors.values()) <= 2e-5, errors
@@ -664,7 +664,7 @@ class TestScanStage:
 
         def loss(t):
             core = {k: v for k, v in t.items() if k != "x"}
-            return (ssm.s4d_apply(t["x"], core) * probe).sum()
+            return (ssm.s4d_apply(t["x"], ssm.scan_t(core)) * probe).sum()
 
         errors = ad.finite_diff_errors(loss, params, epsilon=1e-4)
         assert max(errors.values()) <= 2e-5, errors

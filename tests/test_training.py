@@ -1,5 +1,6 @@
 """Training loop tests: loss, optimizer, early stopping, determinism."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -96,18 +97,23 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_sharded_steps_independent_of_cpu_count(self, monkeypatch, cpus):
-        """Batch 64 is two TRAIN_SHARD shards; running them inline or on threads
-        gives the same history and parameters, bit for bit."""
+        """Batch 64 is two TRAIN_SHARD shards, and batch 52 two of 26 then a last batch of
+        40 as two of 20; running them inline or on threads gives the same history and
+        parameters, bit for bit."""
         ds = tiny_dataset(n=160, seed=7)
-        config = training.TrainConfig(max_epochs=2, patience=2, batch_size=64, seed=8)
-        native = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
-        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        sharded = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
-        assert sharded[1] == native[1]
-        for name, arr in native[0].leaves().items():
-            np.testing.assert_array_equal(sharded[0].params[name], arr)
+        for batch_size in (64, 52):
+            config = training.TrainConfig(max_epochs=2, patience=2, batch_size=batch_size, seed=8)
+            native = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                sharded = training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+            assert sharded[1] == native[1]
+            for name, arr in native[0].leaves().items():
+                np.testing.assert_array_equal(sharded[0].params[name], arr)
 
     def test_no_gradient_forward_exceeds_a_shard(self, monkeypatch):
+        """A batch is cut into as few shards as TRAIN_SHARD allows, as even as can be: of
+        144 training sequences, batches of 104 and 40 are four of 26 and two of 20."""
         ds = tiny_dataset(n=160, seed=7)
         sizes, inner = [], model.forward_t
 
@@ -117,15 +123,47 @@ class TestTrainLoop:
             return inner(x, leaves, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward_t", recording)
-        config = training.TrainConfig(max_epochs=1, batch_size=64, seed=8)
-        training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
-        assert sizes and max(sizes) <= model.TRAIN_SHARD
-        assert sum(sizes) == data.split(ds, config.val_fraction, config.seed)[0].n_samples
+        for batch_size, shards in ((64, [16, 32, 32, 32, 32]), (104, [20, 20, 26, 26, 26, 26])):
+            sizes.clear()
+            config = training.TrainConfig(max_epochs=1, batch_size=batch_size, seed=8)
+            training.train(tiny_model(ds, dropout=0.1, seed=9), ds, config)
+            assert sorted(sizes) == shards and max(sizes) <= model.TRAIN_SHARD
+            assert sum(sizes) == data.split(ds, config.val_fraction, config.seed)[0].n_samples
+
+    def test_scan_maps_built_once_per_step_and_block(self, monkeypatch):
+        """Every shard of a step differentiates against the step's scan maps: a 2-block
+        model's epoch of 3 steps, each of two or more shards, builds each block's maps
+        once per step and once per validation, and maps their adjoints back to the
+        block's leaves once per step, outside the shards."""
+        ds = tiny_dataset(n=160, seed=7)
+        mdl = model.init_model(ds.n_features, 8, 8, ds.n_classes, n_layers=2, dropout_rate=0.1,
+                               seed=9)
+        builds, adjoints, shard = [], [], threading.local()
+        inner_maps, inner_adjoints = ssm.scan_maps, ssm._core_adjoints
+        inner_forward = model.forward_t
+
+        def forward(*args, **kwargs):
+            shard.on = True
+            try:
+                return inner_forward(*args, **kwargs)
+            finally:
+                shard.on = False
+
+        def core_adjoints(*args):
+            adjoints.append(getattr(shard, "on", False))
+            return inner_adjoints(*args)
+
+        monkeypatch.setattr(ssm, "scan_maps", lambda *a: builds.append(1) or inner_maps(*a))
+        monkeypatch.setattr(ssm, "_core_adjoints", core_adjoints)
+        monkeypatch.setattr(model, "forward_t", forward)
+        training.train(mdl, ds, training.TrainConfig(max_epochs=1, batch_size=64, seed=8))
+        assert len(builds) == 2 * (3 + 1)  # 144 sequences: steps of 64, 64 and 16
+        assert adjoints == [False] * 2 * 3
 
     def test_repeated_run_builds_the_same_kernels(self, monkeypatch):
         """One run's validation scan arrays must not spare a later run with the same seed
-        its work. A training step builds each block's scan maps in its forward and again
-        in its backward; each validation builds them once."""
+        its work. A training step builds each block's scan maps once, for all its shards;
+        each validation builds them once."""
         ds = tiny_dataset()
         mdl = tiny_model(ds)
         config = training.TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=3)
